@@ -7,6 +7,7 @@ lowercase scientific notation, rows in grid order.
 """
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,8 +60,9 @@ def _cmd_mu(args):
 
 def _cmd_tc(args):
     _, solver = _configs(args)
-    tc = critical_temperature(args.q, solver)
-    return [{"q_over_m3": args.q, "tc_over_m": tc}], ["q_over_m3", "tc_over_m"]
+    rows = [{"q_over_m3": q, "tc_over_m": critical_temperature(q, solver)}
+            for q in args.q]
+    return rows, ["q_over_m3", "tc_over_m"]
 
 
 def _cmd_ddim_tc(args):
@@ -94,13 +96,23 @@ def _cmd_profile(args):
     return rows, ["k_over_m", "n1_k", "n2_k"]
 
 
+def _grid_top(tc, n):
+    """The top of the grid t_i = top * i / n: T_c itself when top * n / n
+    gives T_c back, else the next double above T_c that does (about one T_c
+    in eight misses by an ulp), so that the last row is always the top."""
+    top = tc
+    while top * n / n != top:
+        top = math.nextafter(top, math.inf)
+    return top
+
+
 def _cmd_fraction_sweep(args):
     _, solver = _configs(args)
     rows = []
     for q in args.q:
-        tc = critical_temperature(q, solver)
+        top = _grid_top(critical_temperature(q, solver), args.points)
         for i in range(1, args.points + 1):
-            t = tc * i / args.points
+            t = top * i / args.points
             sol = condensed_solution(q, t, solver)
             rows.append({"q_over_m3": q, "t_over_m": t,
                          "q0_over_q": sol.q0 / q})
@@ -161,7 +173,7 @@ def build_parser():
     s.set_defaults(func=_cmd_mu)
 
     s = sub.add_parser("tc", help="BEC critical temperature from charge")
-    s.add_argument("--q", type=float, required=True)
+    s.add_argument("--q", type=float, nargs="+", required=True)
     s.set_defaults(func=_cmd_tc)
 
     s = sub.add_parser("ddim-tc", help="UR critical temperature in d dims")

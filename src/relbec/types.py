@@ -41,7 +41,10 @@ class ChargeDensities:
     """Thermal particle density n1, antiparticle density n2 and their
     difference q_tilde, all in units of m^3.
 
-    q_tilde is stored as n1 - n2 by construction.
+    thermal_charge_density integrates q_tilde directly from the
+    cancellation-free difference integrand, so it agrees with n1 - n2 to
+    the quadrature tolerance and keeps its own relative precision where
+    n1 - n2 cancels; from_pair stores n1 - n2 exactly.
     """
 
     n1: float

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -58,6 +59,44 @@ def test_fraction_sweep_endpoints(capsys):
     last = float(lines[-1].split(",")[2])
     assert first > 0.95
     assert last == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("tc", [1.7248333845655348, 1.7248333845655346])
+def test_fraction_sweep_grid_ends_at_tc(capsys, monkeypatch, tc):
+    # 1.7248333845655348 * 50 / 50 is not 1.7248333845655348; ...346 is
+    import relbec.cli
+    monkeypatch.setattr(relbec.cli, "critical_temperature",
+                        lambda q, config: tc)
+    n = 50
+    code, out, _ = run_cli(capsys, "fraction-sweep", "--q", "1",
+                           "--points", str(n))
+    assert code == 0
+    ts = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    top = ts[-1]
+    # the grid is top * i / n for every row, the last one included
+    assert ts == [top * i / n for i in range(1, n + 1)]
+    if tc * n / n == tc:
+        assert top == tc
+    else:
+        assert top == math.nextafter(tc, math.inf)
+
+
+def test_tc_several_charges(capsys):
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" /
+                         "critical_temperatures.json").read_text())["values"]
+    code, out, _ = run_cli(capsys, "tc", "--q", "0.01", "0.1", "1", "10")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "q_over_m3,tc_over_m"
+    assert len(lines) == 5
+    for line, key in zip(lines[1:], ["0.01", "0.1", "1", "10"]):
+        q, tc = map(float, line.split(","))
+        assert q == float(key)
+        assert tc == pytest.approx(golden[key], rel=1e-6)
+    # one charge prints the header and that charge's row alone
+    code, single, _ = run_cli(capsys, "tc", "--q", "1")
+    assert code == 0
+    assert single == "\n".join([lines[0], lines[3]]) + "\n"
 
 
 def test_ratio_sweep_terminates_at_tc(capsys):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import k0e, k1e
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import k0e, k1e, zeta
 
 from relbec import (NonConvergence, PhasePoint, QuadratureConfig,
                     integrate_semi_infinite, thermal_charge_density)
@@ -27,6 +29,28 @@ def bose_density_series(t, mu, j_max=20000):
         total += term
         if term < 1e-17 * max(total, 1e-30):
             break
+    return total / (2.0 * math.pi ** 2)
+
+
+def quad_charge_reference(t, mu):
+    """Independent oracle: q_tilde from scipy's QUADPACK on the difference
+    integrand k^2 (a - b)/((1 - a)(1 - b)), a = e^{-(E-mu)/t},
+    b = e^{-(E+mu)/t}, split at every decade of k up to where E - 1 = 60 t."""
+    if mu < 0.0:
+        return -quad_charge_reference(t, -mu)
+
+    def f(k):
+        e = math.sqrt(k * k + 1.0)
+        xa = (k * k / (e + 1.0) + (1.0 - mu)) / t
+        xb = xa + 2.0 * mu / t
+        return (k * k * math.exp(-xa) * -math.expm1(-2.0 * mu / t)
+                / (-math.expm1(-xa) * -math.expm1(-xb)))
+
+    k_max = math.sqrt((1.0 + 60.0 * t) ** 2 - 1.0)
+    edges = [0.0] + [10.0 ** e for e in range(-6, 9) if 10.0 ** e < k_max]
+    edges.append(k_max)
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
     return total / (2.0 * math.pi ** 2)
 
 
@@ -98,6 +122,41 @@ def test_route_consistency(t, mu):
                                      decay_scale=t)
     diff = val / (2.0 * math.pi ** 2)
     assert abs(diff - d.q_tilde) <= 10.0 * cfg.rel_tol * (d.n1 + d.n2)
+
+
+@pytest.mark.parametrize("t", [10.0 ** e for e in range(-9, 7)])
+@pytest.mark.parametrize("mu", [-1.0, -0.9, 1e-3, 0.5, 0.999, 1.0])
+def test_difference_route_matches_n1_minus_n2(t, mu):
+    cfg = QuadratureConfig()
+    d = thermal_charge_density(PhasePoint(t, mu), cfg)
+    tol = 10.0 * (cfg.rel_tol * (d.n1 + d.n2)
+                  + cfg.abs_tol / (2.0 * math.pi ** 2))
+    assert abs((d.n1 - d.n2) - d.q_tilde) <= tol
+
+
+# Points between t = 1.4e3 and 1e6 where independent n1 and n2
+# integrations once disagreed with the difference integrand.
+@pytest.mark.parametrize("t,mu", [(5000.0, 0.7), (1e4, -0.8),
+                                  (6610.0, 0.7234), (9.4e5, 3e-4)])
+def test_high_t_charge_matches_quadpack(t, mu):
+    d = thermal_charge_density(PhasePoint(t, mu))
+    assert d.q_tilde == pytest.approx(quad_charge_reference(t, mu), rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_t=st.floats(-12.0, -2.0))
+def test_condensation_point_density_nonrelativistic(log_t):
+    # large-argument expansion of the Bessel-K2 series at mu = 1:
+    # n1 = zeta(3/2) (t/2pi)^{3/2} [1 + 15t/8 z(5/2)/z(3/2)
+    #      + 105t^2/128 z(7/2)/z(3/2) + O(t^3)]; the O(t^3) term is below
+    # 1.3e-7 of n1 for t <= 1e-2
+    t = 10.0 ** log_t
+    z = zeta(1.5)
+    series = 1.0 + 15.0 * t / 8.0 * zeta(2.5) / z \
+        + 105.0 * t * t / 128.0 * zeta(3.5) / z
+    expected = z * (t / (2.0 * math.pi)) ** 1.5 * series
+    assert thermal_charge_density(PhasePoint(t, 1.0)).n1 == pytest.approx(
+        expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("t,mu", [(0.5, 0.3), (1.0, 0.8), (2.0, 0.5),

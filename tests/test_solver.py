@@ -59,6 +59,13 @@ def test_critical_temperature_rejects_negative():
         critical_temperature(-1.0)
 
 
+@pytest.mark.parametrize("q", [1e-12, 1e-10])
+def test_critical_temperature_non_relativistic_anchor(q):
+    # T_c << 1: the relativistic correction is of order T_c itself
+    t_nr = 2.0 * math.pi * (q / 2.6123753486854883) ** (2.0 / 3.0)
+    assert critical_temperature(q) == pytest.approx(t_nr, rel=1e-3)
+
+
 def test_critical_temperature_ur_anchor():
     assert critical_temperature(100.0) == pytest.approx(math.sqrt(300.0),
                                                         rel=0.01)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from relbec import (GaplessMode, PhasePoint, charge_integrand, dispersions,
                     momentum_profile, occupation)
+from relbec.statistics import _weighted_occupations
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
@@ -80,6 +81,31 @@ def test_charge_integrand_limit_at_condensation_point():
     # Richardson in k^2: limit = v4 + (v4 - v3) * h4/(h3 - h4)
     extrap = v4 + (v4 - v3) * 1e-8 / (1e-6 - 1e-8)
     assert extrap == pytest.approx(at_zero, rel=1e-6)
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+@pytest.mark.parametrize("k", [2.77e-295, 1e-155, 5e-324])
+def test_charge_integrand_gapless_underflow(k, mu):
+    # k^2 (or the gap k^2/(E + 1)) underflows while the occupation is
+    # infinite: the integrand still takes its limit +-2t
+    t = 1.0
+    assert charge_integrand(k, PhasePoint(t, mu)) == pytest.approx(
+        math.copysign(2.0 * t, mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-9, 1.0, 1e6])
+def test_weighted_occupations_gapless_underflow(t):
+    k = np.array([0.0, 5e-324, 2.77e-295, 1e-155, 1e-3, 1.0, 30.0])
+    rows = _weighted_occupations(k, PhasePoint(t, 1.0))
+    assert rows.shape == (3, len(k))
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_allclose(rows[0, :4], 2.0 * t, rtol=1e-12)
+    np.testing.assert_allclose(rows[2], rows[0] - rows[1], rtol=1e-12,
+                               atol=1e-300)
+    mirror = _weighted_occupations(k, PhasePoint(t, -1.0))
+    np.testing.assert_array_equal(mirror[0], rows[1])
+    np.testing.assert_array_equal(mirror[1], rows[0])
+    np.testing.assert_array_equal(mirror[2], -rows[2])
 
 
 @settings(max_examples=200)
