@@ -5,9 +5,10 @@ ultra-relativistic / d-dimensional limits. All quantities are scaled by
 the boson mass (T/m, mu/m, k/m, densities in m^3)."""
 
 from .errors import (AboveCritical, AsymptoteOutOfRange, BelowCritical,
-                     DivergentCondensateMode, GaplessMode, NonConvergence,
-                     NonPositiveTemperature, RelBecError, TailTooLarge,
-                     UnphysicalMu, UnsupportedDimension)
+                     BudgetExceeded, DivergentCondensateMode, GaplessMode,
+                     InvalidArgument, NonConvergence, NonPositiveTemperature,
+                     RelBecError, TailTooLarge, UnphysicalMu,
+                     UnsupportedDimension)
 from .types import (BoxSpec, ChargeDensities, CriticalPoint, MomentumProfile,
                     PhasePoint, make_phase_point)
 from .statistics import (DispersionPair, charge_integrand, dispersions,
@@ -28,9 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AboveCritical", "AsymptoteOutOfRange", "BelowCritical", "BoxSpec",
-    "ChargeDensities", "CriticalPoint", "Dimension", "DispersionPair",
-    "DivergentCondensateMode", "GaplessMode", "GasSolution", "ModeSumResult",
-    "MomentumProfile", "NonConvergence", "NonPositiveTemperature",
+    "BudgetExceeded", "ChargeDensities", "CriticalPoint", "Dimension",
+    "DispersionPair", "DivergentCondensateMode", "GaplessMode", "GasSolution",
+    "InvalidArgument", "ModeSumResult", "MomentumProfile", "NonConvergence",
+    "NonPositiveTemperature",
     "PhasePoint", "QuadratureConfig", "RelBecError", "SolverConfig",
     "TailTooLarge", "UnphysicalMu", "UnsupportedDimension",
     "charge_integrand", "condensate_mode", "condensed_solution",

@@ -8,11 +8,12 @@ lowercase scientific notation, rows in grid order.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from .errors import RelBecError
+from .errors import BelowCritical, RelBecError
 from .limits import Dimension, ddim_critical_temperature, ur_critical_temperature, ur_density_ratio
 from .oracle import mode_sum, suggest_cutoff
 from .quadrature import QuadratureConfig, thermal_charge_density
@@ -22,6 +23,18 @@ from .statistics import momentum_profile
 from .types import BoxSpec, PhasePoint
 
 DEFAULT_Q_FAMILY = [0.01, 0.1, 1.0, 10.0]
+# argparse's own pattern for a negative number has no exponent, so it reads
+# "--q -9.5e-05" as a missing value followed by an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser that takes every negative decimal literal as a value;
+    its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _fmt(v):
@@ -88,7 +101,7 @@ def _cmd_profile(args):
     _, solver = _configs(args)
     try:
         mu = solve_mu(args.q, args.t, solver)
-    except RelBecError:
+    except BelowCritical:
         mu = 1.0  # condensed: thermal cloud sits at the condensation point
     prof = momentum_profile(PhasePoint(args.t, mu), args.k_max, args.samples)
     rows = [{"k_over_m": float(k), "n1_k": float(a), "n2_k": float(b)}
@@ -135,7 +148,7 @@ def _cmd_oracle_check(args):
     quad, solver = _configs(args)
     try:
         mu = solve_mu(args.q, args.t, solver)
-    except RelBecError:
+    except BelowCritical:
         mu = 1.0
     phase = PhasePoint(args.t, mu)
     q_quad = thermal_charge_density(phase, quad).q_tilde
@@ -152,7 +165,7 @@ def _cmd_oracle_check(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="relbec",
         allow_abbrev=False,
         description="Equation of state of the relativistic ideal charged "

@@ -5,7 +5,12 @@ class RelBecError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonPositiveTemperature(RelBecError):
+class InvalidArgument(RelBecError, ValueError):
+    """An argument outside its domain: not a finite number, of the wrong
+    sign, or out of range. Also a ValueError, as argument errors are."""
+
+
+class NonPositiveTemperature(InvalidArgument):
     """Temperature must be strictly positive (in units of the boson mass)."""
 
 
@@ -55,3 +60,8 @@ class TailTooLarge(RelBecError):
     def __init__(self, message, tail_bound=None):
         super().__init__(message)
         self.tail_bound = tail_bound
+
+
+class BudgetExceeded(RelBecError):
+    """A finite-volume mode sum would need more Boltzmann terms, lattice
+    shells or modes than its fixed work budget allows."""

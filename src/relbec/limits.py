@@ -7,7 +7,8 @@ cross-validation targets for the quadrature and solver modules.
 import math
 from dataclasses import dataclass
 
-from .errors import AsymptoteOutOfRange, UnsupportedDimension
+from .errors import (AsymptoteOutOfRange, InvalidArgument,
+                     NonPositiveTemperature, UnsupportedDimension)
 from .types import ChargeDensities
 
 _ZETA_TABLE = {
@@ -24,7 +25,7 @@ def zeta_int(n: int) -> float:
     Euler-Maclaurin tail, accurate to ~1e-15.
     """
     if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"zeta_int needs an integer n >= 2, got {n}")
+        raise InvalidArgument(f"zeta_int needs an integer n >= 2, got {n}")
     if n in _ZETA_TABLE:
         return _ZETA_TABLE[n]
     big_n = 400
@@ -40,7 +41,7 @@ def gamma_half(x: float) -> float:
     recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)."""
     two_x = 2.0 * x
     if x <= 0.0 or two_x != round(two_x):
-        raise ValueError(
+        raise InvalidArgument(
             f"gamma_half needs a positive integer or half-integer, got {x}")
     if x == round(x):
         val, arg = 1.0, 1.0
@@ -68,7 +69,7 @@ def ur_densities(t: float, mu: float) -> ChargeDensities:
     """First-order-in-mu ultra-relativistic densities:
     n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3."""
     if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
     a = zeta_int(3) * t ** 3 / math.pi ** 2
     b = mu * t ** 2 / 6.0
     return ChargeDensities.from_pair(a + b, a - b)
@@ -78,7 +79,7 @@ def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
     in fully scaled units T_c/m = sqrt(3 q/m^3)."""
     if not (q_over_m > 0.0):
-        raise ValueError(f"q must be > 0, got {q_over_m}")
+        raise InvalidArgument(f"q must be > 0, got {q_over_m}")
     return math.sqrt(3.0 * q_over_m)
 
 
@@ -89,7 +90,7 @@ def ur_density_ratio(t_c: float, mu: float = 1.0) -> float:
     documented failure of the expansion (the true ratio stays in (0, 1)).
     """
     if not (t_c > 0.0):
-        raise ValueError(f"t_c must be > 0, got {t_c}")
+        raise InvalidArgument(f"t_c must be > 0, got {t_c}")
     a = zeta_int(3) * t_c ** 3 / math.pi ** 2
     b = mu * t_c ** 2 / 6.0
     return (a - b) / (a + b)
@@ -100,7 +101,7 @@ def density_of_states(eps: float, dim: Dimension) -> float:
     (2 pi^{d/2} / ((2 pi)^d Gamma(d/2))) eps (eps^2 - 1)^{(d-2)/2},
     for scaled energy eps >= 1."""
     if eps < 1.0:
-        raise ValueError(f"energy below the mass gap: eps = {eps}")
+        raise InvalidArgument(f"energy below the mass gap: eps = {eps}")
     d = dim.d
     pref = 2.0 * math.pi ** (d / 2.0) / ((2.0 * math.pi) ** d * gamma_half(d / 2.0))
     return pref * eps * (eps * eps - 1.0) ** ((d - 2) / 2.0)
@@ -113,7 +114,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     Reduces exactly to sqrt(3 q/m) at d = 3.
     """
     if not (q_over_m > 0.0):
-        raise ValueError(f"q must be > 0, got {q_over_m}")
+        raise InvalidArgument(f"q must be > 0, got {q_over_m}")
     d = dim.d
     pref = (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
         4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1))
@@ -123,9 +124,9 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
     """UR condensed fraction 1 - (t/t_c)^{d-1}; an inverted parabola at d=3."""
     if not (t_c > 0.0):
-        raise ValueError(f"t_c must be > 0, got {t_c}")
+        raise InvalidArgument(f"t_c must be > 0, got {t_c}")
     if not (0.0 <= t <= t_c):
-        raise ValueError(f"need 0 <= t <= t_c, got t = {t}, t_c = {t_c}")
+        raise InvalidArgument(f"need 0 <= t <= t_c, got t = {t}, t_c = {t_c}")
     return 1.0 - (t / t_c) ** (dim.d - 1)
 
 
@@ -133,9 +134,9 @@ def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     """T -> 0 chemical potential at fixed condensate occupation:
     mu ~ 1 - t ln((q0+1)/q0) in scaled units."""
     if not (q0_occ > 0.0):
-        raise ValueError(f"condensate occupation must be > 0, got {q0_occ}")
+        raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
     if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
     return 1.0 - t * math.log1p(1.0 / q0_occ)
 
 
@@ -147,9 +148,9 @@ def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:
     validity region the denominator turns non-positive and the call fails.
     """
     if not (q0_occ > 0.0):
-        raise ValueError(f"condensate occupation must be > 0, got {q0_occ}")
+        raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
     if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
     x = 2.0 / t
     emx = math.exp(-x) if x < 745.0 else 0.0
     # (q0+1)/(q0 (e^x - 1) - 1) * e^{-x}/e^{-x}

@@ -1,23 +1,51 @@
-"""Brute-force finite-volume oracle: the thermal charge density as a
-discrete sum over periodic-box momentum modes, plus the isolated
-zero-momentum condensate mode.
+"""Finite-volume oracle: the thermal charge density as a discrete sum over
+periodic-box momentum modes, plus the isolated zero-momentum condensate
+mode.
 
-Modes live on k = (2 pi / L) n with integer vector n != 0; the sum is
-truncated isotropically at |n| <= mode_cutoff and the discarded tail is
-bounded analytically. Degenerate modes are grouped by |n|^2, so the cost
-is one occupation evaluation per occupied lattice shell.
+Modes live on k = (2 pi / L) n with integer vector n != 0. Degenerate
+modes are grouped by |n|^2, so a direct sum costs one occupation
+evaluation per lattice shell. Boxes with few shells are summed directly,
+truncated at |n| <= mode_cutoff. Larger boxes split the Bose occupation
+into a Boltzmann head and a remainder,
+
+    1/(e^x - 1) = sum_{j=1..J} e^{-j x} + e^{-J x}/(e^x - 1),
+
+and sum the head over the whole lattice in its winding-number (Poisson)
+form, in which every term but the first few windings is negligible; the
+remainder dies out within a few hundred shells. No array grows with the
+number of shells within the cutoff; only the exact count of modes_used
+takes O(mode_cutoff) memory and O(mode_cutoff^2) time.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from scipy.special import kve
 
-from .errors import DivergentCondensateMode, TailTooLarge
+from .errors import BudgetExceeded, DivergentCondensateMode, TailTooLarge
+from .quadrature import _MEASURE
 from .statistics import _occupation_array, occupation
-from .types import BoxSpec, PhasePoint
+from .types import (BoxSpec, PhasePoint, require_finite,
+                    require_temperature)
 
-_MEASURE = 1.0 / (2.0 * math.pi ** 2)
+# Boxes with mode_cutoff^2 up to this many shells are summed directly and
+# truncated at the cutoff; larger ones take the split sum.
+_DIRECT_SHELLS = 4096
+# Boltzmann terms in the head per unit of t*L: J = floor(_SPLIT t L) keeps
+# beta = j/t <= _SPLIT L. There the n != 0 part of the lattice sum of
+# e^{-beta E_n} is not small next to the n = 0 term subtracted from it:
+# about one digit is lost at L ~ 1, none for L >> 1.
+_SPLIT = 1.0
+# Every winding shell and every remainder shell left out is below e^{-40}
+# of the largest term of its sum.
+_MARGIN = 40.0
+# Work budgets of one mode sum, checked before anything is allocated:
+# lattice shells with counted degeneracies (r3 costs ~0.25 s at 2e5),
+# Bessel terms J * (winding shells + 1), and the mode cutoff, since
+# counting modes_used takes ~1.4e-9 c^2 s (~0.4 s at the budget).
+_MAX_SHELLS = 200_000
+_MAX_TERMS = 1 << 20
+_MAX_CUTOFF = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -31,42 +59,52 @@ class ModeSumResult:
     tail_bound: float
 
 
-# cache of lattice shell counts: (max_m, counts) with counts[m] = number of
-# integer vectors n with |n|^2 = m; reused across boxes by prefix slicing
-_shell_cache: dict = {"max_m": -1, "counts": None}
-
-
 def _shell_counts(max_m: int) -> np.ndarray:
-    """r3[m] = number of integer lattice vectors with |n|^2 = m, m <= max_m."""
-    if _shell_cache["max_m"] >= max_m:
-        return _shell_cache["counts"][:max_m + 1]
+    """r3[m] = number of integer lattice vectors with |n|^2 = m, m <= max_m,
+    by direct shift-and-add convolutions in exact integer arithmetic."""
     n_sq = math.isqrt(max_m)
-    r1 = np.zeros(max_m + 1)
-    r1[0] = 1.0
-    r1[np.arange(1, n_sq + 1) ** 2] = 2.0
-    if max_m <= 200_000:
-        # direct shift-and-add convolutions, exact integer arithmetic
-        r1i = r1.astype(np.int64)
-        r2 = np.zeros(max_m + 1, dtype=np.int64)
-        r2 += r1i  # z = 0
-        for z in range(1, n_sq + 1):
-            r2[z * z:] += 2 * r1i[:max_m + 1 - z * z]
-        r3 = np.zeros(max_m + 1, dtype=np.int64)
-        r3 += r2
-        for z in range(1, n_sq + 1):
-            r3[z * z:] += 2 * r2[:max_m + 1 - z * z]
-    else:
-        # triple convolution via FFT; counts are small integers, so the
-        # transform is rounded back and checked
-        size = next_fast_len(3 * (max_m + 1))
-        f1 = rfft(r1, n=size)
-        r3_f = irfft(f1 * f1 * f1, n=size)[:max_m + 1]
-        r3 = np.rint(r3_f).astype(np.int64)
-        if np.max(np.abs(r3_f - r3)) > 0.1:
-            raise RuntimeError("shell-count FFT lost integer precision")
-    _shell_cache["max_m"] = max_m
-    _shell_cache["counts"] = r3
+    r1 = np.zeros(max_m + 1, dtype=np.int64)
+    r1[0] = 1
+    r1[np.arange(1, n_sq + 1) ** 2] = 2
+    r2 = r1.copy()  # z = 0
+    for z in range(1, n_sq + 1):
+        r2[z * z:] += 2 * r1[:max_m + 1 - z * z]
+    r3 = r2.copy()
+    for z in range(1, n_sq + 1):
+        r3[z * z:] += 2 * r2[:max_m + 1 - z * z]
     return r3
+
+
+def _lattice_points(cutoff: int) -> int:
+    """Integer vectors n with 0 < |n| <= cutoff, counted column by column.
+
+    The column over (x, y) holds 2 z + 1 vectors, z = floor(sqrt(c^2 - x^2
+    - y^2)). By the symmetry of the square, the columns are summed over
+    the axis y = 0 and the diagonal y = x (4 copies each) and the open
+    octant 0 < y < x (8 copies), one x-row at a time; the column x = y = 0
+    adds 2c + 1. The float sqrt is exact under floor below 2^52.
+    """
+    c2 = cutoff * cutoff
+    x = np.arange(1, cutoff + 1, dtype=float)
+    axis = np.floor(np.sqrt(c2 - x * x))
+    diag = np.floor(np.sqrt(c2 - 2.0 * x[2.0 * x * x <= c2] ** 2))
+    y_sq = x * x
+    row = np.empty(cutoff)
+    inner = 0.0
+    n_inner = 0
+    for xi in range(2, cutoff + 1):
+        rest = c2 - xi * xi
+        n = min(xi - 1, math.isqrt(rest))
+        if n < 1:
+            break
+        z = np.subtract(rest, y_sq[:n], out=row[:n])
+        np.sqrt(z, out=z)
+        np.floor(z, out=z)
+        inner += float(z.sum())
+        n_inner += n
+    columns = 4.0 * (2.0 * axis.sum() + len(axis)) \
+        + 4.0 * (2.0 * diag.sum() + len(diag)) + 8.0 * (2.0 * inner + n_inner)
+    return int(columns) + 2 * cutoff
 
 
 def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
@@ -111,55 +149,112 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     return hi
 
 
+def _plan(t: float, box: BoxSpec):
+    """(J, direct shells, winding shells) of one box, within the budgets.
+
+    The remainder e^{-J x}/(e^x - 1) falls like e^{-(J + 1) gap/t}, so
+    shells whose gap exceeds the first shell's by _MARGIN t/(J + 1) are
+    left out. Winding w weighs e^{-(rho_w - beta)} against w = 0, with
+    rho_w = sqrt(beta^2 + L^2 |w|^2), so shells with rho_w - beta >
+    _MARGIN at the largest beta = J/t are left out. Every quantity is
+    clamped before it is rounded, so no input overflows the plan.
+    """
+    length, cutoff = box.box_length, box.mode_cutoff
+    max_m = cutoff * cutoff
+    if max_m <= _DIRECT_SHELLS:
+        return 0, max_m, 0
+    j_max = math.floor(min(_SPLIT * t * length, _MAX_TERMS + 1.0))
+    k1 = 2.0 * math.pi / length
+    gap = k1 * k1 / (math.sqrt(k1 * k1 + 1.0) + 1.0) \
+        + _MARGIN * t / (j_max + 1)
+    half = length / (2.0 * math.pi)
+    m_direct = math.ceil(min(max_m, gap * (gap + 2.0) * half * half))
+    lw2 = (2.0 * j_max / t + _MARGIN) * _MARGIN if j_max else 0.0
+    m_wind = math.ceil(min(_MAX_SHELLS + 1.0, lw2 / length / length))
+    if (cutoff > _MAX_CUTOFF or max(m_direct, m_wind) > _MAX_SHELLS
+            or j_max * (m_wind + 1) > _MAX_TERMS):
+        raise BudgetExceeded(
+            f"box L = {length} with cutoff {cutoff} at t = {t} needs "
+            f"J = {j_max}, {m_direct} direct and {m_wind} winding shells; "
+            f"the budgets are cutoff {_MAX_CUTOFF}, {_MAX_SHELLS} shells "
+            f"and {_MAX_TERMS} terms J * (winding shells + 1)")
+    return j_max, m_direct, m_wind
+
+
+def _boltzmann_head(t: float, length: float, j_max: int,
+                    m_wind: int) -> np.ndarray:
+    """(1/L^3) sum over n != 0 of e^{-j (E_n - 1)/t}, for j = 1..J.
+
+    Poisson summation turns the lattice sum into windings w:
+    (1/L^3) sum_n e^{-beta E_n} = sum_w beta K2(rho_w) / (2 pi^2 rho_w^2),
+    with beta = j/t and rho_w = sqrt(beta^2 + L^2 |w|^2). The n = 0 term
+    e^{-beta}/L^3 is subtracted. Both sides carry e^{beta}, so K2 enters
+    scaled, kve(2, rho) e^{-(rho - beta)}.
+    """
+    beta = np.arange(1, j_max + 1)[:, None] / t
+    lw2 = length * length * np.arange(m_wind + 1, dtype=float)
+    rho = np.sqrt(beta * beta + lw2)
+    terms = kve(2, rho) * np.exp(-lw2 / (rho + beta)) / (rho * rho)
+    terms *= _shell_counts(m_wind)
+    return _MEASURE * beta[:, 0] * terms.sum(axis=1) - 1.0 / length ** 3
+
+
+def _density(s: float, t: float, vol: float, head: np.ndarray,
+             gap: np.ndarray, counts: np.ndarray) -> float:
+    """(1/L^3) sum over n != 0 of 1/(e^{x_n} - 1), x_n = (gap_n + 1 - s)/t:
+    the Boltzmann head e^{-j (1 - s)/t} head[j - 1], j <= J = len(head),
+    plus the remainder e^{-J x}/(e^x - 1) over the direct shells."""
+    energy = gap + (1.0 - s)
+    rest = _occupation_array(energy, t) * np.exp(-len(head) / t * energy)
+    weights = np.exp(-(1.0 - s) / t * np.arange(1, len(head) + 1))
+    return float(np.dot(weights, head)) + float(np.dot(counts, rest)) / vol
+
+
 def mode_sum(phase: PhasePoint, box: BoxSpec,
              tail_rel_tol: float = 1e-4) -> ModeSumResult:
-    """Finite-volume thermal densities by explicit mode summation.
+    """Finite-volume thermal densities by lattice mode summation.
 
-    Sums Bose occupations over 0 < |n| <= mode_cutoff, divides by L^3,
-    and attaches the analytic bound on the discarded tail. Fails with
-    TailTooLarge when the bound exceeds tail_rel_tol relative to the
-    summed densities. Shells are accumulated in a fixed (ascending |n|^2,
-    chunked) order, so results are reproducible bit for bit.
+    Boxes with mode_cutoff^2 <= _DIRECT_SHELLS return the Bose occupations
+    summed over 0 < |n| <= mode_cutoff, divided by L^3. Larger boxes
+    return the sum over all n != 0 (the Boltzmann head by windings, the
+    remainder by shells), which differs from the truncated sum by less
+    than tail_bound. Either way tail_bound is the analytic bound on the
+    modes beyond the cutoff, and modes_used counts 0 < |n| <= mode_cutoff.
+    Fails with TailTooLarge when the bound exceeds tail_rel_tol relative
+    to the summed densities, and with BudgetExceeded, before allocating,
+    when the box needs more terms, shells or modes than the budgets allow.
+    Terms are summed in a fixed order, so results repeat bit for bit, and
+    n1 and n2 come from one function at +mu and -mu, so q_tilde_fv is
+    exactly odd in mu.
     """
     t, mu = phase.t, phase.mu
     length = box.box_length
-    dk = 2.0 * math.pi / length
-    max_m = box.mode_cutoff ** 2
-    counts = _shell_counts(max_m)
+    j_max, m_direct, m_wind = _plan(t, box)
+    head = _boltzmann_head(t, length, j_max, m_wind)
+    m = np.arange(1, m_direct + 1, dtype=float)
+    counts = _shell_counts(m_direct)[1:].astype(float)
+    k = 2.0 * math.pi / length * np.sqrt(m)
+    e = np.sqrt(k * k + 1.0)
+    gap = k * k / (e + 1.0)
     vol = length ** 3
-
-    s1 = 0.0
-    s2 = 0.0
-    modes = 0
-    chunk = 1 << 20
-    for start in range(1, max_m + 1, chunk):
-        stop = min(start + chunk, max_m + 1)
-        m = np.arange(start, stop, dtype=float)
-        c = counts[start:stop].astype(float)
-        k = dk * np.sqrt(m)
-        e = np.sqrt(k * k + 1.0)
-        gap = k * k / (e + 1.0)
-        s1 += float(np.dot(c, _occupation_array(gap + (1.0 - mu), t)))
-        s2 += float(np.dot(c, _occupation_array(gap + (1.0 + mu), t)))
-        modes += int(counts[start:stop].sum())
-
-    n1_fv = s1 / vol
-    n2_fv = s2 / vol
+    n1_fv = _density(mu, t, vol, head, gap, counts)
+    n2_fv = _density(-mu, t, vol, head, gap, counts)
     tail = _tail_bound(phase, box)
     if tail > tail_rel_tol * max(n1_fv + n2_fv, 1e-300):
         raise TailTooLarge(
             f"tail bound {tail:.3e} above {tail_rel_tol:.1e} of the summed "
             f"density {n1_fv + n2_fv:.3e}; raise mode_cutoff", tail_bound=tail)
     return ModeSumResult(q_tilde_fv=n1_fv - n2_fv, n1_fv=n1_fv, n2_fv=n2_fv,
-                         modes_used=modes, tail_bound=tail)
+                         modes_used=_lattice_points(box.mode_cutoff),
+                         tail_bound=tail)
 
 
 def condensate_mode(mu: float, t: float):
     """Occupations of the isolated k = 0 mode:
     n1_0 = 1/(e^{(1-mu)/t} - 1), n2_0 = 1/(e^{(1+mu)/t} - 1), and their
     difference q0_occ. Diverges (macroscopic occupation) at |mu| = 1."""
-    if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+    require_finite("mu", mu)
+    require_temperature(t)
     if abs(mu) >= 1.0:
         raise DivergentCondensateMode(
             f"|mu| = {abs(mu)} >= 1: zero-mode occupation diverges")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import InvalidArgument, NonConvergence
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import (_TINY, _weighted_occupations,  # noqa: F401
@@ -83,9 +83,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+            raise InvalidArgument("tolerances must be positive")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise InvalidArgument("max_subdivisions must be >= 1")
 
 
 def _momentum(u: np.ndarray, s: float) -> np.ndarray:

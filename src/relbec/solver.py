@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AboveCritical, BelowCritical, NonConvergence
+from .errors import (AboveCritical, BelowCritical, InvalidArgument,
+                     NonConvergence)
 from .quadrature import QuadratureConfig, thermal_charge_density
-from .types import ChargeDensities, CriticalPoint, PhasePoint
+from .types import (ChargeDensities, CriticalPoint, PhasePoint,
+                    require_finite, require_temperature)
 
 _ZETA_3_2 = 2.6123753486854883
 
@@ -30,9 +32,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (self.mu_tol > 0.0 and self.t_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+            raise InvalidArgument("tolerances must be positive")
         if self.max_iters < 10:
-            raise ValueError("max_iters must be >= 10")
+            raise InvalidArgument("max_iters must be >= 10")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def solve_mu(q: float, t: float,
     charge q_tilde(t, mu=1): the state is condensed and mu is pinned at
     sign(q).
     """
-    if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+    require_finite("q", q)
+    require_temperature(t)
     if q == 0.0:
         return 0.0
     if q < 0.0:
@@ -90,8 +92,9 @@ def critical_temperature(q: float,
     2 pi (q/zeta(3/2))^(2/3) and twice the ultra-relativistic estimate
     sqrt(3 q), expanded by doubling if the root escapes.
     """
+    require_finite("q", q)
     if q < 0.0:
-        raise ValueError(
+        raise InvalidArgument(
             f"q must be >= 0 (use conjugation for q < 0), got {q}")
     if q == 0.0:
         return 0.0
@@ -128,10 +131,9 @@ def condensed_solution(q: float, t: float,
 
     q0 is clamped to >= 0 to absorb quadrature noise at t -> T_c.
     """
+    require_finite("q", q)
     if not (q > 0.0):
-        raise ValueError(f"q must be > 0, got {q}")
-    if not (t > 0.0):
-        raise ValueError(f"temperature must be > 0, got {t}")
+        raise InvalidArgument(f"q must be > 0, got {q}")
     phase = PhasePoint(t, 1.0)
     densities = thermal_charge_density(phase, config.quad)
     if densities.q_tilde > q * (1.0 + 100.0 * config.t_tol):
@@ -151,7 +153,7 @@ def density_ratio(q: float, t: float,
     gas sits at mu = 1 and the ratio is that of the thermal clouds.
     """
     if not (q > 0.0):
-        raise ValueError(f"q must be > 0, got {q}")
+        raise InvalidArgument(f"q must be > 0, got {q}")
     try:
         mu = solve_mu(q, t, config)
     except BelowCritical:
@@ -164,9 +166,9 @@ def universal_curves(q_min: float, q_max: float, points: int,
     """Mass-independent transition line: log-spaced q grid with T_c and
     the antiparticle ratio at the transition for each point."""
     if not (0.0 < q_min < q_max):
-        raise ValueError("require 0 < q_min < q_max")
+        raise InvalidArgument("require 0 < q_min < q_max")
     if points < 2:
-        raise ValueError("need at least 2 points")
+        raise InvalidArgument("need at least 2 points")
     out = []
     for q in np.geomspace(q_min, q_max, points):
         q = float(q)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessMode
+from .errors import GaplessMode, InvalidArgument
 from .types import MomentumProfile, PhasePoint
 
 # Beyond this exponent expm1 overflows; occupation is then e^{-x} exactly
@@ -135,9 +135,9 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
     emitted curves.
     """
     if not (k_max > 0.0):
-        raise ValueError(f"k_max must be > 0, got {k_max}")
+        raise InvalidArgument(f"k_max must be > 0, got {k_max}")
     if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+        raise InvalidArgument(f"need at least 2 samples, got {samples}")
     k = np.linspace(0.0, k_max, samples)
     n1, n2, _ = _weighted_occupations(k, phase)
     return MomentumProfile(k_grid=k, n1_of_k=n1, n2_of_k=n2)

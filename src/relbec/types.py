@@ -5,11 +5,26 @@ momenta are measured in units of the boson mass m, densities in units of
 m^3 (natural units, hbar = c = k_B = 1). The mass itself never appears as
 a runtime parameter.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTemperature, UnphysicalMu
+from .errors import InvalidArgument, NonPositiveTemperature, UnphysicalMu
+
+
+def require_finite(name: str, value) -> None:
+    """Raise InvalidArgument, naming the argument, if value is nan or
+    infinite."""
+    if not math.isfinite(value):
+        raise InvalidArgument(f"{name} must be finite, got {value}")
+
+
+def require_temperature(t) -> None:
+    """Raise unless t is a finite temperature > 0."""
+    require_finite("t", t)
+    if not (t > 0.0):
+        raise NonPositiveTemperature(f"temperature must be > 0, got t = {t}")
 
 
 @dataclass(frozen=True)
@@ -23,9 +38,7 @@ class PhasePoint:
     mu: float
 
     def __post_init__(self):
-        if not (self.t > 0.0):
-            raise NonPositiveTemperature(
-                f"temperature must be > 0, got t = {self.t}")
+        require_temperature(self.t)
         if not (abs(self.mu) <= 1.0):
             raise UnphysicalMu(
                 f"|mu| <= 1 required for positive occupations, got mu = {self.mu}")
@@ -80,7 +93,7 @@ class MomentumProfile:
 
     def __post_init__(self):
         if not (len(self.k_grid) == len(self.n1_of_k) == len(self.n2_of_k)):
-            raise ValueError("profile arrays must share length")
+            raise InvalidArgument("profile arrays must share length")
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,10 @@ class BoxSpec:
     mode_cutoff: int
 
     def __post_init__(self):
+        require_finite("box_length", self.box_length)
         if not (self.box_length > 0.0):
-            raise ValueError(f"box_length must be > 0, got {self.box_length}")
+            raise InvalidArgument(
+                f"box_length must be > 0, got {self.box_length}")
         if not (isinstance(self.mode_cutoff, int) and self.mode_cutoff >= 1):
-            raise ValueError(
+            raise InvalidArgument(
                 f"mode_cutoff must be an integer >= 1, got {self.mode_cutoff}")

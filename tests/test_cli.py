@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,48 @@ def test_oracle_check_converges(capsys):
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     devs = [float(r[4]) for r in rows]
     assert devs[1] < devs[0]
+
+
+def test_negative_charge_in_exponent_form(capsys):
+    code, spaced, err = run_cli(capsys, "mu", "--q", "-9.5e-05", "--t", "1")
+    assert code == 0, err
+    _, joined, _ = run_cli(capsys, "mu", "--q=-9.5e-05", "--t", "1")
+    assert spaced == joined
+    assert float(spaced.strip().split("\n")[1].split(",")[2]) < 0.0
+
+
+def test_oracle_check_over_budget_is_an_error_record(capsys):
+    # at t = 100 the L = 1000 box needs a cutoff of ~2.6e5, past the budget
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "oracle-check", "--q", "0.1",
+                                 "--t", "100", "--box-lengths", "1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "BudgetExceeded"
+    assert record["operation"] == "oracle-check"
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--q", "nan", "--t", "1"],
+    ["oracle-check", "--q", "nan", "--t", "1", "--box-lengths", "20"],
+    ["oracle-check", "--q", "0.1", "--t", "1", "--box-lengths", "-20"],
+    ["ddim-tc", "--q-over-m", "-1", "--dim", "3"],
+    ["--tol-quad", "-1", "tc", "--q", "1"],
+    ["profile", "--q", "0.1", "--t", "1", "--k-max", "-1"],
+])
+def test_invalid_argument_is_an_error_record(capsys, argv):
+    # a value out of its domain is reported, not a traceback; only a
+    # condensed state falls back to mu = 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidArgument"
 
 
 def test_error_record_on_condensed_state(capsys):

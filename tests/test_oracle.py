@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from relbec import (BoxSpec, DivergentCondensateMode, PhasePoint,
+from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
+                    InvalidArgument, NonPositiveTemperature, PhasePoint,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
                     mode_sum, occupation, suggest_cutoff,
                     thermal_charge_density)
-from relbec.oracle import _shell_counts
+from relbec.oracle import _DIRECT_SHELLS, _lattice_points, _shell_counts
 
 # 20-digit finite-volume reference (t=1, mu=0.5, L=20, |n| <= 15)
 FV_N1_REF = 0.13717411487013
@@ -33,20 +35,119 @@ def brute_force_sum(phase, box):
     return s1 / vol, s2 / vol
 
 
+def explicit_shell_sum(phase, box):
+    """Bose occupations summed over every lattice vector 0 < |n| <= cutoff,
+    one x-slab at a time, without grouping into shells."""
+    c = box.mode_cutoff
+    dk = 2.0 * math.pi / box.box_length
+    y, z = np.meshgrid(np.arange(-c, c + 1), np.arange(-c, c + 1))
+    yz = (y * y + z * z).ravel()
+    s1 = s2 = 0.0
+    for x in range(-c, c + 1):
+        m2 = x * x + yz
+        m2 = m2[(m2 > 0) & (m2 <= c * c)].astype(float)
+        ksq = dk * dk * m2
+        gap = ksq / (np.sqrt(ksq + 1.0) + 1.0)
+        s1 += np.sum(1.0 / np.expm1((gap + 1.0 - phase.mu) / phase.t))
+        s2 += np.sum(1.0 / np.expm1((gap + 1.0 + phase.mu) / phase.t))
+    vol = box.box_length ** 3
+    return s1 / vol, s2 / vol
+
+
 def test_shell_counts_small():
     counts = _shell_counts(9)
     # r3(0..9) = 1, 6, 12, 8, 6, 24, 24, 0, 12, 30
     assert counts.tolist() == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
 
 
-def test_shell_counts_fft_path_matches_direct():
-    import relbec.oracle as orc
-    orc._shell_cache.update({"max_m": -1, "counts": None})
-    direct = _shell_counts(200_000).copy()
-    orc._shell_cache.update({"max_m": -1, "counts": None})
-    # asking beyond the direct threshold forces the FFT branch
-    fft = _shell_counts(250_000)
-    np.testing.assert_array_equal(direct, fft[:200_001])
+def test_split_sum_within_tail_bound_of_truncated_sum():
+    # a box above the direct budget whose tail is not negligible: the split
+    # sum takes every mode, the explicit sum stops at the cutoff
+    phase = PhasePoint(1.0, 0.5)
+    box = BoxSpec(20.0, 79)
+    assert box.mode_cutoff ** 2 > _DIRECT_SHELLS
+    res = mode_sum(phase, box)
+    truncated = explicit_shell_sum(phase, box)
+    for split, trunc in zip((res.n1_fv, res.n2_fv), truncated):
+        assert 0.0 < split - trunc <= res.tail_bound
+
+
+@pytest.mark.parametrize("t, mu, length, cutoff", [
+    (1.0, 1.0, 10.0, 75), (0.5, -1.0, 20.0, 75), (2.0, -0.4, 6.0, 89),
+    (0.8, 0.95, 15.0, 90)])
+def test_split_sum_matches_explicit_shell_sum(t, mu, length, cutoff):
+    phase = PhasePoint(t, mu)
+    box = BoxSpec(length, cutoff)
+    assert cutoff ** 2 > _DIRECT_SHELLS
+    # the tail beyond the cutoff is below 1e-16 of the densities
+    res = mode_sum(phase, box, tail_rel_tol=1e-16)
+    n1, n2 = explicit_shell_sum(phase, box)
+    assert res.n1_fv == pytest.approx(n1, rel=1e-12)
+    assert res.n2_fv == pytest.approx(n2, rel=1e-12)
+    assert res.q_tilde_fv == res.n1_fv - res.n2_fv
+
+
+def test_split_sum_odd_in_mu():
+    box = BoxSpec(40.0, 300)
+    for mu in (0.37, 0.9, 1.0):
+        plus = mode_sum(PhasePoint(2.0, mu), box)
+        minus = mode_sum(PhasePoint(2.0, -mu), box)
+        assert minus.q_tilde_fv == -plus.q_tilde_fv
+        assert (minus.n1_fv, minus.n2_fv) == (plus.n2_fv, plus.n1_fv)
+
+
+def test_modes_used_matches_independent_count():
+    for cutoff in (65, 128, 300):
+        c2 = cutoff * cutoff
+        count = sum(2 * math.isqrt(c2 - x * x - y * y) + 1
+                    for x in range(-cutoff, cutoff + 1)
+                    for y in range(-cutoff, cutoff + 1)
+                    if x * x + y * y <= c2) - 1
+        res = mode_sum(PhasePoint(5.0, 0.3), BoxSpec(50.0, cutoff),
+                       tail_rel_tol=1e6)
+        assert res.modes_used == count
+    # and against the shell degeneracies, on both sides of the budget
+    for cutoff in (1, 2, 7, 64, 65, 447):
+        assert _lattice_points(cutoff) == \
+            int(_shell_counts(cutoff * cutoff)[1:].sum())
+
+
+def test_mode_sum_memory_at_criterion_7_box():
+    phase = PhasePoint(5.0, 0.9)
+    box = BoxSpec(400.0, suggest_cutoff(phase, 400.0))
+    tracemalloc.start()
+    try:
+        res = mode_sum(phase, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    q_quad = thermal_charge_density(phase).q_tilde
+    assert abs(res.q_tilde_fv - q_quad) < 1e-3 * abs(q_quad)
+
+
+@pytest.mark.parametrize("t, length, cutoff", [
+    (100.0, 1000.0, 260_152),  # cutoff above the mode-count budget
+    (1e4, 1000.0, 10_000),     # too many Boltzmann terms
+    (50.0, 0.05, 1000)])       # too many winding shells
+def test_mode_sum_over_budget_raises_before_allocating(t, length, cutoff):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            mode_sum(PhasePoint(t, 0.5), BoxSpec(length, cutoff))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_condensate_mode_rejects_bad_temperature():
+    with pytest.raises(NonPositiveTemperature):
+        condensate_mode(0.5, 0.0)
+    with pytest.raises(InvalidArgument):
+        condensate_mode(0.5, math.nan)
+    with pytest.raises(InvalidArgument):
+        condensate_mode(math.nan, 1.0)
 
 
 def test_mode_sum_zero_mu_cancels_exactly():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relbec import (AboveCritical, BelowCritical, PhasePoint, SolverConfig,
+from relbec import (AboveCritical, BelowCritical, InvalidArgument,
+                    NonPositiveTemperature, PhasePoint, SolverConfig,
                     condensed_solution, critical_temperature, density_ratio,
                     solve_mu, thermal_charge_density, universal_curves)
 
@@ -57,6 +58,36 @@ def test_critical_temperature_degenerate_zero():
 def test_critical_temperature_rejects_negative():
     with pytest.raises(ValueError):
         critical_temperature(-1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_mu(math.nan, 1.0),
+    lambda: solve_mu(0.1, math.inf),
+    lambda: solve_mu(math.inf, 1.0),
+    lambda: critical_temperature(math.inf),
+    lambda: critical_temperature(math.nan),
+    lambda: condensed_solution(math.nan, 0.5),
+    lambda: condensed_solution(1.0, math.nan),
+    lambda: density_ratio(math.inf, 1.0),
+    lambda: thermal_charge_density(PhasePoint(math.inf, 0.5)),
+])
+def test_non_finite_arguments_raise_typed_error(call):
+    # typed, and still a ValueError like every argument error
+    with pytest.raises(InvalidArgument) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+    assert "finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_mu(0.1, 0.0),
+    lambda: solve_mu(0.1, -1.0),
+    lambda: condensed_solution(1.0, 0.0),
+    lambda: condensed_solution(1.0, -2.0),
+])
+def test_non_positive_temperature_raises_typed_error(call):
+    with pytest.raises(NonPositiveTemperature):
+        call()
 
 
 @pytest.mark.parametrize("q", [1e-12, 1e-10])
