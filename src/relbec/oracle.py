@@ -112,19 +112,22 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
 
     The lattice tail is bounded by the integral of the exponential
     envelope k^2 e^{-(k -+ mu)/t} from one mode-spacing inside the cutoff,
-    using 1/(e^x - 1) <= c e^{-x} with c = 1/(1 - e^{-x_min}).
+    using 1/(e^x - 1) <= c e^{-x} with c = 1/(1 - e^{-x_min}). The two
+    exponentials are taken as one, e^{(+-mu - k0)/t}, since each alone
+    leaves the double range once t < ~1e-3; past e^709 the bound is inf.
     """
     t, mu = phase.t, phase.mu
     dk = 2.0 * math.pi / box.box_length
     k0 = dk * max(box.mode_cutoff - 1, 1)
     x = k0 / t
-    envelope = t ** 3 * (x * x + 2.0 * x + 2.0) * math.exp(-x)
-    e0 = math.sqrt(k0 * k0 + 1.0)
+    envelope = t ** 3 * (x * x + 2.0 * x + 2.0)
+    gap0 = k0 * k0 / (math.sqrt(k0 * k0 + 1.0) + 1.0)
     total = 0.0
     for sgn in (+1.0, -1.0):
-        x_min = (e0 - sgn * mu) / t
-        c = 1.0 / -math.expm1(-x_min)
-        total += _MEASURE * c * math.exp(sgn * mu / t) * envelope
+        c = 1.0 / -math.expm1(-(gap0 + (1.0 - sgn * mu)) / t)
+        exponent = (sgn * mu - k0) / t
+        total += _MEASURE * c * envelope * (
+            math.exp(exponent) if exponent < 709.0 else math.inf)
     return total
 
 

@@ -183,6 +183,16 @@ def test_mode_sum_tail_guard():
         mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8))
 
 
+def test_low_temperature_tail_bound_does_not_overflow():
+    # e^{mu/t} alone leaves the double range below t ~ 1.4e-3
+    phase = PhasePoint(1e-3, 1.0)
+    res = mode_sum(phase, BoxSpec(50.0, suggest_cutoff(phase, 50.0)))
+    assert 0.0 < res.tail_bound < 1e-4 * (res.n1_fv + res.n2_fv)
+    # a cutoff inside the occupied modes: an infinite bound, a typed error
+    with pytest.raises(TailTooLarge):
+        mode_sum(PhasePoint(1e-3, 0.9), BoxSpec(50.0, 2))
+
+
 def test_mode_sum_monotone_in_mu():
     box = BoxSpec(12.0, 30)
     qs = [mode_sum(PhasePoint(1.0, mu), box, tail_rel_tol=1.0).q_tilde_fv
