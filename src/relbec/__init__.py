@@ -10,7 +10,7 @@ from .errors import (AboveCritical, AsymptoteOutOfRange, BelowCritical,
                      RelBecError, TailTooLarge, UnphysicalMu,
                      UnsupportedDimension)
 from .types import (BoxSpec, ChargeDensities, CriticalPoint, MomentumProfile,
-                    PhasePoint, make_phase_point)
+                    PhasePoint)
 from .statistics import (DispersionPair, charge_integrand, dispersions,
                          momentum_profile, occupation)
 from .quadrature import (QuadratureConfig, integrate_semi_infinite,
@@ -23,9 +23,20 @@ from .limits import (Dimension, ddim_critical_temperature, density_of_states,
                      low_t_mu_asymptote, ur_condensed_fraction,
                      ur_critical_temperature, ur_densities, ur_density_ratio,
                      zeta_int)
-from .oracle import ModeSumResult, condensate_mode, mode_sum, suggest_cutoff
 
 __version__ = "0.1.0"
+
+_ORACLE = ("ModeSumResult", "condensate_mode", "mode_sum", "suggest_cutoff")
+
+
+def __getattr__(name):
+    # the finite-volume oracle is the one module that needs scipy; it is
+    # loaded on first use (PEP 562), so the rest imports numpy only
+    if name in _ORACLE:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AboveCritical", "AsymptoteOutOfRange", "BelowCritical", "BoxSpec",
@@ -39,7 +50,7 @@ __all__ = [
     "critical_temperature", "ddim_critical_temperature", "density_of_states",
     "density_ratio", "dispersions", "gamma_half", "integrate_semi_infinite",
     "low_t_condensate_antiparticles", "low_t_mu_asymptote",
-    "make_phase_point", "mode_sum", "momentum_profile", "occupation",
+    "mode_sum", "momentum_profile", "occupation",
     "solve_mu", "suggest_cutoff", "thermal_charge_density",
     "universal_curves", "ur_condensed_fraction", "ur_critical_temperature",
     "ur_densities", "ur_density_ratio", "zeta_int",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import BelowCritical, RelBecError
 from .limits import Dimension, ddim_critical_temperature, ur_critical_temperature, ur_density_ratio
-from .oracle import mode_sum, suggest_cutoff
 from .quadrature import QuadratureConfig, thermal_charge_density
 from .solver import (SolverConfig, critical_temperature, condensed_solution,
                      density_ratio, solve_mu, universal_curves)
@@ -58,21 +57,29 @@ def _emit(rows, columns, fmt, out_path):
             fh.write(text)
 
 
+def __getattr__(name):
+    # mode_sum and suggest_cutoff stay names of this module, but the oracle
+    # (the one user of scipy) is loaded on first use (PEP 562)
+    if name in ("mode_sum", "suggest_cutoff"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _configs(args):
-    quad = QuadratureConfig(rel_tol=args.tol_quad)
-    solver = SolverConfig(mu_tol=args.tol_mu, t_tol=args.tol_tc, quad=quad)
-    return quad, solver
+    return SolverConfig(mu_tol=args.tol_mu, t_tol=args.tol_tc,
+                        quad=QuadratureConfig(rel_tol=args.tol_quad))
 
 
 def _cmd_mu(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     mu = solve_mu(args.q, args.t, solver)
     return [{"q_over_m3": args.q, "t_over_m": args.t, "mu_over_m": mu}], \
         ["q_over_m3", "t_over_m", "mu_over_m"]
 
 
 def _cmd_tc(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     rows = [{"q_over_m3": q, "tc_over_m": critical_temperature(q, solver)}
             for q in args.q]
     return rows, ["q_over_m3", "tc_over_m"]
@@ -85,7 +92,7 @@ def _cmd_ddim_tc(args):
 
 
 def _cmd_ratio_sweep(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     rows = []
     for q in args.q:
         tc = critical_temperature(q, solver)
@@ -98,7 +105,7 @@ def _cmd_ratio_sweep(args):
 
 
 def _cmd_profile(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     try:
         mu = solve_mu(args.q, args.t, solver)
     except BelowCritical:
@@ -120,7 +127,7 @@ def _grid_top(tc, n):
 
 
 def _cmd_fraction_sweep(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     rows = []
     for q in args.q:
         top = _grid_top(critical_temperature(q, solver), args.points)
@@ -133,7 +140,7 @@ def _cmd_fraction_sweep(args):
 
 
 def _cmd_universal(args):
-    _, solver = _configs(args)
+    solver = _configs(args)
     rows = []
     for pt in universal_curves(args.q_min, args.q_max, args.points, solver):
         rows.append({
@@ -145,13 +152,14 @@ def _cmd_universal(args):
 
 
 def _cmd_oracle_check(args):
-    quad, solver = _configs(args)
+    from .oracle import mode_sum, suggest_cutoff
+    solver = _configs(args)
     try:
         mu = solve_mu(args.q, args.t, solver)
     except BelowCritical:
         mu = 1.0
     phase = PhasePoint(args.t, mu)
-    q_quad = thermal_charge_density(phase, quad).q_tilde
+    q_quad = thermal_charge_density(phase, solver.quad).q_tilde
     rows = []
     for length in args.box_lengths:
         cutoff = suggest_cutoff(phase, length)

@@ -44,11 +44,6 @@ class PhasePoint:
                 f"|mu| <= 1 required for positive occupations, got mu = {self.mu}")
 
 
-def make_phase_point(t: float, mu: float) -> PhasePoint:
-    """Validated construction of a scaled phase point."""
-    return PhasePoint(float(t), float(mu))
-
-
 @dataclass(frozen=True)
 class ChargeDensities:
     """Thermal particle density n1, antiparticle density n2 and their

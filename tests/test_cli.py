@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import relbec
 from relbec.cli import main
 
 
@@ -132,6 +136,53 @@ def test_oracle_check_converges(capsys):
     assert devs[1] < devs[0]
 
 
+def test_oracle_check_values(capsys):
+    code, out, _ = run_cli(capsys, "oracle-check", "--q", "0.1", "--t", "5")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [int(r[1]) for r in rows] == [652, 1302, 2603]
+    q_fv = [float(r[2]) for r in rows]
+    assert q_fv == pytest.approx([9.9998945544280460e-02,
+                                  9.9999868193037855e-02,
+                                  9.9999983524133640e-02], rel=1e-12)
+
+
+def _fresh_interpreter(code):
+    """stdout of code run by a fresh interpreter that imports the same
+    relbec as this one."""
+    src = str(pathlib.Path(relbec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("statement", ["import relbec", "import relbec.cli"])
+def test_import_loads_no_scipy(statement):
+    loaded = _fresh_interpreter(
+        f"import sys\n{statement}\nprint(*sys.modules)").split()
+    assert "relbec.solver" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_oracle_names_resolve_on_first_use():
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import relbec.cli\n"
+        "assert 'relbec.oracle' not in sys.modules\n"
+        "assert relbec.cli.mode_sum is relbec.mode_sum\n"
+        "from relbec import *\n"
+        "from relbec import oracle\n"
+        "assert mode_sum is oracle.mode_sum\n"
+        "assert suggest_cutoff is relbec.cli.suggest_cutoff\n"
+        "assert condensate_mode is oracle.condensate_mode\n"
+        "assert ModeSumResult is oracle.ModeSumResult\n"
+        "assert not hasattr(relbec, 'no_such_name')\n"
+        "assert not hasattr(relbec.cli, 'no_such_name')\n"
+        "print('scipy.special' in sys.modules)\n")
+    assert out.strip() == "True"
+
+
 def test_negative_charge_in_exponent_form(capsys):
     code, spaced, err = run_cli(capsys, "mu", "--q", "-9.5e-05", "--t", "1")
     assert code == 0, err
@@ -163,6 +214,7 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["oracle-check", "--q", "0.1", "--t", "1", "--box-lengths", "-20"],
     ["ddim-tc", "--q-over-m", "-1", "--dim", "3"],
     ["--tol-quad", "-1", "tc", "--q", "1"],
+    ["--tol-tc", "1e-20", "tc", "--q", "1"],
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "-1"],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):

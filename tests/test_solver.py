@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from relbec import (AboveCritical, BelowCritical, InvalidArgument,
-                    NonPositiveTemperature, PhasePoint, SolverConfig,
-                    condensed_solution, critical_temperature, density_ratio,
-                    solve_mu, thermal_charge_density, universal_curves)
+from relbec import (AboveCritical, BelowCritical, ChargeDensities,
+                    InvalidArgument, NonConvergence, NonPositiveTemperature,
+                    PhasePoint, SolverConfig, condensed_solution,
+                    critical_temperature, density_ratio, solve_mu,
+                    thermal_charge_density, universal_curves)
+from relbec import solver
+from relbec.solver import _brent
 
 # critical temperatures pinned by 30-digit forward quadrature
 TC_GOLDEN = {
@@ -196,3 +200,141 @@ def test_solver_config_validation():
         SolverConfig(mu_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=5)
+    # below 4 ulps no bracket can meet the tolerance
+    with pytest.raises(InvalidArgument):
+        SolverConfig(t_tol=1e-20)
+
+
+# (f, a, b): smooth roots inside the bracket, a root at either bracket end,
+# a flat triple root, a kink, a steep front and values near underflow
+BRENT_CASES = [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: math.tanh(10.0 * (x - 0.3)), -1.0, 1.0),
+    (lambda x: x - 0.5, 0.5, 1.0),
+    (lambda x: x - 0.5, -1.0, 0.5),
+    (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),
+    (lambda x: abs(x - 0.7) - 0.1, 0.65, 2.0),
+    (lambda x: 1e-170 * (x - 0.3), 0.0, 1.0),
+    (lambda x: math.expm1(-x) + 1e-12, 0.0, 40.0),
+]
+BRENT_TOLERANCES = [(1e-300, 8.9e-16), (1e-12, 8.9e-16), (1e-10, 8.9e-16),
+                    (1e-300, 1e-8), (1e-6, 1e-3), (0.1, 1e-8)]
+
+
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+@pytest.mark.parametrize("xtol, rtol", BRENT_TOLERANCES)
+def test_brent_matches_scipy_brentq(case, xtol, rtol):
+    f, a, b = BRENT_CASES[case]
+    expected = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    assert _brent(f, a, b, f(a), f(b), xtol, rtol, 200, "test") == expected
+
+
+def test_brent_matches_scipy_brentq_on_power_laws():
+    # sign(x - r) |x - r|^p (1 + c x): flat, kinked and skewed roots that
+    # take every branch of the step choice
+    rng = np.random.default_rng(7)
+    for r, p, c in zip(rng.uniform(0.05, 0.95, 3000),
+                       rng.uniform(0.2, 3.0, 3000),
+                       rng.uniform(-1.0, 1.0, 3000)):
+        def f(x):
+            return math.copysign(abs(x - r) ** p, x - r) * (1.0 + c * x)
+        for xtol, rtol in [(1e-3, 1e-3), (1e-6, 8.9e-16), (0.05, 1e-8)]:
+            assert _brent(f, 0.0, 1.0, f(0.0), f(1.0), xtol, rtol, 100,
+                          "test") == brentq(f, 0.0, 1.0, xtol=xtol,
+                                            rtol=rtol, maxiter=100)
+
+
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brent_exhausts_its_iterations_where_brentq_does(case):
+    # with too few iterations brentq reports failure and _brent raises;
+    # with enough, both return the same root
+    f, a, b = BRENT_CASES[case]
+    for max_iters in range(0, 40):
+        root, info = brentq(f, a, b, xtol=1e-300, rtol=8.9e-16,
+                            maxiter=max_iters, full_output=True, disp=False)
+        if info.converged:
+            assert _brent(f, a, b, f(a), f(b), 1e-300, 8.9e-16, max_iters,
+                          "test") == root
+        else:
+            with pytest.raises(NonConvergence, match="test did not converge"):
+                _brent(f, a, b, f(a), f(b), 1e-300, 8.9e-16, max_iters,
+                       "test")
+
+
+@pytest.fixture
+def eos_points(monkeypatch):
+    """Every (t, mu) the solver integrates at, in call order."""
+    seen = []
+    real = solver.thermal_charge_density
+
+    def recording(phase, config):
+        seen.append((phase.t, phase.mu))
+        return real(phase, config)
+
+    monkeypatch.setattr(solver, "thermal_charge_density", recording)
+    return seen
+
+
+def _distinct_points(eos_points, call):
+    eos_points.clear()
+    try:
+        call()
+    except BelowCritical:
+        pass
+    assert eos_points
+    assert len(set(eos_points)) == len(eos_points)
+    return len(eos_points)
+
+
+@pytest.mark.parametrize("q, t", [(0.5, 2.0), (-0.5, 2.0), (1e-30, 1.0),
+                                  (1e-19, 0.02), (1e6, 1e3), (10.0, 1.0)])
+def test_solve_mu_and_density_ratio_integrate_each_point_once(eos_points,
+                                                              q, t):
+    mu_calls = _distinct_points(eos_points, lambda: solve_mu(q, t))
+    # the ratio comes from the densities found at the root
+    ratio_calls = _distinct_points(eos_points,
+                                   lambda: density_ratio(abs(q), t))
+    assert ratio_calls == mu_calls
+
+
+@pytest.mark.parametrize("q", [1e-12, 0.01, 1.0, 1e9])
+def test_critical_temperature_integrates_each_point_once(eos_points, q):
+    _distinct_points(eos_points, lambda: critical_temperature(q))
+
+
+def test_density_ratio_at_transition_integrates_each_point_once(eos_points):
+    tc = critical_temperature(1.0)
+    _distinct_points(eos_points, lambda: density_ratio(1.0, tc))
+
+
+def test_universal_curves_integrate_each_point_once(eos_points):
+    qs = [float(q) for q in np.geomspace(0.01, 100.0, 5)]
+    tc_calls = sum(_distinct_points(eos_points,
+                                    lambda: critical_temperature(q))
+                   for q in qs)
+    # the ratio at T_c comes from the densities found at the root
+    assert _distinct_points(
+        eos_points, lambda: universal_curves(0.01, 100.0, 5)) == tc_calls
+
+
+def test_solve_mu_non_convergence_names_the_point():
+    # at t = 0.02 q_tilde rises like e^{-(1 - mu)/t}: 10 steps are too few
+    with pytest.raises(NonConvergence) as exc:
+        solve_mu(-1e-19, 0.02, SolverConfig(max_iters=10))
+    message = str(exc.value)
+    assert "solve_mu" in message
+    assert "q = 1e-19" in message and "t = 0.02" in message
+
+
+def test_critical_temperature_non_convergence_names_the_charge(monkeypatch):
+    # a thermal charge that jumps at t = 1.2345 leaves Brent bisecting
+    monkeypatch.setattr(
+        solver, "thermal_charge_density",
+        lambda phase, config: ChargeDensities.from_pair(
+            2.0 if phase.t > 1.2345 else 0.5, 0.0))
+    with pytest.raises(NonConvergence) as exc:
+        critical_temperature(1.0, SolverConfig(max_iters=10))
+    message = str(exc.value)
+    assert "critical_temperature" in message and "q = 1.0" in message

@@ -2,33 +2,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relbec import (BoxSpec, ChargeDensities, NonPositiveTemperature,
-                    PhasePoint, UnphysicalMu, make_phase_point)
+                    PhasePoint, UnphysicalMu)
 
 
 def test_phase_point_passthrough():
-    p = make_phase_point(1.0, 0.5)
+    p = PhasePoint(1.0, 0.5)
     assert p.t == 1.0 and p.mu == 0.5
 
 
 def test_phase_point_rejects_large_mu():
     with pytest.raises(UnphysicalMu):
-        make_phase_point(1.0, 1.2)
+        PhasePoint(1.0, 1.2)
 
 
 def test_phase_point_rejects_zero_temperature():
     with pytest.raises(NonPositiveTemperature):
-        make_phase_point(0.0, 0.0)
+        PhasePoint(0.0, 0.0)
 
 
 def test_condensation_point_mu_accepted():
-    assert make_phase_point(2.0, 1.0).mu == 1.0
-    assert make_phase_point(2.0, -1.0).mu == -1.0
+    assert PhasePoint(2.0, 1.0).mu == 1.0
+    assert PhasePoint(2.0, -1.0).mu == -1.0
 
 
 @given(t=st.floats(1e-3, 1e3), mu=st.floats(-1.0, 1.0))
 def test_construction_round_trip(t, mu):
-    p = make_phase_point(t, mu)
-    again = make_phase_point(p.t, p.mu)
+    p = PhasePoint(t, mu)
+    again = PhasePoint(p.t, p.mu)
     assert again == p
 
 
@@ -36,7 +36,7 @@ def test_construction_round_trip(t, mu):
 def test_sign_symmetry_of_validation(t, mu):
     def ok(m):
         try:
-            make_phase_point(t, m)
+            PhasePoint(t, m)
             return True
         except UnphysicalMu:
             return False
