@@ -13,8 +13,9 @@ into a Boltzmann head and a remainder,
 and sum the head over the whole lattice in its winding-number (Poisson)
 form, in which every term but the first few windings is negligible; the
 remainder dies out within a few hundred shells. No array grows with the
-number of shells within the cutoff; only the exact count of modes_used
-takes O(mode_cutoff) memory and O(mode_cutoff^2) time.
+number of shells within the cutoff. Only the exact count of modes_used,
+taken over one of the ball's 48 symmetric copies, costs O(mode_cutoff^2)
+time, in O(mode_cutoff) memory: ~5.5 ms of a ~6 ms sum at cutoff 2606.
 """
 import math
 from dataclasses import dataclass
@@ -42,10 +43,16 @@ _MARGIN = 40.0
 # Work budgets of one mode sum, checked before anything is allocated:
 # lattice shells with counted degeneracies (r3 costs ~0.25 s at 2e5),
 # Bessel terms J * (winding shells + 1), and the mode cutoff, since
-# counting modes_used takes ~1.4e-9 c^2 s (~0.4 s at the budget).
+# counting modes_used takes ~5.5e-10 c^2 s (~0.15 s at the budget).
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
 _MAX_CUTOFF = 1 << 14
+# The modes_used count takes its square roots in rectangles of lattice
+# rows, one numpy call each rather than one per row: up to _COUNT_ROWS
+# rows and about _COUNT_CHUNK radicands (a 0.5 MB buffer; 2^18 is no
+# faster).
+_COUNT_CHUNK = 1 << 16
+_COUNT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -75,36 +82,54 @@ def _shell_counts(max_m: int) -> np.ndarray:
     return r3
 
 
-def _lattice_points(cutoff: int) -> int:
-    """Integer vectors n with 0 < |n| <= cutoff, counted column by column.
+def _floor_root_sum(radicands: np.ndarray) -> int:
+    """Sum of floor(sqrt(r)) over an array of integer radicands r < 2^52,
+    computed in place. The float sqrt is exact under floor there, and the
+    partial sums are integers below 2^53."""
+    np.sqrt(radicands, out=radicands)
+    np.floor(radicands, out=radicands)
+    return int(radicands.sum())
 
-    The column over (x, y) holds 2 z + 1 vectors, z = floor(sqrt(c^2 - x^2
-    - y^2)). By the symmetry of the square, the columns are summed over
-    the axis y = 0 and the diagonal y = x (4 copies each) and the open
-    octant 0 < y < x (8 copies), one x-row at a time; the column x = y = 0
-    adds 2c + 1. The float sqrt is exact under floor below 2^52.
+
+def _lattice_points(cutoff: int) -> int:
+    """Integer vectors n with 0 < |n| <= cutoff, counted over one of the
+    48 copies of the ball under sign changes and permutations.
+
+    modes_used = 6 c + 12 Q + 8 (6 D + 3 E + F): 6 c vectors on the axes;
+    Q vectors (x, y) with x, y >= 1 in each quarter of the three
+    coordinate discs; and, with x, y, z >= 1, F patterns {a, a, a},
+    E patterns {a, a, b} with b != a and D vectors with x > y > z. D is
+    the sum of floor(sqrt(r)) - y, r = c^2 - y^2 - z^2, over z < y <=
+    Y(z) = isqrt((c^2 - z^2) // 2), which is empty for z > F. It is taken
+    over rectangles of up to _COUNT_ROWS rows z, each spanning the y-range
+    of its first and longest row, about _COUNT_CHUNK radicands in all.
+    Outside the wedge, r is set to 0 where y <= z and is below y^2 where
+    y > Y(z); raised to y^2, each such entry adds exactly y, and the
+    rectangle's sum of y is subtracted in closed form.
     """
     c2 = cutoff * cutoff
-    x = np.arange(1, cutoff + 1, dtype=float)
-    axis = np.floor(np.sqrt(c2 - x * x))
-    diag = np.floor(np.sqrt(c2 - 2.0 * x[2.0 * x * x <= c2] ** 2))
-    y_sq = x * x
-    row = np.empty(cutoff)
-    inner = 0.0
-    n_inner = 0
-    for xi in range(2, cutoff + 1):
-        rest = c2 - xi * xi
-        n = min(xi - 1, math.isqrt(rest))
-        if n < 1:
+    sq = np.arange(cutoff + 1, dtype=float) ** 2
+    a = math.isqrt(c2 // 2)
+    f = math.isqrt(c2 // 3)
+    q = 2 * _floor_root_sum(c2 - sq[1:a + 1]) - a * a
+    e = _floor_root_sum(c2 - 2.0 * sq[1:a + 1]) - f
+    below = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
+    buf = np.empty(max(_COUNT_CHUNK, cutoff))
+    d = 0
+    z = 1
+    while True:
+        w = math.isqrt((c2 - z * z) // 2) - z
+        if w <= 0:
             break
-        z = np.subtract(rest, y_sq[:n], out=row[:n])
-        np.sqrt(z, out=z)
-        np.floor(z, out=z)
-        inner += float(z.sum())
-        n_inner += n
-    columns = 4.0 * (2.0 * axis.sum() + len(axis)) \
-        + 4.0 * (2.0 * diag.sum() + len(diag)) + 8.0 * (2.0 * inner + n_inner)
-    return int(columns) + 2 * cutoff
+        k = min(_COUNT_ROWS, max(_COUNT_CHUNK // w, 1), f + 1 - z)
+        y2 = sq[z + 1:z + 1 + w]
+        r = buf[:k * w].reshape(k, w)
+        np.subtract(c2 - sq[z:z + k, None], y2, out=r)
+        r[:, :k][below[:k, :min(k, w)]] = 0.0
+        np.maximum(r, y2, out=r)
+        d += _floor_root_sum(r) - k * w * (2 * z + w + 1) // 2
+        z += k
+    return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
 
 
 def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
@@ -142,7 +167,11 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     while _tail_bound(phase, BoxSpec(box_length, hi)) > tail_rel_tol * scale:
         lo, hi = hi, hi * 2
         if hi > 10 ** 7:
-            raise TailTooLarge("no affordable cutoff reaches the tolerance")
+            raise TailTooLarge(
+                f"suggest_cutoff at t = {t}, mu = {phase.mu}, L = "
+                f"{box_length}: no affordable cutoff reaches the tolerance; "
+                f"the tail bound at cutoff {lo} is still above "
+                f"{tail_rel_tol:.1e} of the density scale {scale:.3e}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _tail_bound(phase, BoxSpec(box_length, mid)) > tail_rel_tol * scale:
@@ -231,7 +260,7 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     exactly odd in mu.
     """
     t, mu = phase.t, phase.mu
-    length = box.box_length
+    length, cutoff = box.box_length, box.mode_cutoff
     j_max, m_direct, m_wind = _plan(t, box)
     head = _boltzmann_head(t, length, j_max, m_wind)
     m = np.arange(1, m_direct + 1, dtype=float)
@@ -245,10 +274,12 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     tail = _tail_bound(phase, box)
     if tail > tail_rel_tol * max(n1_fv + n2_fv, 1e-300):
         raise TailTooLarge(
-            f"tail bound {tail:.3e} above {tail_rel_tol:.1e} of the summed "
-            f"density {n1_fv + n2_fv:.3e}; raise mode_cutoff", tail_bound=tail)
+            f"mode_sum at t = {t}, mu = {mu}, L = {length} with cutoff "
+            f"{cutoff}: tail bound {tail:.3e} above {tail_rel_tol:.1e} of the "
+            f"summed density {n1_fv + n2_fv:.3e}; raise mode_cutoff",
+            tail_bound=tail)
     return ModeSumResult(q_tilde_fv=n1_fv - n2_fv, n1_fv=n1_fv, n2_fv=n2_fv,
-                         modes_used=_lattice_points(box.mode_cutoff),
+                         modes_used=_lattice_points(cutoff),
                          tail_bound=tail)
 
 

@@ -112,6 +112,30 @@ def test_modes_used_matches_independent_count():
             int(_shell_counts(cutoff * cutoff)[1:].sum())
 
 
+def test_lattice_points_matches_shell_counts_for_every_cutoff():
+    # one convolution up to 300^2, independent of the wedge count
+    enclosed = np.cumsum(_shell_counts(300 ** 2))
+    for cutoff in range(1, 301):
+        assert _lattice_points(cutoff) == enclosed[cutoff * cutoff] - 1
+
+
+@pytest.mark.parametrize("cutoff, count", [
+    (2606, 74133019436), (5210, 592381811972),
+    (16384, 18422493908316)])
+def test_lattice_points_large_cutoffs(cutoff, count):
+    assert _lattice_points(cutoff) == count
+
+
+def test_lattice_points_memory_does_not_grow_with_cutoff_squared():
+    tracemalloc.start()
+    try:
+        _lattice_points(1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_mode_sum_memory_at_criterion_7_box():
     phase = PhasePoint(5.0, 0.9)
     box = BoxSpec(400.0, suggest_cutoff(phase, 400.0))
@@ -179,8 +203,18 @@ def test_mode_sum_counts_modes():
 
 
 def test_mode_sum_tail_guard():
-    with pytest.raises(TailTooLarge):
+    # the error names its operation and its point
+    with pytest.raises(TailTooLarge, match=r"^mode_sum at t = 1\.0, "
+                       r"mu = 0\.5, L = 50\.0 with cutoff 8: tail bound"):
         mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8))
+
+
+def test_suggest_cutoff_error_names_its_point():
+    # at L = 1e8 even cutoff 2^23 leaves modes below k ~ 0.5 out
+    with pytest.raises(TailTooLarge, match=r"^suggest_cutoff at t = 1\.0, "
+                       r"mu = 0\.5, L = 100000000\.0: no affordable cutoff.*"
+                       r"at cutoff 8388608 "):
+        suggest_cutoff(PhasePoint(1.0, 0.5), 1e8)
 
 
 def test_low_temperature_tail_bound_does_not_overflow():
