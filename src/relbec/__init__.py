@@ -5,14 +5,13 @@ ultra-relativistic / d-dimensional limits. All quantities are scaled by
 the boson mass (T/m, mu/m, k/m, densities in m^3)."""
 
 from .errors import (AboveCritical, AsymptoteOutOfRange, BelowCritical,
-                     BudgetExceeded, DivergentCondensateMode, GaplessMode,
+                     BudgetExceeded, DivergentCondensateMode,
                      InvalidArgument, NonConvergence, NonPositiveTemperature,
                      RelBecError, TailTooLarge, UnphysicalMu,
                      UnsupportedDimension)
 from .types import (BoxSpec, ChargeDensities, CriticalPoint, MomentumProfile,
                     PhasePoint)
-from .statistics import (DispersionPair, charge_integrand, dispersions,
-                         momentum_profile, occupation)
+from .statistics import charge_integrand, momentum_profile
 from .quadrature import (QuadratureConfig, integrate_semi_infinite,
                          thermal_charge_density)
 from .solver import (GasSolution, SolverConfig, condensed_solution,
@@ -41,17 +40,16 @@ def __getattr__(name):
 __all__ = [
     "AboveCritical", "AsymptoteOutOfRange", "BelowCritical", "BoxSpec",
     "BudgetExceeded", "ChargeDensities", "CriticalPoint", "Dimension",
-    "DispersionPair", "DivergentCondensateMode", "GaplessMode", "GasSolution",
-    "InvalidArgument", "ModeSumResult", "MomentumProfile", "NonConvergence",
-    "NonPositiveTemperature",
-    "PhasePoint", "QuadratureConfig", "RelBecError", "SolverConfig",
-    "TailTooLarge", "UnphysicalMu", "UnsupportedDimension",
+    "DivergentCondensateMode", "GasSolution", "InvalidArgument",
+    "ModeSumResult", "MomentumProfile", "NonConvergence",
+    "NonPositiveTemperature", "PhasePoint", "QuadratureConfig",
+    "RelBecError", "SolverConfig", "TailTooLarge", "UnphysicalMu",
+    "UnsupportedDimension",
     "charge_integrand", "condensate_mode", "condensed_solution",
     "critical_temperature", "ddim_critical_temperature", "density_of_states",
-    "density_ratio", "dispersions", "gamma_half", "integrate_semi_infinite",
-    "low_t_condensate_antiparticles", "low_t_mu_asymptote",
-    "mode_sum", "momentum_profile", "occupation",
-    "solve_mu", "suggest_cutoff", "thermal_charge_density",
+    "density_ratio", "gamma_half", "integrate_semi_infinite",
+    "low_t_condensate_antiparticles", "low_t_mu_asymptote", "mode_sum",
+    "momentum_profile", "solve_mu", "suggest_cutoff", "thermal_charge_density",
     "universal_curves", "ur_condensed_fraction", "ur_critical_temperature",
     "ur_densities", "ur_density_ratio", "zeta_int",
 ]

@@ -18,11 +18,6 @@ class UnphysicalMu(RelBecError):
     """Chemical potential outside [-m, m]; occupations would turn negative."""
 
 
-class GaplessMode(RelBecError):
-    """Zero-energy mode requested from the Bose occupation; the condensate
-    mode must be treated separately."""
-
-
 class NonConvergence(RelBecError):
     """Iterative scheme (quadrature refinement or root finding) exhausted
     its budget without reaching the requested tolerance."""

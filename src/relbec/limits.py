@@ -1,8 +1,9 @@
 """Closed-form limits: ultra-relativistic expansions, the d-dimensional
 critical temperature, and low-temperature condensate asymptotics.
 
-These serve both as fast paths (deep UR regime) and as independent
-cross-validation targets for the quadrature and solver modules.
+These are independent cross-validation targets for the quadrature and
+solver modules; the CLI also reports them as they are (ddim-tc and the
+UR columns of universal), next to the numerical results.
 """
 import math
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ _ZETA_TABLE = {
     3: 1.2020569031595943,
     4: math.pi ** 4 / 90.0,
 }
+# zeta(3/2), the constant of the non-relativistic critical density
+_ZETA_3_2 = 2.6123753486854883
 
 
 def zeta_int(n: int) -> float:

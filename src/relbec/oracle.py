@@ -24,8 +24,9 @@ import numpy as np
 from scipy.special import kve
 
 from .errors import BudgetExceeded, DivergentCondensateMode, TailTooLarge
+from .limits import zeta_int
 from .quadrature import _MEASURE
-from .statistics import _occupation_array, occupation
+from .statistics import _bose, _gap
 from .types import (BoxSpec, PhasePoint, require_finite,
                     require_temperature)
 
@@ -146,7 +147,7 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     k0 = dk * max(box.mode_cutoff - 1, 1)
     x = k0 / t
     envelope = t ** 3 * (x * x + 2.0 * x + 2.0)
-    gap0 = k0 * k0 / (math.sqrt(k0 * k0 + 1.0) + 1.0)
+    gap0 = _gap(k0 * k0)
     total = 0.0
     for sgn in (+1.0, -1.0):
         c = 1.0 / -math.expm1(-(gap0 + (1.0 - sgn * mu)) / t)
@@ -162,7 +163,7 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     crude scale of the summed densities."""
     # scale estimate: UR n1+n2 ~ 2 zeta(3) t^3/pi^2, floored for small t
     t = phase.t
-    scale = max(2.0 * 1.2020569031595943 * t ** 3 / math.pi ** 2, 1e-3)
+    scale = max(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2, 1e-3)
     lo, hi = 1, 2
     while _tail_bound(phase, BoxSpec(box_length, hi)) > tail_rel_tol * scale:
         lo, hi = hi, hi * 2
@@ -181,7 +182,7 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     return hi
 
 
-def _plan(t: float, box: BoxSpec):
+def _plan(phase: PhasePoint, box: BoxSpec):
     """(J, direct shells, winding shells) of one box, within the budgets.
 
     The remainder e^{-J x}/(e^x - 1) falls like e^{-(J + 1) gap/t}, so
@@ -191,14 +192,14 @@ def _plan(t: float, box: BoxSpec):
     _MARGIN at the largest beta = J/t are left out. Every quantity is
     clamped before it is rounded, so no input overflows the plan.
     """
+    t = phase.t
     length, cutoff = box.box_length, box.mode_cutoff
     max_m = cutoff * cutoff
     if max_m <= _DIRECT_SHELLS:
         return 0, max_m, 0
     j_max = math.floor(min(_SPLIT * t * length, _MAX_TERMS + 1.0))
     k1 = 2.0 * math.pi / length
-    gap = k1 * k1 / (math.sqrt(k1 * k1 + 1.0) + 1.0) \
-        + _MARGIN * t / (j_max + 1)
+    gap = _gap(k1 * k1) + _MARGIN * t / (j_max + 1)
     half = length / (2.0 * math.pi)
     m_direct = math.ceil(min(max_m, gap * (gap + 2.0) * half * half))
     lw2 = (2.0 * j_max / t + _MARGIN) * _MARGIN if j_max else 0.0
@@ -206,10 +207,11 @@ def _plan(t: float, box: BoxSpec):
     if (cutoff > _MAX_CUTOFF or max(m_direct, m_wind) > _MAX_SHELLS
             or j_max * (m_wind + 1) > _MAX_TERMS):
         raise BudgetExceeded(
-            f"box L = {length} with cutoff {cutoff} at t = {t} needs "
-            f"J = {j_max}, {m_direct} direct and {m_wind} winding shells; "
-            f"the budgets are cutoff {_MAX_CUTOFF}, {_MAX_SHELLS} shells "
-            f"and {_MAX_TERMS} terms J * (winding shells + 1)")
+            f"mode_sum at t = {t}, mu = {phase.mu}, L = {length} with "
+            f"cutoff {cutoff}: needs J = {j_max}, {m_direct} direct and "
+            f"{m_wind} winding shells; the budgets are cutoff "
+            f"{_MAX_CUTOFF}, {_MAX_SHELLS} shells and {_MAX_TERMS} terms "
+            f"J * (winding shells + 1)")
     return j_max, m_direct, m_wind
 
 
@@ -237,7 +239,7 @@ def _density(s: float, t: float, vol: float, head: np.ndarray,
     the Boltzmann head e^{-j (1 - s)/t} head[j - 1], j <= J = len(head),
     plus the remainder e^{-J x}/(e^x - 1) over the direct shells."""
     energy = gap + (1.0 - s)
-    rest = _occupation_array(energy, t) * np.exp(-len(head) / t * energy)
+    rest = _bose(energy / t) * np.exp(-len(head) / t * energy)
     weights = np.exp(-(1.0 - s) / t * np.arange(1, len(head) + 1))
     return float(np.dot(weights, head)) + float(np.dot(counts, rest)) / vol
 
@@ -261,13 +263,12 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     """
     t, mu = phase.t, phase.mu
     length, cutoff = box.box_length, box.mode_cutoff
-    j_max, m_direct, m_wind = _plan(t, box)
+    j_max, m_direct, m_wind = _plan(phase, box)
     head = _boltzmann_head(t, length, j_max, m_wind)
     m = np.arange(1, m_direct + 1, dtype=float)
     counts = _shell_counts(m_direct)[1:].astype(float)
     k = 2.0 * math.pi / length * np.sqrt(m)
-    e = np.sqrt(k * k + 1.0)
-    gap = k * k / (e + 1.0)
+    gap = _gap(k * k)
     vol = length ** 3
     n1_fv = _density(mu, t, vol, head, gap, counts)
     n2_fv = _density(-mu, t, vol, head, gap, counts)
@@ -292,6 +293,5 @@ def condensate_mode(mu: float, t: float):
     if abs(mu) >= 1.0:
         raise DivergentCondensateMode(
             f"|mu| = {abs(mu)} >= 1: zero-mode occupation diverges")
-    n1_0 = occupation(1.0 - mu, t)
-    n2_0 = occupation(1.0 + mu, t)
+    n1_0, n2_0 = _bose(np.array([(1.0 - mu) / t, (1.0 + mu) / t])).tolist()
     return n1_0, n2_0, n1_0 - n2_0

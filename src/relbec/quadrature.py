@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidArgument, NonConvergence
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
-from .statistics import (_TINY, _weighted_occupations,  # noqa: F401
+from .statistics import (_TINY, _gap, _weighted_occupations,  # noqa: F401
                          charge_integrand)
 from .types import ChargeDensities, PhasePoint
 
@@ -99,7 +99,7 @@ def _initial_edges(k_cut: float, s: float) -> np.ndarray:
     temperature s: geometric toward 0 below the thermal momentum, growing
     steps in gap/s above it."""
     p = min(_momentum(1.0, s), k_cut)
-    u_cut = (k_cut * k_cut / (math.sqrt(k_cut * k_cut + 1.0) + 1.0)) / s
+    u_cut = _gap(k_cut * k_cut) / s
     u = _TAIL_U[_TAIL_U < 0.9 * u_cut]
     edges = np.concatenate([_BELOW * p, _momentum(u, s), [k_cut]])
     return edges if p < k_cut else edges[:-1]

@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import (AboveCritical, BelowCritical, InvalidArgument,
                      NonConvergence)
+from .limits import _ZETA_3_2
 from .quadrature import QuadratureConfig, thermal_charge_density
 from .types import (ChargeDensities, CriticalPoint, PhasePoint,
                     require_finite, require_temperature)
 
-_ZETA_3_2 = 2.6123753486854883
 # Brent's method cannot narrow a bracket below a few ulps of the root
 _MIN_RTOL = 4.0 * np.finfo(float).eps
 

@@ -1,17 +1,17 @@
-"""Pointwise kernels: dispersions, Bose-Einstein occupations and the
-charge-density integrand, all at a single scaled momentum.
+"""The Bose kernel: the dispersion gap, the Bose-Einstein occupation and
+the k^2-weighted occupations of both branches on arrays of momenta.
 
 Particles carry energy omega = sqrt(k^2+1) - mu, antiparticles
-omega_bar = sqrt(k^2+1) + mu. The gap omega is evaluated through the
-cancellation-free form (1 - mu) + k^2/(sqrt(k^2+1) + 1), which stays
-accurate as mu -> 1 and k -> 0.
+omega_bar = sqrt(k^2+1) + mu: the two branches share the gap
+sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
+through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
+accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessMode, InvalidArgument
+from .errors import InvalidArgument
 from .types import MomentumProfile, PhasePoint
 
 # Beyond this exponent expm1 overflows; occupation is then e^{-x} exactly
@@ -24,57 +24,27 @@ _SERIES_X = 1e-8
 _TINY = 2.2250738585072014e-308
 
 
-@dataclass(frozen=True)
-class DispersionPair:
-    """Particle and antiparticle energies at one momentum."""
-
-    omega: float
-    omega_bar: float
+def _gap(ksq):
+    """The gap sqrt(k^2 + 1) - 1 from ksq = k^2, without cancellation;
+    for a float or an array."""
+    return ksq / (np.sqrt(ksq + 1.0) + 1.0)
 
 
-def dispersions(k: float, mu: float) -> DispersionPair:
-    """Energies of the particle and antiparticle branches at momentum k."""
-    e = math.sqrt(k * k + 1.0)
-    gap = k * k / (e + 1.0)  # e - 1 without cancellation
-    return DispersionPair(omega=gap + (1.0 - mu), omega_bar=gap + (1.0 + mu))
-
-
-def occupation(energy: float, t: float) -> float:
-    """Bose-Einstein occupation 1/(e^{energy/t} - 1).
-
-    energy = 0 is rejected: the divergent zero mode is the condensate and
-    must be accounted for separately.
-    """
-    if energy == 0.0:
-        raise GaplessMode("zero-energy mode: handle the condensate separately")
-    x = energy / t
-    if x > _OVERFLOW_X:
-        return math.exp(-x)
-    if abs(x) < _SERIES_X:
-        return 1.0 / x - 0.5 + x / 12.0
-    return 1.0 / math.expm1(x)
-
-
-def _occupation_array(energy: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized occupation for strictly positive energies."""
-    x = np.asarray(energy, dtype=float) / t
+def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Bose-Einstein occupation 1/(e^x - 1) on an array of exponents
+    x >= 0, written into out when given (x = 0 gives inf). Below
+    _SERIES_X it takes the Laurent series, above _OVERFLOW_X e^{-x}."""
     with np.errstate(divide="ignore", over="ignore"):
-        out = 1.0 / np.expm1(x)
-    _fix_branches(x, out)
-    return out
-
-
-def _fix_branches(x: np.ndarray, out: np.ndarray) -> None:
-    """Overwrite 1/(e^x - 1) in out where x is below _SERIES_X (Laurent
-    series) or above _OVERFLOW_X (e^{-x})."""
-    if x.min() < _SERIES_X:
-        small = x < _SERIES_X
-        xs = x[small]
-        with np.errstate(divide="ignore", over="ignore"):
+        out = np.expm1(x, out=out)
+        np.divide(1.0, out, out=out)
+        if x.min() < _SERIES_X:
+            small = x < _SERIES_X
+            xs = x[small]
             out[small] = 1.0 / xs - 0.5 + xs / 12.0
     if x.max() > _OVERFLOW_X:
         big = x > _OVERFLOW_X
         out[big] = np.exp(-x[big])
+    return out
 
 
 def charge_integrand(k, phase: PhasePoint):
@@ -106,16 +76,11 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     ksq = k * k
-    e = np.sqrt(ksq + 1.0)
-    gap = ksq / (e + 1.0)
     t, mu = phase.t, phase.mu
-    x = gap + np.array([[1.0 - mu], [1.0 + mu]])
+    x = _gap(ksq) + np.array([[1.0 - mu], [1.0 + mu]])
     x /= t
     out = np.empty((3,) + k.shape)
-    occ = out[:2]
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, np.expm1(x), out=occ)
-    _fix_branches(x, occ)
+    occ = _bose(x, out=out[:2])
     with np.errstate(invalid="ignore"):
         occ *= ksq
     if x.min() < _TINY:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     InvalidArgument, NonPositiveTemperature, PhasePoint,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
-                    mode_sum, occupation, suggest_cutoff,
+                    mode_sum, suggest_cutoff,
                     thermal_charge_density)
 from relbec.oracle import _DIRECT_SHELLS, _lattice_points, _shell_counts
 
@@ -29,8 +30,8 @@ def brute_force_sum(phase, box):
                 if m2 == 0 or m2 > n * n:
                     continue
                 e = math.sqrt((dk * dk) * m2 + 1.0)
-                s1 += occupation(e - phase.mu, phase.t)
-                s2 += occupation(e + phase.mu, phase.t)
+                s1 += 1.0 / math.expm1((e - phase.mu) / phase.t)
+                s2 += 1.0 / math.expm1((e + phase.mu) / phase.t)
     vol = box.box_length ** 3
     return s1 / vol, s2 / vol
 
@@ -155,9 +156,12 @@ def test_mode_sum_memory_at_criterion_7_box():
     (1e4, 1000.0, 10_000),     # too many Boltzmann terms
     (50.0, 0.05, 1000)])       # too many winding shells
 def test_mode_sum_over_budget_raises_before_allocating(t, length, cutoff):
+    # the error names its operation and its point
+    match = "^" + re.escape(f"mode_sum at t = {t}, mu = 0.5, L = {length} "
+                            f"with cutoff {cutoff}: needs J = ")
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=match):
             mode_sum(PhasePoint(t, 0.5), BoxSpec(length, cutoff))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -4,62 +4,81 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbec import (GaplessMode, PhasePoint, charge_integrand, dispersions,
-                    momentum_profile, occupation)
-from relbec.statistics import _weighted_occupations
+from relbec import PhasePoint, charge_integrand, momentum_profile
+from relbec.statistics import _bose, _gap, _weighted_occupations
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
 CI_REF = 0.496017838297
 
 
-def test_dispersions_condensation_point():
-    d = dispersions(0.0, 1.0)
-    assert d.omega == 0.0
-    assert d.omega_bar == 2.0
+def test_gap_condensation_point():
+    # omega = gap + 1 - mu vanishes at k = 0, mu = 1; omega_bar = 2
+    assert _gap(0.0) + (1.0 - 1.0) == 0.0
+    assert _gap(0.0) + (1.0 + 1.0) == 2.0
 
 
-def test_dispersions_symmetric_at_zero_mu():
-    d = dispersions(0.0, 0.0)
-    assert d.omega == 1.0 and d.omega_bar == 1.0
+def test_gap_symmetric_at_zero_mu():
+    assert _gap(0.0) + 1.0 == 1.0
 
 
-def test_dispersions_exact_sqrt():
-    d = dispersions(math.sqrt(3.0), 0.5)
-    assert d.omega == pytest.approx(1.5, abs=1e-14)
-    assert d.omega_bar == pytest.approx(2.5, abs=1e-14)
+def test_gap_exact_sqrt():
+    # k = sqrt(3): sqrt(k^2 + 1) - 1 = 1, so omega = 1.5, omega_bar = 2.5
+    k = math.sqrt(3.0)
+    gap = _gap(k * k)
+    assert gap + (1.0 - 0.5) == pytest.approx(1.5, abs=1e-14)
+    assert gap + (1.0 + 0.5) == pytest.approx(2.5, abs=1e-14)
+
+
+def test_gap_without_cancellation():
+    # sqrt(k^2 + 1) - 1 would round to 0 here; the gap keeps k^2/2
+    assert _gap(1e-20) == 5e-21
+    ksq = np.array([0.0, 1e-20, 3.0, 1e6])
+    np.testing.assert_array_equal(_gap(ksq), [_gap(v) for v in ksq])
 
 
 @given(k=st.floats(0.0, 50.0), mu=st.floats(-1.0, 1.0))
 def test_dispersion_identity(k, mu):
-    d = dispersions(k, mu)
-    assert d.omega * d.omega_bar == pytest.approx(k * k + 1.0 - mu * mu,
-                                                  rel=1e-12, abs=1e-12)
-    assert d.omega + d.omega_bar == pytest.approx(2.0 * math.sqrt(k * k + 1.0),
-                                                  rel=1e-13)
+    omega = _gap(k * k) + (1.0 - mu)
+    omega_bar = _gap(k * k) + (1.0 + mu)
+    assert omega * omega_bar == pytest.approx(k * k + 1.0 - mu * mu,
+                                              rel=1e-12, abs=1e-12)
+    assert omega + omega_bar == pytest.approx(2.0 * math.sqrt(k * k + 1.0),
+                                              rel=1e-13)
 
 
 def test_occupation_log2():
-    assert occupation(2.0 * math.log(2.0), 2.0) == pytest.approx(1.0, rel=1e-14)
+    x = np.array([2.0 * math.log(2.0)]) / 2.0
+    assert _bose(x)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_occupation_unit_energy():
-    assert occupation(1.0, 1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
-
-
-def test_occupation_gapless_rejected():
-    with pytest.raises(GaplessMode):
-        occupation(0.0, 1.0)
+    assert _bose(np.array([1.0]))[0] == pytest.approx(1.0 / (math.e - 1.0),
+                                                      rel=1e-14)
 
 
 def test_occupation_tiny_energy_series():
-    # Laurent branch: t/e - 1/2 + e/(12 t) without catastrophic cancellation
-    e, t = 1e-12, 1.0
-    assert occupation(e, t) == pytest.approx(1.0 / e - 0.5, rel=1e-12)
+    # Laurent branch: 1/x - 1/2 + x/12 without catastrophic cancellation;
+    # at x = 3e-9 it differs from 1/expm1(x) in the last bit
+    assert _bose(np.array([1e-12]))[0] == pytest.approx(1e12 - 0.5,
+                                                        rel=1e-12)
+    x = 3e-9
+    assert _bose(np.array([x]))[0] == 1.0 / x - 0.5 + x / 12.0
 
 
 def test_occupation_huge_exponent():
-    assert occupation(800.0, 1.0) == math.exp(-800.0)
+    assert _bose(np.array([800.0]))[0] == math.exp(-800.0)
+
+
+def test_occupation_writes_in_place():
+    # every branch at once: series, expm1, e^{-x}, and x = 0 -> inf
+    x = np.array([[0.0, 1e-12, 1.0], [30.0, 650.0, 720.0]])
+    out = np.empty_like(x)
+    assert _bose(x, out=out) is out
+    expected = [[math.inf, 1e12 - 0.5, 1.0 / math.expm1(1.0)],
+                [1.0 / math.expm1(30.0), 1.0 / math.expm1(650.0),
+                 math.exp(-720.0)]]
+    np.testing.assert_allclose(out, expected, rtol=1e-14)
 
 
 def test_charge_integrand_vanishes_at_zero_mu():
@@ -129,12 +148,11 @@ def test_charge_integrand_monotone_in_mu(k, t, mu):
 @given(k=st.floats(0.0, 30.0), t=st.floats(0.05, 10.0),
        mu=st.floats(0.01, 1.0))
 def test_pointwise_ratio_bound(k, t, mu):
-    # occ(omega_bar)/occ(omega) <= e^{-2 mu / t}
-    d = dispersions(k, mu)
-    if d.omega == 0.0:
+    # n2/n1 = occ(omega_bar)/occ(omega) <= e^{-2 mu / t}
+    n1, n2, _ = _weighted_occupations(np.array([k]), PhasePoint(t, mu))[:, 0]
+    if n1 == 0.0:  # k^2 = 0: both rows vanish
         return
-    ratio = occupation(d.omega_bar, t) / occupation(d.omega, t)
-    assert ratio <= math.exp(-2.0 * mu / t) * (1.0 + 1e-12)
+    assert n2 / n1 <= math.exp(-2.0 * mu / t) * (1.0 + 1e-12)
 
 
 def test_momentum_profile_symmetric_at_zero_mu():
