@@ -15,9 +15,12 @@ import numpy as np
 
 from .errors import BelowCritical, RelBecError
 from .limits import Dimension, ddim_critical_temperature, ur_critical_temperature, ur_density_ratio
-from .quadrature import QuadratureConfig, thermal_charge_density
-from .solver import (SolverConfig, critical_temperature, condensed_solution,
-                     density_ratio, solve_mu, universal_curves)
+# this module calls no thermal_charge_density itself, but bench/tracing.py
+# wraps it under this module's name
+from .quadrature import QuadratureConfig, thermal_charge_density  # noqa: F401
+from .solver import (SolverConfig, _solve_state, critical_temperature,
+                     condensed_solution, density_ratio, solve_mu,
+                     universal_curves)
 from .statistics import momentum_profile
 from .types import BoxSpec, PhasePoint
 
@@ -154,12 +157,13 @@ def _cmd_universal(args):
 def _cmd_oracle_check(args):
     from .oracle import mode_sum, suggest_cutoff
     solver = _configs(args)
+    # q_quad comes from the densities the solve found, not a new integral
     try:
-        mu = solve_mu(args.q, args.t, solver)
-    except BelowCritical:
-        mu = 1.0
+        mu, densities = _solve_state(args.q, args.t, solver)
+    except BelowCritical as exc:
+        mu, densities = 1.0, exc.densities
     phase = PhasePoint(args.t, mu)
-    q_quad = thermal_charge_density(phase, solver.quad).q_tilde
+    q_quad = densities.q_tilde
     rows = []
     for length in args.box_lengths:
         cutoff = suggest_cutoff(phase, length)

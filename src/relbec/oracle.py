@@ -15,7 +15,7 @@ form, in which every term but the first few windings is negligible; the
 remainder dies out within a few hundred shells. No array grows with the
 number of shells within the cutoff. Only the exact count of modes_used,
 taken over one of the ball's 48 symmetric copies, costs O(mode_cutoff^2)
-time, in O(mode_cutoff) memory: ~5.5 ms of a ~6 ms sum at cutoff 2606.
+time, in O(mode_cutoff) memory: ~2 ms of a ~3 ms sum at cutoff 2606.
 """
 import math
 from dataclasses import dataclass
@@ -44,16 +44,19 @@ _MARGIN = 40.0
 # Work budgets of one mode sum, checked before anything is allocated:
 # lattice shells with counted degeneracies (r3 costs ~0.25 s at 2e5),
 # Bessel terms J * (winding shells + 1), and the mode cutoff, since
-# counting modes_used takes ~5.5e-10 c^2 s (~0.15 s at the budget).
+# counting modes_used takes ~1.6e-10 c^2 s (~0.15 s at the budget, on
+# 2 vCPUs).
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
-_MAX_CUTOFF = 1 << 14
+_MAX_CUTOFF = 30_000
 # The modes_used count takes its square roots in rectangles of lattice
 # rows, one numpy call each rather than one per row: up to _COUNT_ROWS
 # rows and about _COUNT_CHUNK radicands (a 0.5 MB buffer; 2^18 is no
-# faster).
+# faster). _BELOW masks the entries x <= y of a rectangle whose columns
+# start at its first row's y + 1.
 _COUNT_CHUNK = 1 << 16
 _COUNT_ROWS = 64
+_BELOW = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -99,14 +102,24 @@ def _lattice_points(cutoff: int) -> int:
     modes_used = 6 c + 12 Q + 8 (6 D + 3 E + F): 6 c vectors on the axes;
     Q vectors (x, y) with x, y >= 1 in each quarter of the three
     coordinate discs; and, with x, y, z >= 1, F patterns {a, a, a},
-    E patterns {a, a, b} with b != a and D vectors with x > y > z. D is
-    the sum of floor(sqrt(r)) - y, r = c^2 - y^2 - z^2, over z < y <=
-    Y(z) = isqrt((c^2 - z^2) // 2), which is empty for z > F. It is taken
-    over rectangles of up to _COUNT_ROWS rows z, each spanning the y-range
-    of its first and longest row, about _COUNT_CHUNK radicands in all.
-    Outside the wedge, r is set to 0 where y <= z and is below y^2 where
-    y > Y(z); raised to y^2, each such entry adds exactly y, and the
-    rectangle's sum of y is subtracted in closed form.
+    E patterns {a, a, b} with b != a and D vectors with x > y > z.
+
+    D is summed along the short axis z: each pair x > y >= 2 adds
+    min(y - 1, floor(sqrt(r))), r = c^2 - x^2 - y^2 (0 where r < 0).
+    Row y adds y - 1 for every x <= X_full(y) = isqrt(c^2 - y^2 -
+    (y - 1)^2) and 0 past X_end(y) = isqrt(c^2 - y^2 - 1), so only the
+    band in between takes square roots, about 0.055 c^2 of them. The
+    rows 2 <= y <= y_end, the last row with X_end(y) > y, are taken in
+    rectangles of up to _COUNT_ROWS rows and about _COUNT_CHUNK
+    radicands. Below y_cap, the first row with X_full(y) <= y, a
+    rectangle spans the band from its left end in its last row to its
+    right end in its first; with r clamped to [0, (y - 1)^2] every entry
+    adds its exact value, and the pairs left of it add y - 1 each,
+    summed in closed form. From y_cap on the band starts at x = y + 1, so
+    a rectangle starts at its first row's y + 1 and _BELOW zeroes its
+    entries x <= y; the others have r < (y - 1)^2 already.
+    Only the rectangles' corners take integer square roots: no array or
+    loop runs over the rows.
     """
     c2 = cutoff * cutoff
     sq = np.arange(cutoff + 1, dtype=float) ** 2
@@ -114,22 +127,38 @@ def _lattice_points(cutoff: int) -> int:
     f = math.isqrt(c2 // 3)
     q = 2 * _floor_root_sum(c2 - sq[1:a + 1]) - a * a
     e = _floor_root_sum(c2 - 2.0 * sq[1:a + 1]) - f
-    below = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
     buf = np.empty(max(_COUNT_CHUNK, cutoff))
+    y_cap = math.isqrt(max(c2 - 2, 0) // 3) + 1
+    y_end = (math.isqrt(max(2 * c2 - 3, 0)) - 1) // 2
     d = 0
-    z = 1
-    while True:
-        w = math.isqrt((c2 - z * z) // 2) - z
-        if w <= 0:
-            break
-        k = min(_COUNT_ROWS, max(_COUNT_CHUNK // w, 1), f + 1 - z)
-        y2 = sq[z + 1:z + 1 + w]
+    y = 2
+    while y <= y_end:
+        cap = y >= y_cap
+        last = y_end if cap else y_cap - 1
+        k = min(_COUNT_ROWS, last + 1 - y)
+        x_end = math.isqrt(c2 - y * y - 1)
+        while True:
+            yl = y + k - 1
+            xs = y + 1 if cap else math.isqrt(c2 - yl * yl - (yl - 1) ** 2) + 1
+            w = x_end + 1 - xs
+            if k * w <= _COUNT_CHUNK or k == 1:
+                break
+            k = max(_COUNT_CHUNK // w, 1)
         r = buf[:k * w].reshape(k, w)
-        np.subtract(c2 - sq[z:z + k, None], y2, out=r)
-        r[:, :k][below[:k, :min(k, w)]] = 0.0
-        np.maximum(r, y2, out=r)
-        d += _floor_root_sum(r) - k * w * (2 * z + w + 1) // 2
-        z += k
+        np.subtract(c2 - sq[y:y + k, None], sq[xs:xs + w], out=r)
+        if cap:
+            r[:, :k][_BELOW[:k, :min(k, w)]] = 0.0
+        else:
+            np.minimum(r, sq[y - 1:yl, None], out=r)
+            # row y has xs - 1 - y pairs left of the rectangle, y - 1 each:
+            # sum u (xs - 2 - u) over u = y - 1 from lo to hi
+            lo, hi = y - 1, yl - 1
+            d += ((xs - 2) * (lo + hi) * k // 2
+                  - (hi * (hi + 1) * (2 * hi + 1)
+                     - (lo - 1) * lo * (2 * lo - 1)) // 6)
+        np.maximum(r, 0.0, out=r)
+        d += _floor_root_sum(r)
+        y += k
     return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
 
 
@@ -157,15 +186,50 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     return total
 
 
+def _density_floor(phase: PhasePoint, box: BoxSpec) -> float:
+    """Lower bound on n1 + n2 summed over every mode n != 0 of the box.
+
+    Each occupation is at least e^{-(1 -+ mu)/t} e^{-(E - 1)/t}, and
+    E - 1 <= min(k^2/2, k). With k^2/2 the lattice sum is theta(a)^3 - 1,
+    a = 2 pi^2/(L^2 t), theta(a) = sum_n e^{-a n^2}, summed directly for
+    a >= pi and by Poisson summation below. With k it is at least a
+    quarter of the integral over |n| >= sqrt(3): every n != 0 outweighs
+    the unit cube beyond it in each of the at most 4 octants holding it.
+    Each series is cut after 3 terms, which only lowers the bound. Powers
+    are written as products and quotients, which saturate at 0 or inf
+    where ** would raise.
+    """
+    t, length = phase.t, box.box_length
+    weight = (math.exp(-(1.0 - phase.mu) / t)
+              + math.exp(-(1.0 + phase.mu) / t))
+    p = 0.5 * length * length * t  # pi^2 / a
+    if p <= math.pi:
+        a = math.pi ** 2 / p if p > 0.0 else math.inf
+        u = 2.0 * sum(math.exp(-a * n * n) for n in (1, 2, 3))
+        gauss = u * (3.0 + u * (3.0 + u)) / length / length / length
+    else:
+        r = math.sqrt(t / (2.0 * math.pi)) * (
+            1.0 + 2.0 * sum(math.exp(-p * w * w) for w in (1, 2, 3)))
+        gauss = r * r * r - 1.0 / length / length / length
+    # past y = 1e3, e^{-y} is 0 and y^2 would make inf * 0
+    y = min(2.0 * math.pi * math.sqrt(3.0) / length / t, 1e3)
+    octant = (0.25 * _MEASURE * t * t * t * (y * y + 2.0 * y + 2.0)
+              * math.exp(-y))
+    return weight * max(gauss, octant)
+
+
 def suggest_cutoff(phase: PhasePoint, box_length: float,
                    tail_rel_tol: float = 1e-5) -> int:
     """Smallest mode cutoff whose tail bound is below tail_rel_tol times a
-    crude scale of the summed densities."""
-    # scale estimate: UR n1+n2 ~ 2 zeta(3) t^3/pi^2, floored for small t
+    scale of the summed densities: the UR estimate 2 zeta(3) t^3/pi^2,
+    capped at 9 times _density_floor. With the default tolerances the box
+    then passes mode_sum's own check, whose 1e-4 is ten times looser."""
     t = phase.t
-    scale = max(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2, 1e-3)
     lo, hi = 1, 2
-    while _tail_bound(phase, BoxSpec(box_length, hi)) > tail_rel_tol * scale:
+    box = BoxSpec(box_length, hi)
+    scale = min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
+                9.0 * _density_floor(phase, box))
+    while _tail_bound(phase, box) > tail_rel_tol * scale:
         lo, hi = hi, hi * 2
         if hi > 10 ** 7:
             raise TailTooLarge(
@@ -173,6 +237,7 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
                 f"{box_length}: no affordable cutoff reaches the tolerance; "
                 f"the tail bound at cutoff {lo} is still above "
                 f"{tail_rel_tol:.1e} of the density scale {scale:.3e}")
+        box = BoxSpec(box_length, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _tail_bound(phase, BoxSpec(box_length, mid)) > tail_rel_tol * scale:

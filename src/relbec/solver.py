@@ -147,6 +147,22 @@ def solve_mu(q: float, t: float,
     return math.copysign(_solve_mu(abs(q), t, config)[0], q)
 
 
+def _solve_state(q: float, t: float, config: SolverConfig):
+    """(mu, densities at (t, mu)) for any finite q: solve_mu's root and the
+    densities found there, conjugated for q < 0 (n1 and n2 swap places
+    exactly under mu -> -mu); q = 0 integrates once, at mu = 0. Raises
+    BelowCritical as solve_mu does, carrying the densities at mu = 1."""
+    require_finite("q", q)
+    require_temperature(t)
+    if q == 0.0:
+        return 0.0, thermal_charge_density(PhasePoint(t, 0.0), config.quad)
+    mu, found = _solve_mu(abs(q), t, config)
+    if q > 0.0:
+        return mu, found
+    return -mu, ChargeDensities(n1=found.n2, n2=found.n1,
+                                q_tilde=-found.q_tilde)
+
+
 def _critical_point(q: float, config: SolverConfig):
     """(T_c, densities at (T_c, 1)) for finite q > 0."""
     t_nr = 2.0 * math.pi * (q / _ZETA_3_2) ** (2.0 / 3.0)

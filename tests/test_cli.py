@@ -9,6 +9,8 @@ import tracemalloc
 import pytest
 
 import relbec
+from relbec import (BelowCritical, PhasePoint, cli, solver, solve_mu,
+                    thermal_charge_density)
 from relbec.cli import main
 
 
@@ -145,6 +147,31 @@ def test_oracle_check_values(capsys):
     assert q_fv == pytest.approx([9.9998945544280460e-02,
                                   9.9999868193037855e-02,
                                   9.9999983524133640e-02], rel=1e-12)
+
+
+@pytest.mark.parametrize("q, t", [(0.1, 5.0), (-0.1, 5.0), (10.0, 1.0),
+                                  (-10.0, 1.0), (0.0, 1.0)])
+def test_oracle_check_integrates_each_point_once(capsys, monkeypatch, q, t):
+    seen = []
+
+    def recording(phase, config):
+        seen.append((phase.t, phase.mu))
+        return thermal_charge_density(phase, config)
+
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "thermal_charge_density", recording)
+    code, out, _ = run_cli(capsys, "oracle-check", "--q", repr(q),
+                           "--t", repr(t), "--box-lengths", "20")
+    assert code == 0
+    assert seen and len(set(seen)) == len(seen)
+    # q_tilde_quad is the density at the state, as integrated there
+    monkeypatch.undo()
+    try:
+        mu = solve_mu(q, t)
+    except BelowCritical:
+        mu = 1.0
+    q_quad = float(out.strip().split("\n")[1].split(",")[3])
+    assert q_quad == thermal_charge_density(PhasePoint(t, mu)).q_tilde
 
 
 def _fresh_interpreter(code):

@@ -11,11 +11,65 @@ from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
                     mode_sum, suggest_cutoff,
                     thermal_charge_density)
-from relbec.oracle import _DIRECT_SHELLS, _lattice_points, _shell_counts
+from relbec.oracle import (_DIRECT_SHELLS, _MAX_CUTOFF, _density_floor,
+                           _lattice_points, _shell_counts)
 
 # 20-digit finite-volume reference (t=1, mu=0.5, L=20, |n| <= 15)
 FV_N1_REF = 0.13717411487013
 FV_N2_REF = 0.043976902989337
+
+
+def wedge_count(cutoff):
+    """Lattice vectors 0 < |n| <= cutoff, counted over the 1/48 wedge with
+    one square root per pair y > z >= 1 of the points x > y > z: an
+    independent reference for _lattice_points, which projects along z.
+
+    modes = 6 c + 12 Q + 8 (6 D + 3 E + F) as there; D sums
+    floor(sqrt(c^2 - y^2 - z^2)) - y over z < y <= isqrt((c^2 - z^2) // 2),
+    in rectangles of rows z. Entries outside the wedge are raised to y^2,
+    so each adds exactly y, and the rectangle's sum of y is subtracted in
+    closed form.
+    """
+    rows, chunk = 64, 1 << 16
+
+    def floor_root_sum(r):
+        return int(np.floor(np.sqrt(r)).sum())
+
+    c2 = cutoff * cutoff
+    sq = np.arange(cutoff + 1, dtype=float) ** 2
+    a = math.isqrt(c2 // 2)
+    f = math.isqrt(c2 // 3)
+    q = 2 * floor_root_sum(c2 - sq[1:a + 1]) - a * a
+    e = floor_root_sum(c2 - 2.0 * sq[1:a + 1]) - f
+    below = np.tri(rows, rows, -1, dtype=bool)
+    d = 0
+    z = 1
+    while True:
+        w = math.isqrt((c2 - z * z) // 2) - z
+        if w <= 0:
+            break
+        k = min(rows, max(chunk // w, 1), f + 1 - z)
+        y2 = sq[z + 1:z + 1 + w]
+        r = np.subtract(c2 - sq[z:z + k, None], y2)
+        r[:, :k][below[:k, :min(k, w)]] = 0.0
+        np.maximum(r, y2, out=r)
+        d += floor_root_sum(r) - k * w * (2 * z + w + 1) // 2
+        z += k
+    return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
+
+
+def boundary_cutoffs(top):
+    """Cutoffs c <= top whose c^2/2 or c^2/3 lies within 1 of a perfect
+    square: where a, F and the rows of the band and the cap change."""
+    out = []
+    for c in range(1, top + 1):
+        for div in (2, 3):
+            s = math.isqrt(c * c // div)
+            if min(abs(c * c - div * s * s),
+                   abs(c * c - div * (s + 1) ** 2)) <= div:
+                out.append(c)
+                break
+    return out
 
 
 def brute_force_sum(phase, box):
@@ -127,6 +181,22 @@ def test_lattice_points_large_cutoffs(cutoff, count):
     assert _lattice_points(cutoff) == count
 
 
+def test_lattice_points_matches_wedge_count_up_to_600():
+    for cutoff in range(1, 601):
+        assert _lattice_points(cutoff) == wedge_count(cutoff), cutoff
+
+
+def test_lattice_points_matches_wedge_count_up_to_the_budget():
+    boundary = [c for c in boundary_cutoffs(_MAX_CUTOFF) if c > 600]
+    # the Pell-like runs: c^2 - 2 s^2 = +-1, +-2 and c^2 - 3 s^2 = 1, -2, -3
+    assert {1393, 1970, 3363, 8119, 11482, 19601} <= set(boundary)
+    assert {989, 1351, 2340, 3691, 5042, 8733, 13775, 18817} <= set(boundary)
+    rng = np.random.default_rng(2606)
+    sample = rng.integers(601, _MAX_CUTOFF + 1, size=3).tolist()
+    for cutoff in boundary + sample + [_MAX_CUTOFF]:
+        assert _lattice_points(cutoff) == wedge_count(cutoff), cutoff
+
+
 def test_lattice_points_memory_does_not_grow_with_cutoff_squared():
     tracemalloc.start()
     try:
@@ -149,6 +219,24 @@ def test_mode_sum_memory_at_criterion_7_box():
     assert peak < 100 * 2 ** 20
     q_quad = thermal_charge_density(phase).q_tilde
     assert abs(res.q_tilde_fv - q_quad) < 1e-3 * abs(q_quad)
+
+
+def test_mode_sum_runs_at_the_cutoff_budget():
+    phase = PhasePoint(5.0, 0.5)
+    assert suggest_cutoff(phase, 2300.0) <= _MAX_CUTOFF
+    res = mode_sum(phase, BoxSpec(2300.0, _MAX_CUTOFF))
+    ball = 4.0 * math.pi / 3.0 * _MAX_CUTOFF ** 3
+    assert abs(res.modes_used / ball - 1.0) < 1e-8
+    # one above the budget fails before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"budgets are cutoff "
+                           f"{_MAX_CUTOFF},"):
+            mode_sum(phase, BoxSpec(2300.0, _MAX_CUTOFF + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("t, length, cutoff", [
@@ -219,6 +307,39 @@ def test_suggest_cutoff_error_names_its_point():
                        r"mu = 0\.5, L = 100000000\.0: no affordable cutoff.*"
                        r"at cutoff 8388608 "):
         suggest_cutoff(PhasePoint(1.0, 0.5), 1e8)
+
+
+def test_suggested_cutoffs_pass_mode_sum_at_low_temperature():
+    # the density scale is capped by a lower bound on the summed
+    # densities, so the tail check of mode_sum never rejects the cutoff
+    for t in (1e-3, 2e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 5.0):
+        for mu in (-0.99, -0.9, 0.0, 0.5, 0.9, 0.99):
+            for length in (20.0, 50.0, 100.0, 200.0, 400.0):
+                phase = PhasePoint(t, mu)
+                box = BoxSpec(length, suggest_cutoff(phase, length))
+                res = mode_sum(phase, box)
+                assert res.tail_bound <= 1e-4 * (res.n1_fv + res.n2_fv)
+
+
+def test_density_floor_bounds_the_box_densities():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        phase = PhasePoint(10 ** rng.uniform(-3, 2.5), rng.uniform(-1, 1))
+        length = 10 ** rng.uniform(0, 3)
+        # cutoff 65 takes the split sum, over every n != 0
+        res = mode_sum(phase, BoxSpec(length, 65), tail_rel_tol=math.inf)
+        assert _density_floor(phase, BoxSpec(length, 65)) <= \
+            res.n1_fv + res.n2_fv
+
+
+@pytest.mark.parametrize("t, mu, lengths, cutoffs", [
+    (5.0, 0.9, (50.0, 100.0, 200.0, 400.0), [653, 1304, 2606, 5210]),
+    (1.0, -0.9, (50.0, 100.0, 200.0, 400.0), [135, 268, 535, 1068]),
+    (0.5, 0.0, (50.0, 100.0, 200.0, 400.0), [67, 132, 262, 522]),
+    (1e-3, 1.0, (50.0,), [10])])
+def test_suggest_cutoff_keeps_its_values(t, mu, lengths, cutoffs):
+    phase = PhasePoint(t, mu)
+    assert [suggest_cutoff(phase, length) for length in lengths] == cutoffs
 
 
 def test_low_temperature_tail_bound_does_not_overflow():
