@@ -112,7 +112,8 @@ def _cmd_profile(args):
     try:
         mu = solve_mu(args.q, args.t, solver)
     except BelowCritical:
-        mu = 1.0  # condensed: thermal cloud sits at the condensation point
+        # condensed: the thermal cloud sits at the condensation point
+        mu = math.copysign(1.0, args.q)
     prof = momentum_profile(PhasePoint(args.t, mu), args.k_max, args.samples)
     rows = [{"k_over_m": float(k), "n1_k": float(a), "n2_k": float(b)}
             for k, a, b in zip(prof.k_grid, prof.n1_of_k, prof.n2_of_k)]
@@ -161,7 +162,7 @@ def _cmd_oracle_check(args):
     try:
         mu, densities = _solve_state(args.q, args.t, solver)
     except BelowCritical as exc:
-        mu, densities = 1.0, exc.densities
+        mu, densities = math.copysign(1.0, args.q), exc.densities
     phase = PhasePoint(args.t, mu)
     q_quad = densities.q_tilde
     rows = []

@@ -15,15 +15,18 @@ form, in which every term but the first few windings is negligible; the
 remainder dies out within a few hundred shells. No array grows with the
 number of shells within the cutoff. Only the exact count of modes_used,
 taken over one of the ball's 48 symmetric copies, costs O(mode_cutoff^2)
-time, in O(mode_cutoff) memory: ~2 ms of a ~3 ms sum at cutoff 2606.
+time, in O(mode_cutoff) memory: ~2.3 ms of a ~2.7 ms sum at cutoff 2606,
+where the head, 1000 terms of one winding shell, takes ~0.15 ms.
 """
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kve
+from scipy.special import k0e, k1e
 
-from .errors import BudgetExceeded, DivergentCondensateMode, TailTooLarge
+from .errors import (BudgetExceeded, DivergentCondensateMode, InvalidArgument,
+                     TailTooLarge)
 from .limits import zeta_int
 from .quadrature import _MEASURE
 from .statistics import _bose, _gap
@@ -41,14 +44,19 @@ _SPLIT = 1.0
 # Every winding shell and every remainder shell left out is below e^{-40}
 # of the largest term of its sum.
 _MARGIN = 40.0
-# Work budgets of one mode sum, checked before anything is allocated:
-# lattice shells with counted degeneracies (r3 costs ~0.25 s at 2e5),
-# Bessel terms J * (winding shells + 1), and the mode cutoff, since
-# counting modes_used takes ~1.6e-10 c^2 s (~0.15 s at the budget, on
-# 2 vCPUs).
+# Work budgets of one mode sum, checked before anything is allocated, each
+# ~0.15 s at its budget on 2 vCPUs: lattice shells with counted
+# degeneracies (r3), Boltzmann terms J * (winding shells + 1) (~0.14 us
+# each), and the mode cutoff, since counting modes_used takes
+# ~1.6e-10 c^2 s.
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
 _MAX_CUTOFF = 30_000
+# suggest_cutoff takes cutoffs up to _SEARCH_CAP = 2^23, the last power of
+# two below 10^7; its first probe comes from _GUESS_STEPS steps towards the
+# continuous inverse of the tail bound (4 leave it right or off by one).
+_SEARCH_CAP = 1 << 23
+_GUESS_STEPS = 4
 # The modes_used count takes its square roots in rectangles of lattice
 # rows, one numpy call each rather than one per row: up to _COUNT_ROWS
 # rows and about _COUNT_CHUNK radicands (a 0.5 MB buffer; 2^18 is no
@@ -162,6 +170,14 @@ def _lattice_points(cutoff: int) -> int:
     return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
 
 
+def _excess_factor(gap0: float, offset: float, t: float) -> float:
+    """c = 1/(1 - e^{-x_min}), x_min = (gap0 + offset)/t, so that
+    1/(e^x - 1) <= c e^{-x} for every x >= x_min. offset = 1 -+ mu comes
+    whole, not as 1 and -+mu, so that it is 0 at |mu| = 1 however small
+    gap0 is."""
+    return 1.0 / -math.expm1(-(gap0 + offset) / t)
+
+
 def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     """Analytic bound on the density carried by modes with |n| > cutoff.
 
@@ -179,7 +195,7 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     gap0 = _gap(k0 * k0)
     total = 0.0
     for sgn in (+1.0, -1.0):
-        c = 1.0 / -math.expm1(-(gap0 + (1.0 - sgn * mu)) / t)
+        c = _excess_factor(gap0, 1.0 - sgn * mu, t)
         exponent = (sgn * mu - k0) / t
         total += _MEASURE * c * envelope * (
             math.exp(exponent) if exponent < 709.0 else math.inf)
@@ -218,33 +234,103 @@ def _density_floor(phase: PhasePoint, box: BoxSpec) -> float:
     return weight * max(gauss, octant)
 
 
+def _cutoff_guess(t: float, mu: float, dk: float, limit: float) -> int:
+    """The cutoff at which _tail_bound meets limit, from its continuous
+    inverse: a first probe for suggest_cutoff, right or off by one.
+
+    With k0 = dk (cutoff - 1), x = k0/t and a = |mu|/t, the bound is
+    _MEASURE t^3 p e^{a - x} w, p = x^2 + 2 x + 2, w = c_near + c_far
+    e^{-2 a}, where c_near and c_far are _tail_bound's _excess_factor for
+    the sign of mu and the other. So the root of h(x) = lead + log(p w) - x,
+    lead = log(_MEASURE t^3 / limit) + a, is wanted. h falls and is
+    concave in x (w aside), so one fixed-point step from k0 = dk lands left
+    of the root and Newton steps with h' = -x^2/p then close in from the
+    right. Each step is clamped to the cutoffs 2 to _SEARCH_CAP, so x stays
+    finite. A limit of 0 is taken as the smallest double, where the bound
+    underflows.
+    """
+    if not 0.0 <= limit < math.inf:
+        return 2
+    a = abs(mu) / t
+    lead = (math.log(_MEASURE) + 3.0 * math.log(t)
+            - math.log(max(limit, 5e-324)) + a)
+    x_min = x = dk / t
+    x_max = (_SEARCH_CAP - 1) * x_min
+    for step in range(_GUESS_STEPS):
+        k0 = x * t
+        gap0 = float(_gap(k0 * k0))
+        w = (_excess_factor(gap0, 1.0 - abs(mu), t)
+             + math.exp(-2.0 * a) * _excess_factor(gap0, 1.0 + abs(mu), t))
+        p = x * x + 2.0 * x + 2.0
+        h = lead + math.log(p * w) - x
+        x = min(max(x + (h * p / x / x if step else h), x_min), x_max)
+    return min(math.ceil(x / x_min + 1.0), _SEARCH_CAP)
+
+
 def suggest_cutoff(phase: PhasePoint, box_length: float,
                    tail_rel_tol: float = 1e-5) -> int:
     """Smallest mode cutoff whose tail bound is below tail_rel_tol times a
     scale of the summed densities: the UR estimate 2 zeta(3) t^3/pi^2,
     capped at 9 times _density_floor. With the default tolerances the box
-    then passes mode_sum's own check, whose 1e-4 is ten times looser."""
-    t = phase.t
-    lo, hi = 1, 2
-    box = BoxSpec(box_length, hi)
+    then passes mode_sum's own check, whose 1e-4 is ten times looser.
+
+    The bound falls monotonically with the cutoff, so the search gallops
+    from _cutoff_guess towards the answer and bisects the last step: two
+    bound evaluations when the guess is right. Cutoffs above _SEARCH_CAP
+    are not considered.
+    """
+    t, mu = phase.t, phase.mu
+    box = BoxSpec(box_length, 2)
+    _require_scales("suggest_cutoff", phase, box_length)
     scale = min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
                 9.0 * _density_floor(phase, box))
-    while _tail_bound(phase, box) > tail_rel_tol * scale:
-        lo, hi = hi, hi * 2
-        if hi > 10 ** 7:
+    limit = tail_rel_tol * scale
+
+    def above(cutoff):
+        return _tail_bound(phase, BoxSpec(box_length, cutoff)) > limit
+
+    guess = _cutoff_guess(t, mu, 2.0 * math.pi / box_length, limit)
+    if above(guess):
+        lo, step = guess, 1
+        while lo < _SEARCH_CAP:
+            hi = min(lo + step, _SEARCH_CAP)
+            if not above(hi):
+                break
+            lo, step = hi, 2 * step
+        else:
             raise TailTooLarge(
-                f"suggest_cutoff at t = {t}, mu = {phase.mu}, L = "
+                f"suggest_cutoff at t = {t}, mu = {mu}, L = "
                 f"{box_length}: no affordable cutoff reaches the tolerance; "
                 f"the tail bound at cutoff {lo} is still above "
                 f"{tail_rel_tol:.1e} of the density scale {scale:.3e}")
-        box = BoxSpec(box_length, hi)
+    else:
+        hi, step = guess, 1
+        while True:
+            if hi == 2:  # cutoffs 1 and 2 share one bound
+                return 2
+            lo = max(hi - step, 2)
+            if above(lo):
+                break
+            hi, step = lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _tail_bound(phase, BoxSpec(box_length, mid)) > tail_rel_tol * scale:
+        if above(mid):
             lo = mid
         else:
             hi = mid
     return hi
+
+
+def _require_scales(operation: str, phase: PhasePoint, length: float):
+    """Raise InvalidArgument unless the density scale t^3 and the volume
+    L^3 are normal doubles, the range in which the oracle's sums and
+    bounds neither overflow nor divide by zero."""
+    t = phase.t
+    if not all(sys.float_info.min <= v * v * v <= sys.float_info.max
+               for v in (t, length)):
+        raise InvalidArgument(
+            f"{operation} at t = {t}, mu = {phase.mu}, L = {length}: t^3 and "
+            f"L^3 must lie within the normal doubles")
 
 
 def _plan(phase: PhasePoint, box: BoxSpec):
@@ -254,7 +340,8 @@ def _plan(phase: PhasePoint, box: BoxSpec):
     shells whose gap exceeds the first shell's by _MARGIN t/(J + 1) are
     left out. Winding w weighs e^{-(rho_w - beta)} against w = 0, with
     rho_w = sqrt(beta^2 + L^2 |w|^2), so shells with rho_w - beta >
-    _MARGIN at the largest beta = J/t are left out. Every quantity is
+    _MARGIN at the largest beta = J/t are left out: shell m is kept
+    exactly when L^2 m <= (beta + _MARGIN)^2 - beta^2. Every quantity is
     clamped before it is rounded, so no input overflows the plan.
     """
     t = phase.t
@@ -268,7 +355,7 @@ def _plan(phase: PhasePoint, box: BoxSpec):
     half = length / (2.0 * math.pi)
     m_direct = math.ceil(min(max_m, gap * (gap + 2.0) * half * half))
     lw2 = (2.0 * j_max / t + _MARGIN) * _MARGIN if j_max else 0.0
-    m_wind = math.ceil(min(_MAX_SHELLS + 1.0, lw2 / length / length))
+    m_wind = math.floor(min(_MAX_SHELLS + 1.0, lw2 / length / length))
     if (cutoff > _MAX_CUTOFF or max(m_direct, m_wind) > _MAX_SHELLS
             or j_max * (m_wind + 1) > _MAX_TERMS):
         raise BudgetExceeded(
@@ -280,6 +367,13 @@ def _plan(phase: PhasePoint, box: BoxSpec):
     return j_max, m_direct, m_wind
 
 
+def _k2e(x: np.ndarray) -> np.ndarray:
+    """K2(x) e^x, by the recurrence K2 = K0 + (2/x) K1 (DLMF 10.29.1) from
+    the scaled K0 and K1: within 2e-15 of scipy's kve(2, x) for x in
+    [1e-6, 1e5], at about a third of its cost."""
+    return k0e(x) + 2.0 * k1e(x) / x
+
+
 def _boltzmann_head(t: float, length: float, j_max: int,
                     m_wind: int) -> np.ndarray:
     """(1/L^3) sum over n != 0 of e^{-j (E_n - 1)/t}, for j = 1..J.
@@ -288,12 +382,12 @@ def _boltzmann_head(t: float, length: float, j_max: int,
     (1/L^3) sum_n e^{-beta E_n} = sum_w beta K2(rho_w) / (2 pi^2 rho_w^2),
     with beta = j/t and rho_w = sqrt(beta^2 + L^2 |w|^2). The n = 0 term
     e^{-beta}/L^3 is subtracted. Both sides carry e^{beta}, so K2 enters
-    scaled, kve(2, rho) e^{-(rho - beta)}.
+    scaled, _k2e(rho) e^{-(rho - beta)}.
     """
     beta = np.arange(1, j_max + 1)[:, None] / t
     lw2 = length * length * np.arange(m_wind + 1, dtype=float)
     rho = np.sqrt(beta * beta + lw2)
-    terms = kve(2, rho) * np.exp(-lw2 / (rho + beta)) / (rho * rho)
+    terms = _k2e(rho) * np.exp(-lw2 / (rho + beta)) / (rho * rho)
     terms *= _shell_counts(m_wind)
     return _MEASURE * beta[:, 0] * terms.sum(axis=1) - 1.0 / length ** 3
 
@@ -320,14 +414,16 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     than tail_bound. Either way tail_bound is the analytic bound on the
     modes beyond the cutoff, and modes_used counts 0 < |n| <= mode_cutoff.
     Fails with TailTooLarge when the bound exceeds tail_rel_tol relative
-    to the summed densities, and with BudgetExceeded, before allocating,
-    when the box needs more terms, shells or modes than the budgets allow.
-    Terms are summed in a fixed order, so results repeat bit for bit, and
-    n1 and n2 come from one function at +mu and -mu, so q_tilde_fv is
-    exactly odd in mu.
+    to the summed densities, with BudgetExceeded, before allocating, when
+    the box needs more terms, shells or modes than the budgets allow, and
+    with InvalidArgument where t^3 or L^3 is not a normal double. Terms
+    are summed in a fixed order, so results repeat bit for bit, and n1 and
+    n2 come from one function at +mu and -mu, so q_tilde_fv is exactly odd
+    in mu.
     """
     t, mu = phase.t, phase.mu
     length, cutoff = box.box_length, box.mode_cutoff
+    _require_scales("mode_sum", phase, length)
     j_max, m_direct, m_wind = _plan(phase, box)
     head = _boltzmann_head(t, length, j_max, m_wind)
     m = np.arange(1, m_direct + 1, dtype=float)

@@ -147,20 +147,31 @@ def solve_mu(q: float, t: float,
     return math.copysign(_solve_mu(abs(q), t, config)[0], q)
 
 
+def _conjugate(densities: ChargeDensities) -> ChargeDensities:
+    """The densities at -mu from those at mu: n1 and n2 swap places, which
+    is exact under mu -> -mu."""
+    return ChargeDensities(n1=densities.n2, n2=densities.n1,
+                           q_tilde=-densities.q_tilde)
+
+
 def _solve_state(q: float, t: float, config: SolverConfig):
     """(mu, densities at (t, mu)) for any finite q: solve_mu's root and the
-    densities found there, conjugated for q < 0 (n1 and n2 swap places
-    exactly under mu -> -mu); q = 0 integrates once, at mu = 0. Raises
-    BelowCritical as solve_mu does, carrying the densities at mu = 1."""
+    densities found there, conjugated for q < 0; q = 0 integrates once, at
+    mu = 0. Raises BelowCritical as solve_mu does, carrying the densities
+    at mu = sign(q)."""
     require_finite("q", q)
     require_temperature(t)
     if q == 0.0:
         return 0.0, thermal_charge_density(PhasePoint(t, 0.0), config.quad)
-    mu, found = _solve_mu(abs(q), t, config)
+    try:
+        mu, found = _solve_mu(abs(q), t, config)
+    except BelowCritical as exc:
+        if q < 0.0:
+            exc.densities = _conjugate(exc.densities)
+        raise
     if q > 0.0:
         return mu, found
-    return -mu, ChargeDensities(n1=found.n2, n2=found.n1,
-                                q_tilde=-found.q_tilde)
+    return -mu, _conjugate(found)
 
 
 def _critical_point(q: float, config: SolverConfig):

@@ -169,9 +169,37 @@ def test_oracle_check_integrates_each_point_once(capsys, monkeypatch, q, t):
     try:
         mu = solve_mu(q, t)
     except BelowCritical:
-        mu = 1.0
+        mu = math.copysign(1.0, q)
     q_quad = float(out.strip().split("\n")[1].split(",")[3])
     assert q_quad == thermal_charge_density(PhasePoint(t, mu)).q_tilde
+
+
+def _csv_rows(out):
+    return [line.split(",") for line in out.strip().split("\n")[1:]]
+
+
+def test_condensed_profile_takes_the_sign_of_q(capsys):
+    # below T_c the thermal cloud sits at mu = sign(q): for q < 0 the
+    # antiparticles carry the peak at k = 0, the mirror image of q > 0
+    argv = ("--t", "1", "--k-max", "4", "--samples", "16")
+    _, plus, _ = run_cli(capsys, "profile", "--q", "10", *argv)
+    _, minus, _ = run_cli(capsys, "profile", "--q", "-10", *argv)
+    plus, minus = _csv_rows(plus), _csv_rows(minus)
+    assert [float(v) for v in plus[0]] == [0.0, 2.0, 0.0]
+    assert minus == [[k, n2, n1] for k, n1, n2 in plus]
+
+
+def test_condensed_oracle_check_takes_the_sign_of_q(capsys):
+    argv = ("--t", "1", "--box-lengths", "20", "50")
+    _, plus, _ = run_cli(capsys, "oracle-check", "--q", "10", *argv)
+    _, minus, _ = run_cli(capsys, "oracle-check", "--q", "-10", *argv)
+    plus, minus = _csv_rows(plus), _csv_rows(minus)
+    assert float(plus[0][3]) == thermal_charge_density(
+        PhasePoint(1.0, 1.0)).q_tilde > 0.0
+    # q_tilde_fv and q_tilde_quad flip sign; cutoffs and deviations stay
+    for p, m in zip(plus, minus):
+        assert m[:2] == p[:2] and m[4] == p[4]
+        assert [float(v) for v in m[2:4]] == [-float(v) for v in p[2:4]]
 
 
 def _fresh_interpreter(code):

@@ -5,14 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import kve
 
 from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     InvalidArgument, NonPositiveTemperature, PhasePoint,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
                     mode_sum, suggest_cutoff,
                     thermal_charge_density)
-from relbec.oracle import (_DIRECT_SHELLS, _MAX_CUTOFF, _density_floor,
-                           _lattice_points, _shell_counts)
+from relbec import oracle
+from relbec.limits import zeta_int
+from relbec.oracle import (_DIRECT_SHELLS, _MARGIN, _MAX_CUTOFF,
+                           _boltzmann_head, _density_floor, _k2e,
+                           _lattice_points, _plan, _shell_counts, _tail_bound)
 
 # 20-digit finite-volume reference (t=1, mu=0.5, L=20, |n| <= 15)
 FV_N1_REF = 0.13717411487013
@@ -107,6 +111,141 @@ def explicit_shell_sum(phase, box):
         s2 += np.sum(1.0 / np.expm1((gap + 1.0 + phase.mu) / phase.t))
     vol = box.box_length ** 3
     return s1 / vol, s2 / vol
+
+
+def head_by_modes(t, length, j_max):
+    """(1/L^3) sum over n != 0 of e^{-j (E_n - 1)/t}, j = 1..J, summed mode
+    by mode over a cube that holds every term above e^{-45} of the n = 0
+    term."""
+    dk = 2.0 * math.pi / length
+    # E - 1 >= k - 1, so terms with k > 1 + 45 t are below e^{-45}
+    n_max = math.ceil((1.0 + 45.0 * t) / dk)
+    axis = np.arange(-n_max, n_max + 1, dtype=float)
+    ksq = dk * dk * (axis[:, None, None] ** 2 + axis[None, :, None] ** 2
+                     + axis[None, None, :] ** 2).ravel()
+    ksq = ksq[ksq > 0.0]
+    excess = ksq / (np.sqrt(ksq + 1.0) + 1.0)  # E - 1
+    return np.array([np.exp(-j / t * excess).sum() / length ** 3
+                     for j in range(1, j_max + 1)])
+
+
+def doubling_cutoff(phase, length, tol):
+    """The cutoff search suggest_cutoff replaced: double from 2 until the
+    tail bound meets the limit, then bisect. None where the doubling passes
+    10^7."""
+    t = phase.t
+    scale = min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
+                9.0 * _density_floor(phase, BoxSpec(length, 2)))
+    lo, hi = 1, 2
+    while _tail_bound(phase, BoxSpec(length, hi)) > tol * scale:
+        lo, hi = hi, hi * 2
+        if hi > 10 ** 7:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_bound(phase, BoxSpec(length, mid)) > tol * scale:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_k2e_matches_kve():
+    x = np.logspace(-6.0, 5.0, 20001)
+    np.testing.assert_allclose(_k2e(x), kve(2, x), rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("t, length", [
+    (0.5, 4.0), (1.0, 5.0), (2.0, 3.0), (0.5, 8.0), (3.0, 1.0)])
+def test_boltzmann_head_matches_sum_over_modes(t, length):
+    # cutoff 65 takes the split sum, whose head covers every n != 0
+    j_max, _, m_wind = _plan(PhasePoint(t, 0.0), BoxSpec(length, 65))
+    assert j_max >= 1
+    head = _boltzmann_head(t, length, j_max, m_wind)
+    np.testing.assert_allclose(head, head_by_modes(t, length, j_max),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_plan_keeps_exactly_the_winding_shells_inside_the_margin():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(300):
+        t, length = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-1.5, 2)
+        try:
+            j_max, _, m_wind = _plan(PhasePoint(t, 0.5), BoxSpec(length, 65))
+        except BudgetExceeded:
+            continue
+        if j_max == 0:
+            continue
+        beta = j_max / t
+
+        def excess(m):
+            return math.sqrt(beta * beta + length * length * m) - beta
+
+        if m_wind:
+            assert excess(m_wind) <= _MARGIN
+        assert excess(m_wind + 1) > _MARGIN
+        checked += 1
+    assert checked > 100
+
+
+def test_suggest_cutoff_is_the_smallest_cutoff_within_tolerance():
+    rng = np.random.default_rng(29)
+    seeded = [(10 ** rng.uniform(-3, 3), rng.uniform(-1, 1),
+               10 ** rng.uniform(0, 3), 10 ** rng.uniform(-10, -2))
+              for _ in range(300)]
+    # scales at the ends of the doubles, where 1 - |mu| vanishes next to
+    # the gap of the first mode
+    extreme = [(t, mu, length, tol) for t in (1e-12, 1.0, 1e102)
+               for mu in (-1.0, 1.0) for length in (1e-50, 1e50, 1e102)
+               for tol in (0.0, 1e-5, 1e300)]
+    for t, mu, length, tol in seeded + extreme:
+        phase = PhasePoint(t, mu)
+        reference = doubling_cutoff(phase, length, tol)
+        if reference is None:
+            with pytest.raises(TailTooLarge, match="at cutoff 8388608 "):
+                suggest_cutoff(phase, length, tol)
+            continue
+        cutoff = suggest_cutoff(phase, length, tol)
+        assert cutoff == reference
+        limit = tol * min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
+                          9.0 * _density_floor(phase, BoxSpec(length, 2)))
+        assert cutoff >= 2
+        assert _tail_bound(phase, BoxSpec(length, cutoff)) <= limit
+        if cutoff > 2:
+            assert _tail_bound(phase, BoxSpec(length, cutoff - 1)) > limit
+
+
+def test_suggest_cutoff_takes_few_bound_evaluations(monkeypatch):
+    # the guess is the continuous inverse of the bound, so the search
+    # confirms it with the bound at the guess and one below
+    probes = []
+    monkeypatch.setattr(oracle, "_tail_bound",
+                        lambda *args: probes.append(1) or _tail_bound(*args))
+    rng = np.random.default_rng(31)
+    counts = []
+    for _ in range(300):
+        phase = PhasePoint(10 ** rng.uniform(-3, 3), rng.uniform(-1, 1))
+        probes.clear()
+        suggest_cutoff(phase, 10 ** rng.uniform(0, 3))
+        counts.append(len(probes))
+    assert max(counts) <= 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mode_sum(PhasePoint(1.0, 0.5), BoxSpec(1e-200, 2)),
+    lambda: mode_sum(PhasePoint(1.0, 0.5), BoxSpec(1e200, 2)),
+    lambda: mode_sum(PhasePoint(1e103, 0.5), BoxSpec(50.0, 2)),
+    lambda: suggest_cutoff(PhasePoint(1e103, 0.5), 50.0)],
+    ids=["mode_sum-L-1e-200", "mode_sum-L-1e200", "mode_sum-t-1e103",
+         "suggest_cutoff-t-1e103"])
+def test_extreme_scales_raise_invalid_argument(call):
+    # t^3 or L^3 outside the normal doubles: a typed error naming the
+    # operation and its point, not a ZeroDivisionError or OverflowError
+    with pytest.raises(InvalidArgument,
+                       match=r"^(mode_sum|suggest_cutoff) at t = .*, "
+                             r"mu = 0\.5, L = .*: t\^3 and L\^3"):
+        call()
 
 
 def test_shell_counts_small():
