@@ -282,6 +282,7 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     t, mu = phase.t, phase.mu
     box = BoxSpec(box_length, 2)
     _require_scales("suggest_cutoff", phase, box_length)
+    _require_tolerance("suggest_cutoff", phase, box_length, tail_rel_tol)
     scale = min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
                 9.0 * _density_floor(phase, box))
     limit = tail_rel_tol * scale
@@ -331,6 +332,16 @@ def _require_scales(operation: str, phase: PhasePoint, length: float):
         raise InvalidArgument(
             f"{operation} at t = {t}, mu = {phase.mu}, L = {length}: t^3 and "
             f"L^3 must lie within the normal doubles")
+
+
+def _require_tolerance(operation: str, phase: PhasePoint, length: float,
+                       tail_rel_tol: float):
+    """Raise InvalidArgument unless tail_rel_tol >= 0 (inf included): a
+    NaN limit would pass every tail check and a negative one none."""
+    if not tail_rel_tol >= 0.0:
+        raise InvalidArgument(
+            f"{operation} at t = {phase.t}, mu = {phase.mu}, L = {length}: "
+            f"tail_rel_tol must be >= 0, got {tail_rel_tol}")
 
 
 def _plan(phase: PhasePoint, box: BoxSpec):
@@ -424,6 +435,7 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     t, mu = phase.t, phase.mu
     length, cutoff = box.box_length, box.mode_cutoff
     _require_scales("mode_sum", phase, length)
+    _require_tolerance("mode_sum", phase, length, tail_rel_tol)
     j_max, m_direct, m_wind = _plan(phase, box)
     head = _boltzmann_head(t, length, j_max, m_wind)
     m = np.arange(1, m_direct + 1, dtype=float)

@@ -24,7 +24,21 @@ _MIN_RTOL = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration budget for the EOS inversions."""
+    """Tolerances and iteration budget for the EOS inversions.
+
+    mu_tol is absolute: solve_mu stops once Brent's bracket on mu is
+    narrower than mu_tol (+ 8.9e-16 |mu|), so its mu lies within about
+    mu_tol of the root. The charge at that mu is then off by about
+    mu_tol * dln(q_tilde)/dmu relative:
+      - at low t, where q_tilde ~ e^{(mu - 1)/t}, by up to mu_tol/t
+        (1e-5 at t = 1e-5 with the default mu_tol);
+      - at high t, where q_tilde ~ mu t^2/3, by up to mu_tol/mu, so a
+        mu below ~mu_tol (1e-10 by default) is not resolved at all: it
+        may come back as 0 or as any point of a bracket that wide.
+    t_tol is relative, on T_c. quad sets the tolerances of every EOS
+    evaluation (rel_tol 1e-10 on each density by default), which bound
+    how well the root is located in the first place.
+    """
 
     mu_tol: float = 1e-10
     t_tol: float = 1e-8
@@ -135,6 +149,11 @@ def _solve_mu(q: float, t: float, config: SolverConfig):
 def solve_mu(q: float, t: float,
              config: SolverConfig = SolverConfig()) -> float:
     """Chemical potential mu with q_tilde(t, mu) = q, for t above T_c(|q|).
+
+    mu is found to config.mu_tol absolutely, not relatively (see
+    SolverConfig): q_tilde at the returned mu can miss q by up to
+    mu_tol/t relative at low t, and a root mu below ~mu_tol is not
+    resolved (e.g. q = 1e-9 at t = 10, whose mu is ~3.2e-11).
 
     Raises BelowCritical when |q| meets or exceeds the maximal thermal
     charge q_tilde(t, mu=1): the state is condensed and mu is pinned at

@@ -7,6 +7,7 @@ sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
 through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
 accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
 """
+import contextlib
 import math
 
 import numpy as np
@@ -33,15 +34,31 @@ def _gap(ksq):
 def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Bose-Einstein occupation 1/(e^x - 1) on an array of exponents
     x >= 0, written into out when given (x = 0 gives inf). Below
-    _SERIES_X it takes the Laurent series, above _OVERFLOW_X e^{-x}."""
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.expm1(x, out=out)
+    _SERIES_X it takes the Laurent series, above _OVERFLOW_X e^{-x}.
+
+    expm1 takes a slow path where it overflows, so its input is clamped
+    at _OVERFLOW_X (those entries are overwritten by e^{-x}), and it is
+    skipped when every x is above that. 1/x overflows or divides by zero
+    only for x below the smallest normal double, so only then are those
+    warnings silenced.
+    """
+    x_min = np.minimum.reduce(x, axis=None)
+    if x_min > _OVERFLOW_X:
+        out = np.negative(x, out=out)
+        return np.exp(out, out=out)
+    x_max = np.maximum.reduce(x, axis=None)
+    arg = x
+    if x_max > _OVERFLOW_X:
+        arg = out = np.minimum(x, _OVERFLOW_X, out=out)
+    with (np.errstate(divide="ignore", over="ignore") if x_min < _TINY
+          else contextlib.nullcontext()):
+        out = np.expm1(arg, out=out)
         np.divide(1.0, out, out=out)
-        if x.min() < _SERIES_X:
+        if x_min < _SERIES_X:
             small = x < _SERIES_X
             xs = x[small]
             out[small] = 1.0 / xs - 0.5 + xs / 12.0
-    if x.max() > _OVERFLOW_X:
+    if x_max > _OVERFLOW_X:
         big = x > _OVERFLOW_X
         out[big] = np.exp(-x[big])
     return out
@@ -75,20 +92,32 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     n1 - n2 would cancel (high t, small mu) and never overflows.
     """
     k = np.asarray(k, dtype=float)
-    ksq = k * k
     t, mu = phase.t, phase.mu
-    x = _gap(ksq) + np.array([[1.0 - mu], [1.0 + mu]])
-    x /= t
     out = np.empty((3,) + k.shape)
+    # out[2] holds k^2 until the difference row overwrites it
+    ksq = np.multiply(k, k, out=out[2])
+    gap = _gap(ksq)
+    x = np.empty((2,) + k.shape)
+    np.add(gap, 1.0 - mu, out=x[0])
+    np.add(gap, 1.0 + mu, out=x[1])
+    x /= t
     occ = _bose(x, out=out[:2])
-    with np.errstate(invalid="ignore"):
+    # x >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
+    # underflows can some n be inf, which would make k^2 n = 0 * inf
+    if (1.0 - abs(mu)) / t < _TINY and x.min() < _TINY:
+        under = x < _TINY
+        occ[under] = 0.0
         occ *= ksq
-    if x.min() < _TINY:
-        occ[x < _TINY] = 2.0 * t
+        occ[under] = 2.0 * t
+    else:
+        occ *= ksq
     larger, x_smaller = (occ[0], x[1]) if mu >= 0.0 else (occ[1], x[0])
     damping = math.copysign(-math.expm1(-2.0 * abs(mu) / t), mu)
-    np.multiply(larger, damping, out=out[2])
-    out[2] /= -np.expm1(-x_smaller)
+    # n_> (-damping) / expm1(-x_<) is exactly n_> damping / (-expm1(-x_<)):
+    # the sign goes into the scalar instead of a pass over the row
+    np.multiply(larger, -damping, out=out[2])
+    np.negative(x_smaller, out=x_smaller)
+    out[2] /= np.expm1(x_smaller, out=x_smaller)
     return out
 
 

@@ -248,6 +248,35 @@ def test_extreme_scales_raise_invalid_argument(call):
         call()
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf],
+                         ids=["nan", "negative", "minus-inf"])
+@pytest.mark.parametrize("call", [
+    lambda tol: suggest_cutoff(PhasePoint(1.0, 0.5), 50.0, tol),
+    lambda tol: mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8), tol)],
+    ids=["suggest_cutoff", "mode_sum"])
+def test_invalid_tail_tolerance_raises_invalid_argument(call, tol):
+    # a NaN limit passed every tail check (cutoff 2, a tail bound 23 times
+    # n1_fv); a negative one walked to the search cap and TailTooLarge
+    with pytest.raises(InvalidArgument,
+                       match=r"^(mode_sum|suggest_cutoff) at t = 1\.0, "
+                             r"mu = 0\.5, L = 50\.0: tail_rel_tol must be "
+                             r">= 0"):
+        call(tol)
+
+
+def test_zero_and_infinite_tail_tolerance_are_accepted():
+    # 0 asks for a tail bound of exactly 0, met where the bound underflows;
+    # inf waives the check
+    phase = PhasePoint(1.0, 0.5)
+    cutoff = suggest_cutoff(phase, 50.0, 0.0)
+    assert _tail_bound(phase, BoxSpec(50.0, cutoff)) == 0.0
+    assert _tail_bound(phase, BoxSpec(50.0, cutoff - 1)) > 0.0
+    assert suggest_cutoff(phase, 50.0, math.inf) == 2
+    with pytest.raises(TailTooLarge):
+        mode_sum(phase, BoxSpec(50.0, 8), 0.0)
+    assert mode_sum(phase, BoxSpec(50.0, 8), math.inf).tail_bound > 0.0
+
+
 def test_shell_counts_small():
     counts = _shell_counts(9)
     # r3(0..9) = 1, 6, 12, 8, 6, 24, 24, 0, 12, 30

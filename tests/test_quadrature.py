@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.special import k0e, k1e, zeta
 
 from relbec import (NonConvergence, PhasePoint, QuadratureConfig,
-                    integrate_semi_infinite, thermal_charge_density)
+                    integrate_semi_infinite, quadrature,
+                    thermal_charge_density)
 
 # frozen 30-digit reference values
 I_DIFF_REF = 2.13416596598701       # integral of the difference integrand, t=1 mu=0.5
@@ -52,6 +53,36 @@ def quad_charge_reference(t, mu):
     total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                 for a, b in zip(edges[:-1], edges[1:]))
     return total / (2.0 * math.pi ** 2)
+
+
+def quad_density_reference(t, mu):
+    """Independent oracle: n1 from scipy's QUADPACK on k^2/(e^x - 1),
+    x = (E - mu)/t, split as quad_charge_reference splits; n2 is the
+    same at -mu."""
+    def f(k):
+        x = (k * k / (math.sqrt(k * k + 1.0) + 1.0) + (1.0 - mu)) / t
+        return k * k / math.expm1(x) if x > 0.0 else 2.0 * t
+
+    k_max = math.sqrt((1.0 + 60.0 * t) ** 2 - 1.0)
+    edges = [0.0] + [10.0 ** e for e in range(-6, 9) if 10.0 ** e < k_max]
+    edges.append(k_max)
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return total / (2.0 * math.pi ** 2)
+
+
+def record_kernel_calls(monkeypatch):
+    """The node counts of the kernel calls quadrature makes, through the
+    module global it looks the kernel up by."""
+    calls = []
+    kernel = quadrature._weighted_occupations
+
+    def recorder(k, phase):
+        calls.append(len(k))
+        return kernel(k, phase)
+
+    monkeypatch.setattr(quadrature, "_weighted_occupations", recorder)
+    return calls
 
 
 def test_gamma_three():
@@ -189,6 +220,42 @@ def test_antisymmetry(t, mu):
 def test_integrated_ratio_bound(t, mu):
     d = thermal_charge_density(PhasePoint(t, mu))
     assert d.n2 / d.n1 <= math.exp(-2.0 * mu / t)
+
+
+def test_one_kernel_call_of_571_nodes_per_eos(monkeypatch):
+    # at the default tolerances the initial panels converge everywhere:
+    # one call, on the same 571-node layout at every t
+    calls = record_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    points = []
+    for i in range(600):
+        t = float(10.0 ** rng.uniform(-12.0, 6.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        if i % 3 == 0:
+            mu = sign
+        elif i % 3 == 1:
+            mu = sign * (1.0 - float(10.0 ** rng.uniform(-12.0, 0.0)))
+        else:
+            mu = float(rng.uniform(-1.0, 1.0))
+        points.append((t, mu))
+    for t, mu in points:
+        calls.clear()
+        thermal_charge_density(PhasePoint(t, mu))
+        assert calls == [571], (t, mu)
+
+
+@pytest.mark.parametrize("t,mu", [(19343.60940176208, 0.5928032952783189),
+                                  (0.7897165516066401, 0.9999999997426147)])
+def test_second_level_matches_quadpack(monkeypatch, t, mu):
+    # drawn from a seeded sweep: at rel_tol = 1e-12 some initial panels
+    # are bisected, so the totals carry the converged panels across levels
+    calls = record_kernel_calls(monkeypatch)
+    d = thermal_charge_density(PhasePoint(t, mu),
+                               QuadratureConfig(rel_tol=1e-12))
+    assert len(calls) >= 2 and calls[0] == 571
+    assert d.n1 == pytest.approx(quad_density_reference(t, mu), rel=1e-11)
+    assert d.n2 == pytest.approx(quad_density_reference(t, -mu), rel=1e-11)
+    assert d.q_tilde == pytest.approx(quad_charge_reference(t, mu), rel=1e-11)
 
 
 def test_config_validation():
