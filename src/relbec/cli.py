@@ -13,12 +13,13 @@ import sys
 
 import numpy as np
 
-from .errors import BelowCritical, RelBecError
+from .errors import RelBecError
 from .limits import Dimension, ddim_critical_temperature, ur_critical_temperature, ur_density_ratio
+from .quadrature import QuadratureConfig
 # this module calls no thermal_charge_density itself, but bench/tracing.py
 # wraps it under this module's name
-from .quadrature import QuadratureConfig, thermal_charge_density  # noqa: F401
-from .solver import (SolverConfig, _solve_state, critical_temperature,
+from .quadrature import thermal_charge_density  # noqa: F401
+from .solver import (SolverConfig, _thermal_state, critical_temperature,
                      condensed_solution, density_ratio, solve_mu,
                      universal_curves)
 from .statistics import momentum_profile
@@ -108,12 +109,8 @@ def _cmd_ratio_sweep(args):
 
 
 def _cmd_profile(args):
-    solver = _configs(args)
-    try:
-        mu = solve_mu(args.q, args.t, solver)
-    except BelowCritical:
-        # condensed: the thermal cloud sits at the condensation point
-        mu = math.copysign(1.0, args.q)
+    # condensed, the thermal cloud sits at the condensation point sign(q)
+    mu = _thermal_state(args.q, args.t, _configs(args))[0]
     prof = momentum_profile(PhasePoint(args.t, mu), args.k_max, args.samples)
     rows = [{"k_over_m": float(k), "n1_k": float(a), "n2_k": float(b)}
             for k, a, b in zip(prof.k_grid, prof.n1_of_k, prof.n2_of_k)]
@@ -159,10 +156,7 @@ def _cmd_oracle_check(args):
     from .oracle import mode_sum, suggest_cutoff
     solver = _configs(args)
     # q_quad comes from the densities the solve found, not a new integral
-    try:
-        mu, densities = _solve_state(args.q, args.t, solver)
-    except BelowCritical as exc:
-        mu, densities = math.copysign(1.0, args.q), exc.densities
+    mu, densities, _ = _thermal_state(args.q, args.t, solver)
     phase = PhasePoint(args.t, mu)
     q_quad = densities.q_tilde
     rows = []

@@ -25,13 +25,7 @@ class NonConvergence(RelBecError):
 
 class BelowCritical(RelBecError):
     """Requested thermal state lies in the condensed phase; no chemical
-    potential in (-m, m) can carry the full charge. densities are the
-    thermal densities at mu = m that showed it, when known."""
-
-    def __init__(self, message, q_tilde_max=None, densities=None):
-        super().__init__(message)
-        self.q_tilde_max = q_tilde_max
-        self.densities = densities
+    potential in (-m, m) can carry the full charge."""
 
 
 class AboveCritical(RelBecError):

@@ -8,9 +8,8 @@ UR columns of universal), next to the numerical results.
 import math
 from dataclasses import dataclass
 
-from .errors import (AsymptoteOutOfRange, InvalidArgument,
-                     NonPositiveTemperature, UnsupportedDimension)
-from .types import ChargeDensities
+from .errors import AsymptoteOutOfRange, InvalidArgument, UnsupportedDimension
+from .types import ChargeDensities, require_finite, require_temperature
 
 _ZETA_TABLE = {
     2: math.pi ** 2 / 6.0,
@@ -42,6 +41,7 @@ def zeta_int(n: int) -> float:
 def gamma_half(x: float) -> float:
     """Gamma function at positive integer or half-integer x, by upward
     recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)."""
+    require_finite("x", x)
     two_x = 2.0 * x
     if x <= 0.0 or two_x != round(two_x):
         raise InvalidArgument(
@@ -71,8 +71,8 @@ class Dimension:
 def ur_densities(t: float, mu: float) -> ChargeDensities:
     """First-order-in-mu ultra-relativistic densities:
     n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3."""
-    if not (t > 0.0):
-        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
+    require_temperature(t)
+    require_finite("mu", mu)
     a = zeta_int(3) * t ** 3 / math.pi ** 2
     b = mu * t ** 2 / 6.0
     return ChargeDensities.from_pair(a + b, a - b)
@@ -81,6 +81,7 @@ def ur_densities(t: float, mu: float) -> ChargeDensities:
 def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
     in fully scaled units T_c/m = sqrt(3 q/m^3)."""
+    require_finite("q", q_over_m)
     if not (q_over_m > 0.0):
         raise InvalidArgument(f"q must be > 0, got {q_over_m}")
     return math.sqrt(3.0 * q_over_m)
@@ -92,17 +93,14 @@ def ur_density_ratio(t_c: float, mu: float = 1.0) -> float:
     Valid only deep in the UR regime; as t_c -> 0 it tends to -1, a
     documented failure of the expansion (the true ratio stays in (0, 1)).
     """
-    if not (t_c > 0.0):
-        raise InvalidArgument(f"t_c must be > 0, got {t_c}")
-    a = zeta_int(3) * t_c ** 3 / math.pi ** 2
-    b = mu * t_c ** 2 / 6.0
-    return (a - b) / (a + b)
+    return ur_densities(t_c, mu).ratio
 
 
 def density_of_states(eps: float, dim: Dimension) -> float:
     """Relativistic single-particle density of states per unit volume,
     (2 pi^{d/2} / ((2 pi)^d Gamma(d/2))) eps (eps^2 - 1)^{(d-2)/2},
     for scaled energy eps >= 1."""
+    require_finite("eps", eps)
     if eps < 1.0:
         raise InvalidArgument(f"energy below the mass gap: eps = {eps}")
     d = dim.d
@@ -116,6 +114,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
 
     Reduces exactly to sqrt(3 q/m) at d = 3.
     """
+    require_finite("q", q_over_m)
     if not (q_over_m > 0.0):
         raise InvalidArgument(f"q must be > 0, got {q_over_m}")
     d = dim.d
@@ -126,6 +125,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
 
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
     """UR condensed fraction 1 - (t/t_c)^{d-1}; an inverted parabola at d=3."""
+    require_finite("t_c", t_c)
     if not (t_c > 0.0):
         raise InvalidArgument(f"t_c must be > 0, got {t_c}")
     if not (0.0 <= t <= t_c):
@@ -136,10 +136,10 @@ def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
 def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     """T -> 0 chemical potential at fixed condensate occupation:
     mu ~ 1 - t ln((q0+1)/q0) in scaled units."""
+    require_finite("q0_occ", q0_occ)
     if not (q0_occ > 0.0):
         raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
-    if not (t > 0.0):
-        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
+    require_temperature(t)
     return 1.0 - t * math.log1p(1.0 / q0_occ)
 
 
@@ -150,10 +150,10 @@ def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:
     Evaluated through e^{-2/t} so it stays finite for small t; outside the
     validity region the denominator turns non-positive and the call fails.
     """
+    require_finite("q0_occ", q0_occ)
     if not (q0_occ > 0.0):
         raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
-    if not (t > 0.0):
-        raise NonPositiveTemperature(f"temperature must be > 0, got {t}")
+    require_temperature(t)
     x = 2.0 / t
     emx = math.exp(-x) if x < 745.0 else 0.0
     # (q0+1)/(q0 (e^x - 1) - 1) * e^{-x}/e^{-x}

@@ -4,7 +4,7 @@ Strategy: a vector-valued, level-synchronous adaptive Gauss-Kronrod
 (G7/K15) scheme on [0, k_cut]. The integrand may return several
 components per node (thermal_charge_density integrates k^2 n1, k^2 n2 and
 k^2 (n1 - n2) together); every component must meet
-rel_tol * |value| + abs_tol on its own.
+rel_tol * |value| + 1e-14 on its own.
 
 The initial panels follow the physical scales of a Bose integrand with
 temperature s = decay_scale and dispersion sqrt(k^2 + 1). Below the
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
+from .statistics import _TINY, _gap, _weighted_occupations
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
-from .statistics import (_TINY, _gap, _weighted_occupations,  # noqa: F401
-                         charge_integrand)
+from .statistics import charge_integrand  # noqa: F401
 from .types import ChargeDensities, PhasePoint
 
 # K15 nodes on [-1, 1] (positive half; symmetric) and weights; the G7
@@ -79,23 +79,23 @@ _BELOW = np.concatenate([[0.0], 2.0 ** -12 * 4.0 ** -np.arange(14, 0, -1.0),
 # Above p, edges at gap/s = _TAIL_U: panel widths grow from 1 by 1.3 each,
 # matching the e^{-gap/s} decay of the integrand.
 _TAIL_U = (1.0 + (1.3 ** np.arange(1, 31) - 1.0) / 0.3).tolist()
-# Refinement gives up when a level would hold more panels than this.
+# Absolute floor of every component's tolerance, rel_tol |value| + _ABS_TOL
+_ABS_TOL = 1e-14
+# Refinement gives up after this many bisection levels, or when a level
+# would hold more panels than _MAX_PANELS.
+_MAX_LEVELS = 60
 _MAX_PANELS = 4000
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement budget for the adaptive scheme."""
+    """Relative tolerance of the adaptive scheme, on each component."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 60
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+        if not (self.rel_tol > 0.0):
             raise InvalidArgument("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise InvalidArgument("max_subdivisions must be >= 1")
 
 
 def _momentum(us: float) -> float:
@@ -184,7 +184,7 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
     edges = _initial_edges(k_cut, s)
     a, b = edges[:-1], edges[1:]
     done = done_err = None
-    for level in range(config.max_subdivisions + 1):
+    for level in range(_MAX_LEVELS + 1):
         n = len(a)
         half = np.empty((2, n))
         h, mid = half
@@ -210,7 +210,7 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         ell, factor = _tail_factor(k_cut, s)
         tail = [c * ell * factor for c in abs_rows[:, -1].tolist()]
         error = [e + d + c for e, d, c in zip(err_sums, done_err, tail)]
-        tol = [config.rel_tol * abs(v) + config.abs_tol for v in value]
+        tol = [config.rel_tol * abs(v) + _ABS_TOL for v in value]
         if all(e <= t for e, t in zip(error, tol)):
             return value, error, y.ndim
         kron, err = panels
@@ -230,7 +230,7 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
             a = np.append(a, k_cut)
             k_cut *= 2.0
             b = np.append(b, k_cut)
-        if level == config.max_subdivisions or len(a) > _MAX_PANELS:
+        if level == _MAX_LEVELS or len(a) > _MAX_PANELS:
             break
     raise NonConvergence(
         f"quadrature error {max(e - t for e, t in zip(error, tol)):.3e} "

@@ -20,11 +20,13 @@ from .types import (ChargeDensities, CriticalPoint, PhasePoint,
 
 # Brent's method cannot narrow a bracket below a few ulps of the root
 _MIN_RTOL = 4.0 * np.finfo(float).eps
+# Evaluations of the EOS one Brent search may take
+_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration budget for the EOS inversions.
+    """Tolerances of the EOS inversions.
 
     mu_tol is absolute: solve_mu stops once Brent's bracket on mu is
     narrower than mu_tol (+ 8.9e-16 |mu|), so its mu lies within about
@@ -42,7 +44,6 @@ class SolverConfig:
 
     mu_tol: float = 1e-10
     t_tol: float = 1e-8
-    max_iters: int = 200
     quad: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self):
@@ -51,8 +52,6 @@ class SolverConfig:
         if self.t_tol < _MIN_RTOL:
             raise InvalidArgument(
                 f"t_tol must be >= {_MIN_RTOL:.3g}, got {self.t_tol}")
-        if self.max_iters < 10:
-            raise InvalidArgument("max_iters must be >= 10")
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,34 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
                          f"iterations; last iterate {xcur!r}")
 
 
-def _solve_mu(q: float, t: float, config: SolverConfig):
-    """(mu, densities at (t, mu)) with q_tilde(t, mu) = q, for finite
-    q > 0 and t > 0; raises BelowCritical carrying the densities at mu = 1.
+def _conjugate(densities: ChargeDensities) -> ChargeDensities:
+    """The densities at -mu from those at mu: n1 and n2 swap places, which
+    is exact under mu -> -mu."""
+    return ChargeDensities(n1=densities.n2, n2=densities.n1,
+                           q_tilde=-densities.q_tilde)
+
+
+def _thermal_state(q: float, t: float, config: SolverConfig):
+    """(mu, thermal densities at (t, mu), condensed) for any finite q and
+    t > 0: the one place that decides whether the gas is condensed.
+
+    Above T_c(|q|) mu solves q_tilde(t, mu) = q and condensed is False; at
+    or below it mu = sign(q), the thermal cloud is the one at that point
+    and condensed is True (mu alone cannot tell: Brent may return exactly
+    1.0 for a state just above T_c). q = 0 integrates once, at mu = 0;
+    q < 0 is solved as |q| and conjugated.
     """
+    require_finite("q", q)
+    require_temperature(t)
+    if q == 0.0:
+        phase = PhasePoint(t, 0.0)
+        return 0.0, thermal_charge_density(phase, config.quad), False
+    if q < 0.0:
+        mu, densities, condensed = _thermal_state(-q, t, config)
+        return -mu, _conjugate(densities), condensed
     top = thermal_charge_density(PhasePoint(t, 1.0), config.quad)
     if q >= top.q_tilde:
-        raise BelowCritical(
-            f"q = {q} >= q_tilde(t, mu=1) = {top.q_tilde}: condensed phase",
-            q_tilde_max=top.q_tilde, densities=top)
+        return 1.0, top, True
     found = {1.0: top}
 
     def f(mu):
@@ -140,10 +158,10 @@ def _solve_mu(q: float, t: float, config: SolverConfig):
 
     # q_tilde(t, 0) = 0 exactly
     mu = _brent(f, 0.0, 1.0, -q, top.q_tilde - q, config.mu_tol, 8.9e-16,
-                config.max_iters, f"solve_mu at q = {q}, t = {t}")
+                _MAX_ITERS, f"solve_mu at q = {q}, t = {t}")
     if mu not in found:  # mu = 0, for q below mu_tol's worth of charge
         f(mu)
-    return mu, found[mu]
+    return mu, found[mu], False
 
 
 def solve_mu(q: float, t: float,
@@ -159,38 +177,12 @@ def solve_mu(q: float, t: float,
     charge q_tilde(t, mu=1): the state is condensed and mu is pinned at
     sign(q).
     """
-    require_finite("q", q)
-    require_temperature(t)
-    if q == 0.0:
-        return 0.0
-    return math.copysign(_solve_mu(abs(q), t, config)[0], q)
-
-
-def _conjugate(densities: ChargeDensities) -> ChargeDensities:
-    """The densities at -mu from those at mu: n1 and n2 swap places, which
-    is exact under mu -> -mu."""
-    return ChargeDensities(n1=densities.n2, n2=densities.n1,
-                           q_tilde=-densities.q_tilde)
-
-
-def _solve_state(q: float, t: float, config: SolverConfig):
-    """(mu, densities at (t, mu)) for any finite q: solve_mu's root and the
-    densities found there, conjugated for q < 0; q = 0 integrates once, at
-    mu = 0. Raises BelowCritical as solve_mu does, carrying the densities
-    at mu = sign(q)."""
-    require_finite("q", q)
-    require_temperature(t)
-    if q == 0.0:
-        return 0.0, thermal_charge_density(PhasePoint(t, 0.0), config.quad)
-    try:
-        mu, found = _solve_mu(abs(q), t, config)
-    except BelowCritical as exc:
-        if q < 0.0:
-            exc.densities = _conjugate(exc.densities)
-        raise
-    if q > 0.0:
-        return mu, found
-    return -mu, _conjugate(found)
+    mu, densities, condensed = _thermal_state(q, t, config)
+    if condensed:
+        raise BelowCritical(
+            f"q = {abs(q)} >= q_tilde(t, mu=1) = {abs(densities.q_tilde)}: "
+            "condensed phase")
+    return mu
 
 
 def _critical_point(q: float, config: SolverConfig):
@@ -223,7 +215,7 @@ def _critical_point(q: float, config: SolverConfig):
                 f"no upper bracket for critical temperature at q = {q}")
         g_hi = g(hi)
     t_c = _brent(g, lo, hi, g_lo, g_hi, 1e-300, config.t_tol,
-                 config.max_iters, f"critical_temperature at q = {q}")
+                 _MAX_ITERS, f"critical_temperature at q = {q}")
     return t_c, found[t_c]
 
 
@@ -274,13 +266,7 @@ def density_ratio(q: float, t: float,
     """
     if not (q > 0.0):
         raise InvalidArgument(f"q must be > 0, got {q}")
-    require_finite("q", q)
-    require_temperature(t)
-    try:
-        densities = _solve_mu(q, t, config)[1]
-    except BelowCritical as exc:
-        densities = exc.densities
-    return densities.ratio
+    return _thermal_state(q, t, config)[1].ratio
 
 
 def universal_curves(q_min: float, q_max: float, points: int,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relbec import (AsymptoteOutOfRange, Dimension, UnsupportedDimension,
+from relbec import (AsymptoteOutOfRange, Dimension, InvalidArgument,
+                    NonPositiveTemperature, UnsupportedDimension,
                     ddim_critical_temperature, density_of_states, gamma_half,
                     low_t_condensate_antiparticles, low_t_mu_asymptote,
                     ur_condensed_fraction, ur_critical_temperature,
@@ -140,6 +141,46 @@ def test_low_t_condensate_antiparticles():
                                                                       abs=1e-80)
     with pytest.raises(AsymptoteOutOfRange):
         low_t_condensate_antiparticles(0.5, 5.0)
+
+
+# every entry point rejects a nan or infinite argument, and a temperature
+# must be > 0, instead of returning nan or inf
+NON_FINITE_CALLS = {
+    "ur_densities": [lambda: ur_densities(math.inf, 0.3),
+                     lambda: ur_densities(1.0, math.nan)],
+    "ur_density_ratio": [lambda: ur_density_ratio(math.inf),
+                         lambda: ur_density_ratio(1.0, math.inf)],
+    "ur_critical_temperature": [lambda: ur_critical_temperature(math.inf)],
+    "ddim_critical_temperature": [
+        lambda: ddim_critical_temperature(math.inf, Dimension(3))],
+    "ur_condensed_fraction": [
+        lambda: ur_condensed_fraction(0.5, math.inf, Dimension(3))],
+    "density_of_states": [lambda: density_of_states(math.nan, Dimension(3))],
+    "gamma_half": [lambda: gamma_half(math.inf), lambda: gamma_half(math.nan)],
+    "low_t_mu_asymptote": [lambda: low_t_mu_asymptote(1.0, math.inf),
+                           lambda: low_t_mu_asymptote(math.inf, 0.1)],
+    "low_t_condensate_antiparticles": [
+        lambda: low_t_condensate_antiparticles(1.0, math.nan),
+        lambda: low_t_condensate_antiparticles(math.inf, 0.1)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))
+def test_non_finite_arguments_raise(entry):
+    for call in NON_FINITE_CALLS[entry]:
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ur_densities(0.0, 0.3),
+    lambda: ur_density_ratio(-1.0),
+    lambda: low_t_mu_asymptote(1.0, 0.0),
+    lambda: low_t_condensate_antiparticles(1.0, -0.1),
+])
+def test_non_positive_temperature_raises(call):
+    with pytest.raises(NonPositiveTemperature):
+        call()
 
 
 def test_ur_convergence_to_quadrature():

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from relbec import (AboveCritical, BelowCritical, ChargeDensities,
                     InvalidArgument, NonConvergence, NonPositiveTemperature,
-                    PhasePoint, SolverConfig, condensed_solution,
+                    PhasePoint, RelBecError, SolverConfig, condensed_solution,
                     critical_temperature, density_ratio, solve_mu,
                     thermal_charge_density, universal_curves)
 from relbec import solver
@@ -198,8 +198,6 @@ def test_universal_curves_ur_tail():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=5)
     # below 4 ulps no bracket can meet the tolerance
     with pytest.raises(InvalidArgument):
         SolverConfig(t_tol=1e-20)
@@ -263,6 +261,56 @@ def test_brent_exhausts_its_iterations_where_brentq_does(case):
                        "test")
 
 
+def _outcome(call):
+    """("ok", call()), or the type and message of the RelBecError it
+    raised; any other exception fails the test."""
+    try:
+        return "ok", call()
+    except RelBecError as exc:
+        return type(exc), str(exc)
+
+
+def _contract_states():
+    """About 300 seeded (q, t), q = 0 and +-10^U(-12, 9), t = 10^U(-6, 6),
+    plus each of 30 charges at its own T_c, where Brent can return mu = 1.0
+    exactly for a state that is not condensed."""
+    rng = np.random.default_rng(13)
+    qs = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-12.0, 9.0, 300)
+    qs[::25] = 0.0
+    states = list(zip(qs.tolist(), (10.0 ** rng.uniform(-6.0, 6.0, 300))
+                      .tolist()))
+    states += [(float(q), critical_temperature(float(q)))
+               for q in np.geomspace(1e-12, 1e9, 30)]
+    return states
+
+
+def test_thermal_state_is_the_one_condensation_decision():
+    cfg = SolverConfig()
+    kinds = set()
+    for q, t in _contract_states():
+        kind, state = _outcome(lambda: solver._thermal_state(q, t, cfg))
+        mu_kind, mu = _outcome(lambda: solve_mu(q, t, cfg))
+        if kind != "ok":
+            # a failed solve fails solve_mu the same way
+            assert (mu_kind, mu) == (kind, state)
+            continue
+        mu_state, densities, condensed = state
+        # the thermal charge has the sign of q: conjugated for q < 0
+        assert densities.q_tilde * q >= 0.0
+        if condensed:
+            assert mu_kind is BelowCritical
+            assert mu_state == math.copysign(1.0, q)
+            assert abs(q) >= abs(densities.q_tilde)
+        else:
+            assert mu_kind == "ok" and repr(mu) == repr(mu_state)
+        kinds.add((condensed, mu_state == 1.0))
+        if q > 0.0:
+            assert _outcome(lambda: density_ratio(q, t, cfg)) == \
+                ("ok", densities.ratio)
+    # condensed and uncondensed states, and mu = 1.0 without condensation
+    assert {(True, True), (False, False), (False, True)} <= kinds
+
+
 @pytest.fixture
 def eos_points(monkeypatch):
     """Every (t, mu) the solver integrates at, in call order."""
@@ -293,6 +341,8 @@ def _distinct_points(eos_points, call):
 def test_solve_mu_and_density_ratio_integrate_each_point_once(eos_points,
                                                               q, t):
     mu_calls = _distinct_points(eos_points, lambda: solve_mu(q, t))
+    assert _distinct_points(eos_points, lambda: solver._thermal_state(
+        q, t, SolverConfig())) == mu_calls
     # the ratio comes from the densities found at the root
     ratio_calls = _distinct_points(eos_points,
                                    lambda: density_ratio(abs(q), t))
@@ -319,10 +369,11 @@ def test_universal_curves_integrate_each_point_once(eos_points):
         eos_points, lambda: universal_curves(0.01, 100.0, 5)) == tc_calls
 
 
-def test_solve_mu_non_convergence_names_the_point():
+def test_solve_mu_non_convergence_names_the_point(monkeypatch):
     # at t = 0.02 q_tilde rises like e^{-(1 - mu)/t}: 10 steps are too few
+    monkeypatch.setattr(solver, "_MAX_ITERS", 10)
     with pytest.raises(NonConvergence) as exc:
-        solve_mu(-1e-19, 0.02, SolverConfig(max_iters=10))
+        solve_mu(-1e-19, 0.02)
     message = str(exc.value)
     assert "solve_mu" in message
     assert "q = 1e-19" in message and "t = 0.02" in message
@@ -334,7 +385,8 @@ def test_critical_temperature_non_convergence_names_the_charge(monkeypatch):
         solver, "thermal_charge_density",
         lambda phase, config: ChargeDensities.from_pair(
             2.0 if phase.t > 1.2345 else 0.5, 0.0))
+    monkeypatch.setattr(solver, "_MAX_ITERS", 10)
     with pytest.raises(NonConvergence) as exc:
-        critical_temperature(1.0, SolverConfig(max_iters=10))
+        critical_temperature(1.0)
     message = str(exc.value)
     assert "critical_temperature" in message and "q = 1.0" in message
