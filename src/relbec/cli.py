@@ -182,7 +182,7 @@ def build_parser():
     p.add_argument("--tol-quad", type=float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--tol-mu", type=float, default=1e-10,
-                   help="absolute tolerance on mu/m")
+                   help="relative tolerance on mu/m")
     p.add_argument("--tol-tc", type=float, default=1e-8,
                    help="relative tolerance on T_c/m")
     sub = p.add_subparsers(dest="subcommand", required=True)

@@ -242,6 +242,9 @@ _MEASURE = 1.0 / (2.0 * math.pi ** 2)
 # Cutoff where the gap is _CUT_EFOLDINGS * t: the Boltzmann tail beyond it
 # is below e^-50 of each density.
 _CUT_EFOLDINGS = 50.0
+# Largest t at which one pass stays finite and free of overflow warnings,
+# which begin at t ~ 4.2e102
+_MAX_T = 4e102
 
 
 def thermal_charge_density(phase: PhasePoint,
@@ -253,9 +256,13 @@ def thermal_charge_density(phase: PhasePoint,
     k^2 (n1 - n2) on shared nodes; each meets the tolerance on its own.
     q_tilde is the integral of the direct difference, not n1 - n2, so it
     keeps its relative precision where n1 and n2 nearly cancel (high t,
-    small mu).
+    small mu). Raises InvalidArgument above t = _MAX_T.
     """
     t = phase.t
+    if t > _MAX_T:
+        raise InvalidArgument(
+            f"thermal_charge_density at t = {t}, mu = {phase.mu}: t must be "
+            f"<= {_MAX_T:.3g}, above which the densities overflow")
     (i1, i2, iq), _, _ = _levels(
         lambda k: _weighted_occupations(k, phase), config,
         _momentum(_CUT_EFOLDINGS * t), t)

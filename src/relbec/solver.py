@@ -26,20 +26,14 @@ _MAX_ITERS = 200
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances of the EOS inversions.
+    """Tolerances of the EOS inversions: mu_tol relative on mu, t_tol
+    relative on T_c, neither below 4 ulps.
 
-    mu_tol is absolute: solve_mu stops once Brent's bracket on mu is
-    narrower than mu_tol (+ 8.9e-16 |mu|), so its mu lies within about
-    mu_tol of the root. The charge at that mu is then off by about
-    mu_tol * dln(q_tilde)/dmu relative:
-      - at low t, where q_tilde ~ e^{(mu - 1)/t}, by up to mu_tol/t
-        (1e-5 at t = 1e-5 with the default mu_tol);
-      - at high t, where q_tilde ~ mu t^2/3, by up to mu_tol/mu, so a
-        mu below ~mu_tol (1e-10 by default) is not resolved at all: it
-        may come back as 0 or as any point of a bracket that wide.
-    t_tol is relative, on T_c. quad sets the tolerances of every EOS
-    evaluation (rel_tol 1e-10 on each density by default), which bound
-    how well the root is located in the first place.
+    The charge at the returned mu is off by about mu_tol * mu *
+    dln(q_tilde)/dmu relative: at low t, where q_tilde ~ e^{(mu - 1)/t},
+    by up to ~mu_tol/t (1e-5 at t = 1e-5 with the default mu_tol). quad
+    sets the tolerances of every EOS evaluation (rel_tol 1e-10 on each
+    density by default), which bound how well a root is located at all.
     """
 
     mu_tol: float = 1e-10
@@ -47,11 +41,10 @@ class SolverConfig:
     quad: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self):
-        if not (self.mu_tol > 0.0 and self.t_tol > 0.0):
-            raise InvalidArgument("tolerances must be positive")
-        if self.t_tol < _MIN_RTOL:
-            raise InvalidArgument(
-                f"t_tol must be >= {_MIN_RTOL:.3g}, got {self.t_tol}")
+        for name, tol in (("mu_tol", self.mu_tol), ("t_tol", self.t_tol)):
+            if not tol >= _MIN_RTOL:
+                raise InvalidArgument(
+                    f"{name} must be >= {_MIN_RTOL:.3g}, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +115,23 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
                          f"iterations; last iterate {xcur!r}")
 
 
-def _conjugate(densities: ChargeDensities) -> ChargeDensities:
-    """The densities at -mu from those at mu: n1 and n2 swap places, which
-    is exact under mu -> -mu."""
-    return ChargeDensities(n1=densities.n2, n2=densities.n1,
-                           q_tilde=-densities.q_tilde)
+def _invert(q: float, phase_at, bracket, residuals, found: dict,
+            rtol: float, config: SolverConfig, operation: str):
+    """(x, densities at phase_at(x)) with q_tilde(phase_at(x)) = q, x in
+    bracket = (a, b) with residuals = (q_tilde - q at a, at b), to rtol
+    relative. found maps x to the densities at phase_at(x): those the
+    caller has, then every point integrated here. The root is integrated
+    only if it is a bracket end with no densities in found (mu = 0).
+    """
+    def residual(x):
+        found[x] = thermal_charge_density(phase_at(x), config.quad)
+        return found[x].q_tilde - q
+
+    x = _brent(residual, *bracket, *residuals, 1e-300, rtol, _MAX_ITERS,
+               operation)
+    if x not in found:
+        residual(x)
+    return x, found[x]
 
 
 def _thermal_state(q: float, t: float, config: SolverConfig):
@@ -145,33 +150,25 @@ def _thermal_state(q: float, t: float, config: SolverConfig):
         phase = PhasePoint(t, 0.0)
         return 0.0, thermal_charge_density(phase, config.quad), False
     if q < 0.0:
-        mu, densities, condensed = _thermal_state(-q, t, config)
-        return -mu, _conjugate(densities), condensed
+        # exact under mu -> -mu: n1 and n2 swap places
+        mu, d, condensed = _thermal_state(-q, t, config)
+        return -mu, ChargeDensities(d.n2, d.n1, -d.q_tilde), condensed
     top = thermal_charge_density(PhasePoint(t, 1.0), config.quad)
     if q >= top.q_tilde:
         return 1.0, top, True
-    found = {1.0: top}
-
-    def f(mu):
-        found[mu] = thermal_charge_density(PhasePoint(t, mu), config.quad)
-        return found[mu].q_tilde - q
-
     # q_tilde(t, 0) = 0 exactly
-    mu = _brent(f, 0.0, 1.0, -q, top.q_tilde - q, config.mu_tol, 8.9e-16,
-                _MAX_ITERS, f"solve_mu at q = {q}, t = {t}")
-    if mu not in found:  # mu = 0, for q below mu_tol's worth of charge
-        f(mu)
-    return mu, found[mu], False
+    mu, densities = _invert(q, lambda mu: PhasePoint(t, mu), (0.0, 1.0),
+                            (-q, top.q_tilde - q), {1.0: top}, config.mu_tol,
+                            config, f"solve_mu at q = {q}, t = {t}")
+    return mu, densities, False
 
 
 def solve_mu(q: float, t: float,
              config: SolverConfig = SolverConfig()) -> float:
     """Chemical potential mu with q_tilde(t, mu) = q, for t above T_c(|q|).
 
-    mu is found to config.mu_tol absolutely, not relatively (see
-    SolverConfig): q_tilde at the returned mu can miss q by up to
-    mu_tol/t relative at low t, and a root mu below ~mu_tol is not
-    resolved (e.g. q = 1e-9 at t = 10, whose mu is ~3.2e-11).
+    mu is found to config.mu_tol relative (see SolverConfig): q_tilde at
+    the returned mu can miss q by up to ~mu_tol/t relative at low t.
 
     Raises BelowCritical when |q| meets or exceeds the maximal thermal
     charge q_tilde(t, mu=1): the state is condensed and mu is pinned at
@@ -185,38 +182,27 @@ def solve_mu(q: float, t: float,
     return mu
 
 
-def _critical_point(q: float, config: SolverConfig):
-    """(T_c, densities at (T_c, 1)) for finite q > 0."""
+def _tc_bracket(q: float):
+    """Bracket on T_c(q > 0): half the smaller and twice the larger of the
+    NR 2 pi (q/zeta(3/2))^(2/3) and UR sqrt(3 q) closed forms."""
     t_nr = 2.0 * math.pi * (q / _ZETA_3_2) ** (2.0 / 3.0)
     t_ur = math.sqrt(3.0 * q)
-    lo = 0.5 * min(t_nr, t_ur)
-    hi = 2.0 * max(t_nr, t_ur)
-    found = {}
+    return 0.5 * min(t_nr, t_ur), 2.0 * max(t_nr, t_ur)
 
-    def g(t):
-        found[t] = thermal_charge_density(PhasePoint(t, 1.0), config.quad)
-        return found[t].q_tilde - q
 
-    expansions = 0
-    g_lo = g(lo)
-    while g_lo > 0.0:
-        lo *= 0.5
-        expansions += 1
-        if expansions > 60:
-            raise NonConvergence(
-                f"no lower bracket for critical temperature at q = {q}")
-        g_lo = g(lo)
-    g_hi = g(hi)
-    while g_hi < 0.0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise NonConvergence(
-                f"no upper bracket for critical temperature at q = {q}")
-        g_hi = g(hi)
-    t_c = _brent(g, lo, hi, g_lo, g_hi, 1e-300, config.t_tol,
-                 _MAX_ITERS, f"critical_temperature at q = {q}")
-    return t_c, found[t_c]
+def _critical_point(q: float, config: SolverConfig):
+    """(T_c, densities at (T_c, 1)) for finite q > 0."""
+    operation = f"critical_temperature at q = {q}"
+    lo, hi = _tc_bracket(q)
+    ends = {t: thermal_charge_density(PhasePoint(t, 1.0), config.quad)
+            for t in (lo, hi)}
+    if not ends[lo].q_tilde <= q <= ends[hi].q_tilde:
+        raise NonConvergence(
+            f"{operation}: q_tilde(t, 1) on the bracket [{lo}, {hi}] "
+            f"spans [{ends[lo].q_tilde}, {ends[hi].q_tilde}], missing q")
+    return _invert(q, lambda t: PhasePoint(t, 1.0), (lo, hi),
+                   (ends[lo].q_tilde - q, ends[hi].q_tilde - q), ends,
+                   config.t_tol, config, operation)
 
 
 def critical_temperature(q: float,
@@ -224,9 +210,8 @@ def critical_temperature(q: float,
     """BEC transition temperature: the t with q_tilde(t, mu=1) = q.
 
     q = 0 is the degenerate no-condensation case, defined as T_c = 0.
-    The initial bracket spans the non-relativistic estimate
-    2 pi (q/zeta(3/2))^(2/3) and twice the ultra-relativistic estimate
-    sqrt(3 q), expanded by doubling if the root escapes.
+    The bracket is _tc_bracket's closed form; should it miss the root,
+    NonConvergence names q.
     """
     require_finite("q", q)
     if q < 0.0:

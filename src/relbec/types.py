@@ -65,7 +65,11 @@ class ChargeDensities:
 
     @property
     def ratio(self) -> float:
-        """Antiparticle fraction n2/n1."""
+        """Antiparticle fraction n2/n1; InvalidArgument where n1 = 0."""
+        if self.n1 == 0.0:
+            raise InvalidArgument(
+                f"n2/n1 is undefined at n1 = 0 (n2 = {self.n2}): q or t "
+                "lies below the range where n1 is a nonzero double")
         return self.n2 / self.n1
 
 

@@ -272,6 +272,7 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["--tol-tc", "1e-20", "tc", "--q", "1"],
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "-1"],
     ["ddim-tc", "--q-over-m", "inf", "--dim", "3"],
+    ["--tol-mu", "1e-20", "mu", "--q", "0.1", "--t", "1"],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):
     # a value out of its domain is reported, not a traceback; only a

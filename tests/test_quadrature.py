@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import k0e, k1e, zeta
 
-from relbec import (NonConvergence, PhasePoint, QuadratureConfig,
+from relbec import (InvalidArgument, NonConvergence, PhasePoint,
+                    QuadratureConfig, critical_temperature,
                     integrate_semi_infinite, quadrature,
                     thermal_charge_density)
 
@@ -262,3 +263,28 @@ def test_second_level_matches_quadpack(monkeypatch, t, mu):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [-1.0, -0.5, 0.0, 1e-300, 0.5, 1.0])
+def test_largest_temperature_is_finite(mu):
+    # at the bound one pass neither overflows nor warns
+    d = thermal_charge_density(PhasePoint(quadrature._MAX_T, mu))
+    assert all(math.isfinite(v) for v in (d.n1, d.n2, d.q_tilde))
+    assert d.n1 > 0.0 and d.n2 > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [math.nextafter(quadrature._MAX_T, math.inf),
+                               1e103, 1e308])
+def test_temperature_above_the_doubles_raises(t):
+    with pytest.raises(InvalidArgument) as exc:
+        thermal_charge_density(PhasePoint(t, 0.5))
+    assert f"t = {t}, mu = 0.5" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_critical_temperature_above_the_doubles_raises():
+    # the upper end of the bracket, t ~ 1.4e134, is past the bound
+    with pytest.raises(InvalidArgument, match="thermal_charge_density"):
+        critical_temperature(1e200)

@@ -45,6 +45,14 @@ def test_solve_mu_charge_conjugation():
                                                      abs=cfg.mu_tol)
 
 
+def test_solve_mu_resolves_small_mu():
+    # UR regime, mu ~ 3 q / t^2 = 3e-11: the relative tolerance resolves it
+    mu = solve_mu(1e-9, 10.0)
+    assert mu == pytest.approx(3.1479e-11, rel=1e-4)
+    q_back = thermal_charge_density(PhasePoint(10.0, mu)).q_tilde
+    assert q_back == pytest.approx(1e-9, rel=1e-9)
+
+
 def test_solve_mu_below_critical_rejected():
     with pytest.raises(BelowCritical):
         solve_mu(10.0, 1.0)
@@ -201,6 +209,10 @@ def test_solver_config_validation():
     # below 4 ulps no bracket can meet the tolerance
     with pytest.raises(InvalidArgument):
         SolverConfig(t_tol=1e-20)
+    with pytest.raises(InvalidArgument, match="mu_tol"):
+        SolverConfig(mu_tol=1e-20)
+    with pytest.raises(InvalidArgument):
+        SolverConfig(mu_tol=math.nan)
 
 
 # (f, a, b): smooth roots inside the bracket, a root at either bracket end,
@@ -309,6 +321,54 @@ def test_thermal_state_is_the_one_condensation_decision():
                 ("ok", densities.ratio)
     # condensed and uncondensed states, and mu = 1.0 without condensation
     assert {(True, True), (False, False), (False, True)} <= kinds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_charge_round_trip_over_the_stated_range():
+    # every uncondensed state returns densities whose charge is q, to 1e-6
+    # plus the low-t conditioning of the relative mu_tol, ~mu_tol/t
+    cfg = SolverConfig()
+    uncondensed = 0
+    for size in np.geomspace(1e-12, 1e9, 22).tolist():
+        for q in (size, -size):
+            for t in np.geomspace(1e-6, 1e6, 19).tolist():
+                kind, state = _outcome(lambda: solver._thermal_state(q, t,
+                                                                     cfg))
+                assert kind == "ok", state
+                mu, densities, condensed = state
+                mu_kind, _ = _outcome(lambda: solve_mu(q, t, cfg))
+                assert (mu_kind is BelowCritical) == condensed
+                if not condensed:
+                    uncondensed += 1
+                    tol = (1e-6 + 2.0 * cfg.mu_tol / t) * abs(q)
+                    assert abs(densities.q_tilde - q) <= tol, (q, t, mu)
+    assert uncondensed == 480
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_critical_temperature_bracket_holds_the_root():
+    # the closed-form bracket holds T_c for all q whose densities are doubles
+    for q in np.geomspace(1e-300, 1e100, 300).tolist():
+        lo, hi = solver._tc_bracket(q)
+        assert (thermal_charge_density(PhasePoint(lo, 1.0)).q_tilde <= q
+                <= thermal_charge_density(PhasePoint(hi, 1.0)).q_tilde), q
+
+
+def test_critical_temperature_bracket_failure_names_the_charge(monkeypatch):
+    # a thermal charge that never reaches q leaves no root in the bracket
+    monkeypatch.setattr(
+        solver, "thermal_charge_density",
+        lambda phase, config: ChargeDensities.from_pair(0.5, 0.0))
+    with pytest.raises(NonConvergence) as exc:
+        critical_temperature(1.0)
+    message = str(exc.value)
+    assert "critical_temperature" in message and "q = 1.0" in message
+
+
+def test_density_ratio_where_n1_underflows_raises():
+    # at t = 1e-100 the thermal densities underflow to 0 at every mu < 1
+    with pytest.raises(InvalidArgument, match="n1 = 0"):
+        density_ratio(1e-300, 1e-100)
 
 
 @pytest.fixture

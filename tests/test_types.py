@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from relbec import (BoxSpec, ChargeDensities, NonPositiveTemperature,
-                    PhasePoint, UnphysicalMu)
+from relbec import (BoxSpec, ChargeDensities, InvalidArgument,
+                    NonPositiveTemperature, PhasePoint, UnphysicalMu,
+                    thermal_charge_density)
 
 
 def test_phase_point_passthrough():
@@ -46,6 +47,14 @@ def test_sign_symmetry_of_validation(t, mu):
 def test_charge_densities_difference_by_construction():
     d = ChargeDensities.from_pair(0.3, 0.1)
     assert d.q_tilde == 0.3 - 0.1
+
+
+def test_ratio_where_n1_underflows_raises():
+    # at t = 1e-12 every occupation at mu = 0 is below the doubles
+    densities = thermal_charge_density(PhasePoint(1e-12, 0.0))
+    assert densities.n1 == 0.0
+    with pytest.raises(InvalidArgument, match="n1 = 0"):
+        densities.ratio
 
 
 def test_box_spec_validation():
