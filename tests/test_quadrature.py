@@ -218,6 +218,22 @@ def test_antisymmetry(t, mu):
         plus.n1 + plus.n2)
 
 
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+def test_conjugation_is_exact(rel_tol):
+    # mu -> -mu swaps the branches and flips the difference row's sign,
+    # and the pass treats every row alike: the doubles swap exactly (==
+    # takes 0.0 and -0.0 as equal)
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    rng = np.random.default_rng(1515)
+    mus = [1.0, 1.0 - 1e-12] + rng.uniform(-1.0, 1.0, 6).tolist()
+    for t in 10.0 ** rng.uniform(-12.0, 6.0, 30):
+        for mu in mus:
+            plus = thermal_charge_density(PhasePoint(float(t), mu), cfg)
+            minus = thermal_charge_density(PhasePoint(float(t), -mu), cfg)
+            assert (minus.n1, minus.n2, minus.q_tilde) == (
+                plus.n2, plus.n1, -plus.q_tilde), (t, mu)
+
+
 @pytest.mark.parametrize("t,mu", [(0.5, 0.4), (1.0, 0.7), (5.0, 0.9)])
 def test_integrated_ratio_bound(t, mu):
     d = thermal_charge_density(PhasePoint(t, mu))
