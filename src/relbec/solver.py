@@ -97,8 +97,11 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                denom = dblk * dpre * (fblk - fpre)
+                # where denom underflows to 0, brentq's C code gets inf or
+                # nan here, fails the test below and bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0.0 else math.inf)
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

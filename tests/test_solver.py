@@ -371,6 +371,32 @@ def test_density_ratio_where_n1_underflows_raises():
         density_ratio(1e-300, 1e-100)
 
 
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brent_bisects_where_the_inverse_quadratic_step_underflows(case):
+    # residuals scaled to ~1e-110 make dblk * dpre * (fblk - fpre)
+    # underflow to 0; brentq gets inf or nan there and bisects
+    g, a, b = BRENT_CASES[case]
+
+    def f(x):
+        return 1e-110 * g(x)
+
+    expected = brentq(f, a, b, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    assert _brent(f, a, b, f(a), f(b), 1e-300, 8.9e-16, 200,
+                  "test") == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_mu(1e-200, 1e-3),
+    lambda: density_ratio(1e-120, 1e-6),
+    lambda: critical_temperature(1e-300),
+], ids=["solve_mu", "density_ratio", "critical_temperature"])
+def test_charges_far_below_the_range_stay_in_contract(call):
+    # their residuals are so small that Brent's inverse quadratic step
+    # underflowed and raised ZeroDivisionError
+    kind, value = _outcome(call)
+    assert kind != "ok" or math.isfinite(value)
+
+
 @pytest.fixture
 def eos_points(monkeypatch):
     """Every (t, mu) the solver integrates at, in call order."""
