@@ -22,11 +22,16 @@ tolerance the cutoff is doubled.
 
 Every level is the same pass, and its number of numpy calls does not grow
 with the number of panels: the nodes of all panels and k_cut go to the
-integrand in one buffer, each component's G7/K15 sums come from one matrix
-product, and the running totals, the tail bound and the tolerance test
-are done on the few components as Python floats. At the default
-tolerances thermal_charge_density is one such pass over 571 nodes at every
-(t, mu).
+integrand in one buffer, each component's Kronrod and Kronrod-minus-Gauss
+sums come from one matrix product, the QUADPACK error estimate (Piessens
+et al., QUADPACK, 1983) is a few elementwise calls on the panels, and the
+running totals, the tail bound and the tolerance test are one Python loop
+over the few components. At the default tolerances thermal_charge_density
+is one such pass over 571 nodes at every (t, mu).
+
+Every component must keep one sign on [0, inf): the error estimate takes
+a panel's integral of |f| as |Kronrod sum|, exact only then (see
+integrate_semi_infinite). Nothing checks this at run time.
 """
 import bisect
 import math
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
-from .statistics import _TINY, _gap, _weighted_occupations
+from .statistics import _TINY, _weighted_occupations
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import charge_integrand  # noqa: F401
@@ -59,13 +64,14 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, 15 nodes
-# Columns: Kronrod weights over the 15 ascending nodes, and Kronrod minus
-# Gauss weights (the Gauss rule uses the odd nodes) for the error estimate.
+# Columns: Kronrod weights over the 15 ascending nodes, and 200 times
+# Kronrod minus Gauss weights (the Gauss rule uses the odd nodes) for the
+# error estimate.
 _WEIGHTS = np.zeros((15, 2))
 _WEIGHTS[:, 0] = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS[1::2, 1] = -np.concatenate([_WG[:-1], _WG[::-1]])
 _WEIGHTS[:, 1] += _WEIGHTS[:, 0]
-_KRONROD = _WEIGHTS[:, 0]
+_WEIGHTS[:, 1] *= 200.0
 
 # Initial mesh below the thermal momentum p, relative to p: 12 panels
 # halving toward k = 0, then panels shrinking by 4 down to 1e-12. The
@@ -108,47 +114,50 @@ def _initial_edges(k_cut: float, s: float) -> np.ndarray:
     temperature s: geometric toward 0 below the thermal momentum, growing
     steps in gap/s above it."""
     p = min(_momentum(s), k_cut)
-    u_max = float(0.9 * (_gap(k_cut * k_cut) / s))
-    tail = [_momentum(u * s)
-            for u in _TAIL_U[:bisect.bisect_left(_TAIL_U, u_max)]]
-    edges = np.empty(len(_BELOW) + len(tail) + 1)
-    np.multiply(_BELOW, p, out=edges[:len(_BELOW)])
-    edges[len(_BELOW):-1] = tail
+    ksq = k_cut * k_cut
+    # 0.9 gap(k_cut)/s, the gap in statistics._gap's cancellation-free form
+    u_max = 0.9 * (ksq / (math.sqrt(ksq + 1.0) + 1.0) / s)
+    # the momenta whose gap is u s, with _momentum's float steps inline
+    tail = [u * s for u in _TAIL_U[:bisect.bisect_left(_TAIL_U, u_max)]]
+    tail = [math.sqrt(us * (us + 2.0)) for us in tail]
+    nb = len(_BELOW)
+    edges = np.empty(nb + len(tail) + 1)
+    np.multiply(_BELOW, p, out=edges[:nb])
+    edges[nb:-1] = tail
     edges[-1] = k_cut
     return edges if p < k_cut else edges[:-1]
 
 
-def _gauss_kronrod(y: np.ndarray, y_abs: np.ndarray,
-                   h: np.ndarray) -> np.ndarray:
+def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Kronrod values and error estimates of panels with half-widths h
-    from integrand values y[component, panel, node] and y_abs = |y|, as
-    out[0] and out[1] of one (2, component, panel) array."""
+    from integrand values y[component, panel, node], as out[0] and out[1]
+    of one (2, component, panel) array.
+
+    The error estimate is QUADPACK's resabs min(1, (200 |K - G|/resabs)^1.5),
+    written as min(resabs, e sqrt(e/resabs)) with e = 200 |K - G|. resabs,
+    the integral of |y| on the panel, is taken as |K|, which is exact for
+    a component of one sign; resabs = 0 means y = 0 on the panel and a
+    zero error."""
     sums = y @ _WEIGHTS
-    out = np.empty((2,) + sums.shape[:-1])
-    kron, err = out
-    np.multiply(h, sums[..., 0], out=kron)
-    resabs = y_abs @ _KRONROD
-    resabs *= h
-    # QUADPACK-style sharpening of the raw difference; resabs = 0 means
-    # y = 0 on the panel and a zero error
-    ratio = np.abs(sums[..., 1])
-    ratio *= 200.0 * h
-    ratio /= np.maximum(resabs, _TINY)
-    np.sqrt(ratio, out=err)
-    err *= ratio
-    np.minimum(err, 1.0, out=err)
-    err *= resabs
+    out = np.multiply(sums.transpose(2, 0, 1), h, order="C")
+    resabs, e = np.abs(out)
+    err = out[1]
+    np.divide(e, np.maximum(resabs, _TINY), out=err)
+    np.sqrt(err, out=err)
+    err *= e
+    np.minimum(err, resabs, out=err)
     return out
 
 
-def _tail_factor(k_cut: float, s: float) -> tuple[float, float]:
-    """(l, c) of the closed-form bound |f(k_cut)| * l * c on |integral over
+def _tail_factor(k_cut: float, s: float) -> float:
+    """l c of the closed-form bound |f(k_cut)| l c on |integral over
     [k_cut, inf)| for integrands dominated by (k/k_cut)^2 e^{-(k - k_cut)/l}
     times |f(k_cut)|, with l = s sqrt(k_cut^2 + 1)/k_cut the decay length
-    of e^{-sqrt(k^2+1)/s} at k_cut (at least s)."""
+    of e^{-sqrt(k^2+1)/s} at k_cut (at least s), r = l/k_cut and
+    c = 1 + 2 r + 2 r^2."""
     ell = s * math.sqrt(k_cut * k_cut + 1.0) / k_cut
     r = ell / k_cut
-    return ell, 1.0 + 2.0 * r + 2.0 * r * r
+    return ell * (1.0 + 2.0 * r + 2.0 * r * r)
 
 
 def integrate_semi_infinite(f, config: QuadratureConfig,
@@ -162,6 +171,16 @@ def integrate_semi_infinite(f, config: QuadratureConfig,
     come back as floats or as arrays of length m. k_cut defaults to
     max(10*decay_scale, 10) and is doubled while the analytic tail bound
     is above its share of the tolerance.
+
+    Contract: each component keeps one sign on [0, inf) (zeros allowed).
+    The error estimate takes a panel's integral of |f| as the absolute
+    value of its Kronrod sum, which is exact only then; this is not
+    checked. Every integrand of thermal_charge_density is of one sign:
+    k^2 n1 and k^2 n2 are >= 0, and k^2 (n1 - n2) has the sign of mu.
+
+    The work is a level pass, repeated on the bisected panels until every
+    component meets its tolerance (see _levels); at the default tolerance
+    thermal_charge_density needs one pass.
     """
     if k_cut is None:
         k_cut = max(10.0 * decay_scale, 10.0)
@@ -177,9 +196,9 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
 
     Each level calls f once, on one buffer holding the 15 Kronrod nodes
     of every panel followed by k_cut. The sums over panels are numpy's;
-    the tail bound, the running totals and the tolerance test are done on
-    Python floats, which take the same IEEE steps as numpy's float64
-    arithmetic on the few components.
+    the tail bound, the running totals and the tolerance test are one
+    loop over the components on Python floats, which take the same IEEE
+    steps as numpy's float64 arithmetic.
     """
     edges = _initial_edges(k_cut, s)
     a, b = edges[:-1], edges[1:]
@@ -197,21 +216,27 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         k += mid[:, None]
         nodes[-1] = k_cut
         y = np.asarray(f(nodes), dtype=float)
-        # one row per component; |rows| is taken whole, as numpy is
-        # slower on the strided panel view
         rows = y.reshape(-1, len(nodes))
-        abs_rows = np.abs(rows)
-        panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15),
-                                abs_rows[:, :-1].reshape(-1, n, 15), h)
+        panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), h)
         sums, err_sums = np.add.reduce(panels, axis=-1).tolist()
         if done is None:
             done = done_err = [0.0] * len(sums)
-        value = [v + d for v, d in zip(sums, done)]
-        ell, factor = _tail_factor(k_cut, s)
-        tail = [c * ell * factor for c in abs_rows[:, -1].tolist()]
-        error = [e + d + c for e, d, c in zip(err_sums, done_err, tail)]
-        tol = [config.rel_tol * abs(v) + _ABS_TOL for v in value]
-        if all(e <= t for e, t in zip(error, tol)):
+        # one pass over the components: totals, tail bound, tolerance test
+        bound = _tail_factor(k_cut, s)
+        value, error, tail, tol = [], [], [], []
+        converged = True
+        for v, e, c, d, d_err in zip(sums, err_sums, rows[:, -1].tolist(),
+                                     done, done_err):
+            v += d
+            c = abs(c) * bound
+            e = e + d_err + c
+            t = config.rel_tol * abs(v) + _ABS_TOL
+            value.append(v)
+            error.append(e)
+            tail.append(c)
+            tol.append(t)
+            converged &= e <= t
+        if converged:
             return value, error, y.ndim
         kron, err = panels
         extend = any(c > 0.5 * t for c, t in zip(tail, tol))

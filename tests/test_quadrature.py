@@ -116,6 +116,30 @@ def test_non_convergence_on_budget(monkeypatch):
         integrate_semi_infinite(spike, cfg)
 
 
+def test_error_estimate_is_quadpack_on_one_signed_panels():
+    # resabs is taken as |Kronrod sum|, the Kronrod sum of |y| where y
+    # keeps one sign. Rough panels have their estimate capped at resabs,
+    # smooth ones, e^{-c (1 + x)}, have it sharpened.
+    rng = np.random.default_rng(5)
+    y = np.empty((2, 40, 15))
+    y[:, :20] = rng.uniform(0.0, 1.0, (2, 20, 15)) ** 8
+    c = rng.uniform(0.1, 5.0, (2, 20, 1))
+    y[:, 20:] = np.exp(-c * (1.0 + quadrature._NODES))
+    y[1] *= -1.0
+    h = rng.uniform(1e-3, 1.0, 40)
+    wk = np.concatenate([quadrature._WK[:-1], quadrature._WK[::-1]])
+    wg = np.zeros(15)
+    wg[1::2] = np.concatenate([quadrature._WG[:-1], quadrature._WG[::-1]])
+    resabs = h * (np.abs(y) @ wk)
+    ratio = 200.0 * np.abs(h * (y @ (wk - wg))) / resabs
+    assert (ratio > 1.0).sum() > 20 and (ratio < 1.0).sum() > 20
+    kron, err = quadrature._gauss_kronrod(y, h)
+    np.testing.assert_allclose(kron, h * (y @ wk), rtol=1e-14)
+    # up to the rounding of the cancelling sum K - G on smooth panels
+    expected = resabs * np.minimum(1.0, ratio ** 1.5)
+    assert (np.abs(err - expected) <= 1e-9 * expected + 1e-14 * resabs).all()
+
+
 def test_charge_difference_integral_reference():
     from relbec import charge_integrand
     phase = PhasePoint(1.0, 0.5)
