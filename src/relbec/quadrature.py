@@ -64,6 +64,10 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, 15 nodes
+# (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid: the product with 1
+# is exact and the two terms are added in order, so every node is the
+# double that h * x + mid gives elementwise
+_NODE_MAP = np.stack([_NODES, np.ones(15)])
 # Columns: Kronrod weights over the 15 ascending nodes, and 200 times
 # Kronrod minus Gauss weights (the Gauss rule uses the odd nodes) for the
 # error estimate.
@@ -211,9 +215,7 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         np.add(a, b, out=mid)
         half *= 0.5
         nodes = np.empty(15 * n + 1)
-        k = nodes[:-1].reshape(n, 15)
-        np.multiply(h[:, None], _NODES, out=k)
-        k += mid[:, None]
+        np.matmul(half.T, _NODE_MAP, out=nodes[:-1].reshape(n, 15))
         nodes[-1] = k_cut
         y = np.asarray(f(nodes), dtype=float)
         rows = y.reshape(-1, len(nodes))
