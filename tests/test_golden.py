@@ -15,7 +15,6 @@ import json
 import math
 import pathlib
 import platform
-import sys
 
 import numpy as np
 import pytest
@@ -116,14 +115,6 @@ def test_eos_doubles_at_tight_tolerance(row):
                                     abs=0.0)
 
 
-def test_eos_golden_covers_the_range():
-    ts = [float.fromhex(r["t"]) for r in EOS_ROWS]
-    mus = {float.fromhex(r["mu"]) for r in EOS_ROWS}
-    assert len(EOS_ROWS) == 40
-    assert min(ts) == 1e-12 and max(ts) == 4e102
-    assert {1.0, -1.0, 0.0, 1.0 - 1e-9, -(1.0 - 1e-9)} <= mus
-
-
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_stdout_matches_golden(name):
     assert cli_stdout(CLI_CASES[name]) == (CLI_DIR / f"{name}.txt").read_text()
@@ -131,4 +122,3 @@ def test_cli_stdout_matches_golden(name):
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)
