@@ -78,13 +78,39 @@ def ur_densities(t: float, mu: float) -> ChargeDensities:
     return ChargeDensities.from_pair(a + b, a - b)
 
 
+def _power(evaluate) -> float:
+    """evaluate(), or inf where a float ** in it overflows, which Python
+    raises as OverflowError rather than returning inf."""
+    try:
+        return evaluate()
+    except OverflowError:
+        return math.inf
+
+
+def _require_prefactor(operation: str, pref: float, dim: Dimension,
+                       detail: str) -> None:
+    """Raise UnsupportedDimension, naming d, unless the prefactor of a
+    d-dimensional formula is a positive finite double: past d ~ 150 its
+    Gammas and powers leave the double range."""
+    if not 0.0 < pref < math.inf:
+        raise UnsupportedDimension(
+            f"{operation} at {detail}, d = {dim.d}: the prefactor is {pref}, "
+            f"not a positive finite double at this dimension")
+
+
 def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
-    in fully scaled units T_c/m = sqrt(3 q/m^3)."""
+    in fully scaled units T_c/m = sqrt(3 q/m^3). InvalidArgument where
+    3 q overflows."""
     require_finite("q", q_over_m)
     if not (q_over_m > 0.0):
         raise InvalidArgument(f"q must be > 0, got {q_over_m}")
-    return math.sqrt(3.0 * q_over_m)
+    t_c = math.sqrt(3.0 * q_over_m)
+    if t_c == math.inf:
+        raise InvalidArgument(
+            f"ur_critical_temperature at q = {q_over_m}: T_c is not a "
+            f"finite double")
+    return t_c
 
 
 def ur_density_ratio(t_c: float, mu: float = 1.0) -> float:
@@ -99,28 +125,46 @@ def ur_density_ratio(t_c: float, mu: float = 1.0) -> float:
 def density_of_states(eps: float, dim: Dimension) -> float:
     """Relativistic single-particle density of states per unit volume,
     (2 pi^{d/2} / ((2 pi)^d Gamma(d/2))) eps (eps^2 - 1)^{(d-2)/2},
-    for scaled energy eps >= 1."""
+    for scaled energy eps >= 1. UnsupportedDimension where the prefactor
+    is not a positive finite double, InvalidArgument where the value
+    overflows."""
     require_finite("eps", eps)
     if eps < 1.0:
         raise InvalidArgument(f"energy below the mass gap: eps = {eps}")
     d = dim.d
-    pref = 2.0 * math.pi ** (d / 2.0) / ((2.0 * math.pi) ** d * gamma_half(d / 2.0))
-    return pref * eps * (eps * eps - 1.0) ** ((d - 2) / 2.0)
+    pref = _power(lambda: 2.0 * math.pi ** (d / 2.0)
+                  / ((2.0 * math.pi) ** d * gamma_half(d / 2.0)))
+    _require_prefactor("density_of_states", pref, dim, f"eps = {eps}")
+    dos = _power(lambda: pref * eps * (eps * eps - 1.0) ** ((d - 2) / 2.0))
+    if dos == math.inf:
+        raise InvalidArgument(
+            f"density_of_states at eps = {eps}, d = {d}: the density of "
+            f"states is not a finite double")
+    return dos
 
 
 def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     """UR critical temperature of the d-dimensional gas,
     [ (2 pi)^d Gamma(d/2) / (4 pi^{d/2} Gamma(d) zeta(d-1)) * q/m ]^{1/(d-1)}.
 
-    Reduces exactly to sqrt(3 q/m) at d = 3.
+    Reduces exactly to sqrt(3 q/m) at d = 3. UnsupportedDimension where
+    the prefactor is not a positive finite double (d >= 155),
+    InvalidArgument where T_c is not (pref q over- or underflows).
     """
     require_finite("q", q_over_m)
     if not (q_over_m > 0.0):
         raise InvalidArgument(f"q must be > 0, got {q_over_m}")
     d = dim.d
-    pref = (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
-        4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1))
-    return (pref * q_over_m) ** (1.0 / (d - 1))
+    pref = _power(lambda: (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
+        4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1)))
+    _require_prefactor("ddim_critical_temperature", pref, dim,
+                       f"q = {q_over_m}")
+    t_c = (pref * q_over_m) ** (1.0 / (d - 1))
+    if not 0.0 < t_c < math.inf:
+        raise InvalidArgument(
+            f"ddim_critical_temperature at q = {q_over_m}, d = {d}: T_c is "
+            f"{t_c}, not a positive finite double")
+    return t_c
 
 
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:

@@ -15,8 +15,9 @@ form, in which every term but the first few windings is negligible; the
 remainder dies out within a few hundred shells. No array grows with the
 number of shells within the cutoff. Only the exact count of modes_used,
 taken over one of the ball's 48 symmetric copies, costs O(mode_cutoff^2)
-time, in O(mode_cutoff) memory: ~2.3 ms of a ~2.7 ms sum at cutoff 2606,
-where the head, 1000 terms of one winding shell, takes ~0.15 ms.
+time, in O(mode_cutoff) memory: ~1.2 ms of a ~1.4 ms sum at cutoff 2606,
+where the head, 1000 terms of one winding shell, takes ~0.1 ms. Up to
+cutoff 4096 the count takes its square roots in float32, exactly.
 """
 import math
 import sys
@@ -48,7 +49,8 @@ _MARGIN = 40.0
 # ~0.15 s at its budget on 2 vCPUs: lattice shells with counted
 # degeneracies (r3), Boltzmann terms J * (winding shells + 1) (~0.14 us
 # each), and the mode cutoff, since counting modes_used takes
-# ~1.6e-10 c^2 s.
+# ~1.6e-10 c^2 s there (float64; ~2.4e-10 c^2 s just above 4096, and in
+# float32 ~1.5-1.8e-10 c^2 s at c = 2600-4096).
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
 _MAX_CUTOFF = 30_000
@@ -59,8 +61,8 @@ _SEARCH_CAP = 1 << 23
 _GUESS_STEPS = 4
 # The modes_used count takes its square roots in rectangles of lattice
 # rows, one numpy call each rather than one per row: up to _COUNT_ROWS
-# rows and about _COUNT_CHUNK radicands (a 0.5 MB buffer; 2^18 is no
-# faster). _BELOW masks the entries x <= y of a rectangle whose columns
+# rows and about _COUNT_CHUNK radicands (a 0.25 MB float32 or 0.5 MB
+# float64 buffer; 2^18 was no faster in float64). _BELOW masks the entries x <= y of a rectangle whose columns
 # start at its first row's y + 1.
 _COUNT_CHUNK = 1 << 16
 _COUNT_ROWS = 64
@@ -95,12 +97,14 @@ def _shell_counts(max_m: int) -> np.ndarray:
 
 
 def _floor_root_sum(radicands: np.ndarray) -> int:
-    """Sum of floor(sqrt(r)) over an array of integer radicands r < 2^52,
-    computed in place. The float sqrt is exact under floor there, and the
-    partial sums are integers below 2^53."""
+    """Sum of floor(sqrt(r)) over an array of integer radicands, r < 2^52
+    in float64 or r <= 2^24 in float32, computed in place. The correctly
+    rounded sqrt is exact under floor there (see _lattice_points), and the
+    sum is accumulated in float64, whose partial sums are exact integers
+    below 2^53; float32 ones would not be above 2^24."""
     np.sqrt(radicands, out=radicands)
     np.floor(radicands, out=radicands)
-    return int(radicands.sum())
+    return int(np.add.reduce(radicands, axis=None, dtype=np.float64))
 
 
 def _lattice_points(cutoff: int) -> int:
@@ -128,14 +132,26 @@ def _lattice_points(cutoff: int) -> int:
     entries x <= y; the others have r < (y - 1)^2 already.
     Only the rectangles' corners take integer square roots: no array or
     loop runs over the rows.
+
+    Up to c = 4096 the radicands are float32, half the bytes of float64,
+    and the count is still exact. Every radicand (c^2 - x^2, c^2 - 2 x^2,
+    c^2 - x^2 - y^2) and clamp bound (y - 1)^2 is then an integer of
+    magnitude <= c^2 <= 2^24, as are the squares, differences, minima and
+    maxima they come from, so float32 holds each exactly. For an integer
+    r < 2^24 with k = isqrt(r) <= 4095, (k + 1) - sqrt(r) > 1/(2 (k + 1))
+    >= 2^-13, which is at least half an ulp below k + 1 <= 2^12; so the
+    correctly rounded float32 sqrt(r) lies in [k, k + 1) and its floor is
+    k on every SIMD dispatch. Above 4096 that margin fails, and float64,
+    exact for r < 2^52, is kept.
     """
     c2 = cutoff * cutoff
-    sq = np.arange(cutoff + 1, dtype=float) ** 2
+    dtype = np.float32 if c2 <= 1 << 24 else np.float64
+    sq = np.arange(cutoff + 1, dtype=dtype) ** 2
     a = math.isqrt(c2 // 2)
     f = math.isqrt(c2 // 3)
     q = 2 * _floor_root_sum(c2 - sq[1:a + 1]) - a * a
     e = _floor_root_sum(c2 - 2.0 * sq[1:a + 1]) - f
-    buf = np.empty(max(_COUNT_CHUNK, cutoff))
+    buf = np.empty(max(_COUNT_CHUNK, cutoff), dtype=dtype)
     y_cap = math.isqrt(max(c2 - 2, 0) // 3) + 1
     y_end = (math.isqrt(max(2 * c2 - 3, 0)) - 1) // 2
     d = 0
@@ -386,8 +402,9 @@ def _k2e(x: np.ndarray) -> np.ndarray:
 
 
 def _boltzmann_head(t: float, length: float, j_max: int,
-                    m_wind: int) -> np.ndarray:
-    """(1/L^3) sum over n != 0 of e^{-j (E_n - 1)/t}, for j = 1..J.
+                    shells: np.ndarray) -> np.ndarray:
+    """(1/L^3) sum over n != 0 of e^{-j (E_n - 1)/t}, for j = 1..J, from
+    the degeneracies shells[m] = r3[m] of the winding shells m kept.
 
     Poisson summation turns the lattice sum into windings w:
     (1/L^3) sum_n e^{-beta E_n} = sum_w beta K2(rho_w) / (2 pi^2 rho_w^2),
@@ -396,10 +413,10 @@ def _boltzmann_head(t: float, length: float, j_max: int,
     scaled, _k2e(rho) e^{-(rho - beta)}.
     """
     beta = np.arange(1, j_max + 1)[:, None] / t
-    lw2 = length * length * np.arange(m_wind + 1, dtype=float)
+    lw2 = length * length * np.arange(len(shells), dtype=float)
     rho = np.sqrt(beta * beta + lw2)
     terms = _k2e(rho) * np.exp(-lw2 / (rho + beta)) / (rho * rho)
-    terms *= _shell_counts(m_wind)
+    terms *= shells
     return _MEASURE * beta[:, 0] * terms.sum(axis=1) - 1.0 / length ** 3
 
 
@@ -437,9 +454,10 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     _require_scales("mode_sum", phase, length)
     _require_tolerance("mode_sum", phase, length, tail_rel_tol)
     j_max, m_direct, m_wind = _plan(phase, box)
-    head = _boltzmann_head(t, length, j_max, m_wind)
+    shells = _shell_counts(max(m_direct, m_wind))
+    head = _boltzmann_head(t, length, j_max, shells[:m_wind + 1])
     m = np.arange(1, m_direct + 1, dtype=float)
-    counts = _shell_counts(m_direct)[1:].astype(float)
+    counts = shells[1:m_direct + 1].astype(float)
     k = 2.0 * math.pi / length * np.sqrt(m)
     gap = _gap(k * k)
     vol = length ** 3

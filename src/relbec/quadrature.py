@@ -99,13 +99,15 @@ _MAX_PANELS = 4000
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Relative tolerance of the adaptive scheme, on each component."""
+    """Relative tolerance of the adaptive scheme, on each component:
+    finite, above 0 and below 1."""
 
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise InvalidArgument("tolerances must be positive")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise InvalidArgument(
+                f"rel_tol must be above 0 and below 1, got {self.rel_tol}")
 
 
 def _momentum(us: float) -> float:
@@ -186,8 +188,16 @@ def integrate_semi_infinite(f, config: QuadratureConfig,
     component meets its tolerance (see _levels); at the default tolerance
     thermal_charge_density needs one pass.
     """
+    if not 0.0 < decay_scale < math.inf:
+        raise InvalidArgument(
+            f"integrate_semi_infinite: decay_scale must be positive and "
+            f"finite, got {decay_scale}")
     if k_cut is None:
         k_cut = max(10.0 * decay_scale, 10.0)
+    elif not 0.0 < k_cut < math.inf:
+        raise InvalidArgument(
+            f"integrate_semi_infinite: k_cut must be positive and finite, "
+            f"got {k_cut}")
     value, error, ndim = _levels(f, config, k_cut, decay_scale)
     value, error = np.array(value), np.array(error)
     return (value, error) if ndim > 1 else (value[0], error[0])

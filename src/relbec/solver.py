@@ -16,7 +16,7 @@ from .errors import (AboveCritical, BelowCritical, InvalidArgument,
 from .limits import _ZETA_3_2
 from .quadrature import QuadratureConfig, thermal_charge_density
 from .types import (ChargeDensities, CriticalPoint, PhasePoint,
-                    require_finite, require_temperature)
+                    require_count, require_finite, require_temperature)
 
 # Brent's method cannot narrow a bracket below a few ulps of the root
 _MIN_RTOL = 4.0 * np.finfo(float).eps
@@ -27,7 +27,7 @@ _MAX_ITERS = 200
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances of the EOS inversions: mu_tol relative on mu, t_tol
-    relative on T_c, neither below 4 ulps.
+    relative on T_c, each finite, not below 4 ulps and below 1.
 
     The charge at the returned mu is off by about mu_tol * mu *
     dln(q_tilde)/dmu relative: at low t, where q_tilde ~ e^{(mu - 1)/t},
@@ -42,9 +42,10 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, tol in (("mu_tol", self.mu_tol), ("t_tol", self.t_tol)):
-            if not tol >= _MIN_RTOL:
+            if not _MIN_RTOL <= tol < 1.0:
                 raise InvalidArgument(
-                    f"{name} must be >= {_MIN_RTOL:.3g}, got {tol}")
+                    f"{name} must be >= {_MIN_RTOL:.3g} and below 1, got "
+                    f"{tol}")
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,7 @@ def universal_curves(q_min: float, q_max: float, points: int,
     the antiparticle ratio at the transition for each point."""
     if not (0.0 < q_min < q_max < math.inf):
         raise InvalidArgument("require 0 < q_min < q_max < inf")
-    if points < 2:
-        raise InvalidArgument("need at least 2 points")
+    require_count("points", points, 2)
     out = []
     for q in np.geomspace(q_min, q_max, points):
         q = float(q)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument
-from .types import MomentumProfile, PhasePoint
+from .types import MomentumProfile, PhasePoint, require_count
 
 # Beyond this exponent expm1 overflows; occupation is then e^{-x} exactly
 # to double precision.
@@ -128,10 +128,10 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
     to the thermal charge density. No 1/2pi^2 prefactor is applied to the
     emitted curves.
     """
-    if not (k_max > 0.0):
-        raise InvalidArgument(f"k_max must be > 0, got {k_max}")
-    if samples < 2:
-        raise InvalidArgument(f"need at least 2 samples, got {samples}")
+    if not (k_max > 0.0 and k_max * k_max < math.inf):
+        raise InvalidArgument(
+            f"k_max must be > 0 with k_max^2 a finite double, got {k_max}")
+    require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
     n1, n2, _ = _weighted_occupations(k, phase)
     return MomentumProfile(k_grid=k, n1_of_k=n1, n2_of_k=n2)

@@ -6,6 +6,7 @@ m^3 (natural units, hbar = c = k_B = 1). The mass itself never appears as
 a runtime parameter.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,14 @@ def require_finite(name: str, value) -> None:
     infinite."""
     if not math.isfinite(value):
         raise InvalidArgument(f"{name} must be finite, got {value}")
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Raise InvalidArgument, naming the argument, unless value is an
+    integer (Python or numpy) >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise InvalidArgument(
+            f"{name} must be an integer >= {least}, got {value}")
 
 
 def require_temperature(t) -> None:

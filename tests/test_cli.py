@@ -273,6 +273,12 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "-1"],
     ["ddim-tc", "--q-over-m", "inf", "--dim", "3"],
     ["--tol-mu", "1e-20", "mu", "--q", "0.1", "--t", "1"],
+    ["--tol-tc", "inf", "tc", "--q", "1"],
+    ["--tol-mu", "inf", "mu", "--q", "0.5", "--t", "2"],
+    ["--tol-quad", "inf", "tc", "--q", "1"],
+    ["--tol-quad", "1", "mu", "--q", "0.5", "--t", "2"],
+    ["profile", "--q", "0.1", "--t", "1", "--k-max", "inf", "--samples", "3"],
+    ["ddim-tc", "--q-over-m", "1e308", "--dim", "3"],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):
     # a value out of its domain is reported, not a traceback; only a
@@ -281,6 +287,17 @@ def test_invalid_argument_is_an_error_record(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("dim", ["171", "200", "400"])
+def test_ddim_tc_beyond_the_double_range_is_an_error_record(capsys, dim):
+    code, out, err = run_cli(capsys, "ddim-tc", "--q-over-m", "1",
+                             "--dim", dim)
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "UnsupportedDimension"
+    assert f"d = {dim}" in record["message"]
 
 
 def test_error_record_on_condensed_state(capsys):

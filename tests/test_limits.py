@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,45 @@ def test_ddim_four_dimensions():
     got = ddim_critical_temperature(1.0, Dimension(4))
     assert got == pytest.approx(expected, rel=1e-13)
     assert got == pytest.approx(1.7623594292442, rel=1e-12)
+
+
+def test_ddim_is_positive_and_finite_below_the_prefactor_range():
+    for d in range(3, 155):
+        assert 0.0 < ddim_critical_temperature(1.0, Dimension(d)) < math.inf
+
+
+@pytest.mark.parametrize("d", [155, 171, 200, 400])
+def test_ddim_prefactor_out_of_range_raises(d):
+    # the prefactor underflows to 0 (d = 155, 171), turns nan (200) or
+    # overflows (400) instead of giving 0, nan or an OverflowError
+    with pytest.raises(UnsupportedDimension, match=f"q = 1.0, d = {d}"):
+        ddim_critical_temperature(1.0, Dimension(d))
+
+
+@pytest.mark.parametrize("q, d", [(1e308, 3), (1e-308, 100)])
+def test_ddim_result_out_of_range_raises(q, d):
+    with pytest.raises(InvalidArgument,
+                       match=re.escape(f"q = {q}, d = {d}: T_c is")):
+        ddim_critical_temperature(q, Dimension(d))
+
+
+def test_ur_critical_temperature_overflow_raises():
+    assert ur_critical_temperature(5.9e307) < math.inf
+    with pytest.raises(InvalidArgument, match=re.escape("q = 1e+308: T_c")):
+        ur_critical_temperature(1e308)
+
+
+@pytest.mark.parametrize("d", [200, 400])
+def test_density_of_states_prefactor_out_of_range_raises(d):
+    with pytest.raises(UnsupportedDimension, match=f"eps = 2.0, d = {d}"):
+        density_of_states(2.0, Dimension(d))
+
+
+def test_density_of_states_overflow_raises():
+    # eps^2 overflows at d = 3; the power overflows at d = 10
+    for eps, d in ((1e200, 3), (1e100, 10)):
+        with pytest.raises(InvalidArgument, match=f"d = {d}: the density"):
+            density_of_states(eps, Dimension(d))
 
 
 def test_dimension_two_rejected():

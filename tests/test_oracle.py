@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -161,7 +164,7 @@ def test_boltzmann_head_matches_sum_over_modes(t, length):
     # cutoff 65 takes the split sum, whose head covers every n != 0
     j_max, _, m_wind = _plan(PhasePoint(t, 0.0), BoxSpec(length, 65))
     assert j_max >= 1
-    head = _boltzmann_head(t, length, j_max, m_wind)
+    head = _boltzmann_head(t, length, j_max, _shell_counts(m_wind))
     np.testing.assert_allclose(head, head_by_modes(t, length, j_max),
                                rtol=1e-13, atol=0.0)
 
@@ -361,8 +364,25 @@ def test_lattice_points_matches_wedge_count_up_to_the_budget():
     assert {989, 1351, 2340, 3691, 5042, 8733, 13775, 18817} <= set(boundary)
     rng = np.random.default_rng(2606)
     sample = rng.integers(601, _MAX_CUTOFF + 1, size=3).tolist()
-    for cutoff in boundary + sample + [_MAX_CUTOFF]:
+    # 4096 is the last cutoff counted in float32
+    for cutoff in boundary + sample + [4095, 4096, 4097, _MAX_CUTOFF]:
         assert _lattice_points(cutoff) == wedge_count(cutoff), cutoff
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+def test_lattice_points_on_narrower_simd_loops(disabled):
+    # the float32 square roots are correctly rounded on every dispatch, so
+    # the AVX2 and SSE loops give the same counts
+    code = ("from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+            "from relbec.oracle import _lattice_points\n"
+            "assert not f['X86_V4']\n"
+            "print([_lattice_points(c) for c in (1302, 2603, 4096)])")
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[0] == "[9245307476, 73877279362, 287851423224]"
 
 
 def test_lattice_points_memory_does_not_grow_with_cutoff_squared():

@@ -105,6 +105,22 @@ def test_error_estimate_honest():
     assert abs(val - 2.0) <= err + 1e-14
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf, 1.0])
+def test_quadrature_config_validation(rel_tol):
+    with pytest.raises(InvalidArgument, match="^rel_tol must be"):
+        QuadratureConfig(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k_cut", math.nan), ("k_cut", math.inf), ("k_cut", 0.0),
+    ("k_cut", -1.0), ("decay_scale", math.nan), ("decay_scale", math.inf),
+    ("decay_scale", 0.0), ("decay_scale", -1.0)])
+def test_integrate_semi_infinite_rejects_bad_scales(name, value):
+    with pytest.raises(InvalidArgument, match=f"{name} must be positive"):
+        integrate_semi_infinite(lambda k: k * k * np.exp(-k),
+                                QuadratureConfig(), **{name: value})
+
+
 def test_non_convergence_on_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_LEVELS", 2)
     cfg = QuadratureConfig(rel_tol=1e-14)

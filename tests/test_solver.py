@@ -213,6 +213,17 @@ def test_solver_config_validation():
         SolverConfig(mu_tol=1e-20)
     with pytest.raises(InvalidArgument):
         SolverConfig(mu_tol=math.nan)
+    # a tolerance of 1 or more stops Brent at its first bracket
+    for name in ("mu_tol", "t_tol"):
+        for tol in (math.inf, -math.inf, 1.0, 2.0):
+            with pytest.raises(InvalidArgument, match=f"^{name} must be"):
+                SolverConfig(**{name: tol})
+
+
+@pytest.mark.parametrize("points", [2.5, 1, "3"])
+def test_universal_curves_takes_an_integer_count(points):
+    with pytest.raises(InvalidArgument, match="points must be an integer"):
+        universal_curves(0.1, 10.0, points)
 
 
 # (f, a, b): smooth roots inside the bracket, a root at either bracket end,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relbec import PhasePoint, charge_integrand, momentum_profile
+from relbec import (InvalidArgument, PhasePoint, charge_integrand,
+                    momentum_profile)
 from relbec.statistics import _TINY, _bose, _gap, _weighted_occupations
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
@@ -203,3 +204,18 @@ def test_momentum_profile_validation():
         momentum_profile(PhasePoint(1.0, 0.0), -1.0, 16)
     with pytest.raises(ValueError):
         momentum_profile(PhasePoint(1.0, 0.0), 1.0, 1)
+
+
+@pytest.mark.parametrize("k_max", [math.inf, math.nan, 1e200])
+def test_momentum_profile_rejects_k_max_without_finite_square(k_max):
+    # k_max^2 = inf would give nan rows
+    with pytest.raises(InvalidArgument, match="k_max must be"):
+        momentum_profile(PhasePoint(1.0, 0.1), k_max, 3)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+def test_momentum_profile_takes_an_integer_count(samples):
+    with pytest.raises(InvalidArgument, match="samples must be an integer"):
+        momentum_profile(PhasePoint(1.0, 0.1), 4.0, samples)
+    assert len(momentum_profile(PhasePoint(1.0, 0.1), 4.0,
+                                np.int64(3)).k_grid) == 3
