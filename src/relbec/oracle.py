@@ -104,7 +104,7 @@ def _floor_root_sum(radicands: np.ndarray) -> int:
     below 2^53; float32 ones would not be above 2^24."""
     np.sqrt(radicands, out=radicands)
     np.floor(radicands, out=radicands)
-    return int(np.add.reduce(radicands, axis=None, dtype=np.float64))
+    return int(radicands.sum(dtype=np.float64))
 
 
 def _lattice_points(cutoff: int) -> int:

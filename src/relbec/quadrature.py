@@ -194,10 +194,11 @@ def integrate_semi_infinite(f, config: QuadratureConfig,
             f"finite, got {decay_scale}")
     if k_cut is None:
         k_cut = max(10.0 * decay_scale, 10.0)
-    elif not 0.0 < k_cut < math.inf:
+    # the panel edges take k_cut^2
+    if not (k_cut > 0.0 and k_cut * k_cut < math.inf):
         raise InvalidArgument(
-            f"integrate_semi_infinite: k_cut must be positive and finite, "
-            f"got {k_cut}")
+            f"integrate_semi_infinite: k_cut must be positive with k_cut^2 "
+            f"a finite double, got {k_cut}")
     value, error, ndim = _levels(f, config, k_cut, decay_scale)
     value, error = np.array(value), np.array(error)
     return (value, error) if ndim > 1 else (value[0], error[0])
@@ -255,6 +256,13 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         limit = np.array([(t - d - (0.0 if extend else c)) / n
                           for t, d, c in zip(tol, done_err, tail)])
         over = (err > limit[:, None]).any(axis=0)
+        if not (extend or over.any()):
+            # a nan tail bound, 0 * inf where f(k_cut) = 0 and the tail
+            # factor overflows, leaves no panel over its share
+            raise NonConvergence(
+                f"quadrature error above tolerance with no panel left to "
+                f"refine at level {level}: tail bounds {tail} at k_cut = "
+                f"{k_cut}")
         keep = ~over
         done = [d + v for d, v in
                 zip(done, kron[:, keep].sum(axis=-1).tolist())]

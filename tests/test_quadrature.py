@@ -113,12 +113,23 @@ def test_quadrature_config_validation(rel_tol):
 
 @pytest.mark.parametrize("name, value", [
     ("k_cut", math.nan), ("k_cut", math.inf), ("k_cut", 0.0),
-    ("k_cut", -1.0), ("decay_scale", math.nan), ("decay_scale", math.inf),
-    ("decay_scale", 0.0), ("decay_scale", -1.0)])
+    ("k_cut", -1.0), ("k_cut", 1e200), ("decay_scale", math.nan),
+    ("decay_scale", math.inf), ("decay_scale", 0.0), ("decay_scale", -1.0)])
 def test_integrate_semi_infinite_rejects_bad_scales(name, value):
     with pytest.raises(InvalidArgument, match=f"{name} must be positive"):
         integrate_semi_infinite(lambda k: k * k * np.exp(-k),
                                 QuadratureConfig(), **{name: value})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f, kwargs", [
+    (lambda k: k * k * np.exp(-k), {"k_cut": 1e-200}),
+    (lambda k: np.exp(-k), {"k_cut": 1.0, "decay_scale": 1e105})])
+def test_nan_tail_bound_is_non_convergence(f, kwargs):
+    # f(k_cut) = 0 times an overflowed tail factor leaves no panel to
+    # refine, once at the start and once after 10 cutoff doublings
+    with pytest.raises(NonConvergence, match="no panel left to refine"):
+        integrate_semi_infinite(f, QuadratureConfig(), **kwargs)
 
 
 def test_non_convergence_on_budget(monkeypatch):
