@@ -49,8 +49,8 @@ _MARGIN = 40.0
 # ~0.15 s at its budget on 2 vCPUs: lattice shells with counted
 # degeneracies (r3), Boltzmann terms J * (winding shells + 1) (~0.14 us
 # each), and the mode cutoff, since counting modes_used takes
-# ~1.6e-10 c^2 s there (float64; ~2.4e-10 c^2 s just above 4096, and in
-# float32 ~1.5-1.8e-10 c^2 s at c = 2600-4096).
+# ~1.6e-10 c^2 s there in float64 (~2.4e-10 c^2 s just above 4096; the
+# float32 count below takes ~1.5-1.8e-10 c^2 s at c = 2600-4096).
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
 _MAX_CUTOFF = 30_000
@@ -62,8 +62,9 @@ _GUESS_STEPS = 4
 # The modes_used count takes its square roots in rectangles of lattice
 # rows, one numpy call each rather than one per row: up to _COUNT_ROWS
 # rows and about _COUNT_CHUNK radicands (a 0.25 MB float32 or 0.5 MB
-# float64 buffer; 2^18 was no faster in float64). _BELOW masks the entries x <= y of a rectangle whose columns
-# start at its first row's y + 1.
+# float64 buffer; 2^18 was no faster in float64). _BELOW masks the
+# entries x <= y of a rectangle whose columns start at its first row's
+# y + 1.
 _COUNT_CHUNK = 1 << 16
 _COUNT_ROWS = 64
 _BELOW = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
