@@ -12,8 +12,7 @@ from .errors import (AboveCritical, AsymptoteOutOfRange, BelowCritical,
 from .types import (BoxSpec, ChargeDensities, CriticalPoint, MomentumProfile,
                     PhasePoint)
 from .statistics import charge_integrand, momentum_profile
-from .quadrature import (QuadratureConfig, integrate_semi_infinite,
-                         thermal_charge_density)
+from .quadrature import QuadratureConfig, thermal_charge_density
 from .solver import (GasSolution, SolverConfig, condensed_solution,
                      critical_temperature, density_ratio, solve_mu,
                      universal_curves)
@@ -47,7 +46,7 @@ __all__ = [
     "UnsupportedDimension",
     "charge_integrand", "condensate_mode", "condensed_solution",
     "critical_temperature", "ddim_critical_temperature", "density_of_states",
-    "density_ratio", "gamma_half", "integrate_semi_infinite",
+    "density_ratio", "gamma_half",
     "low_t_condensate_antiparticles", "low_t_mu_asymptote", "mode_sum",
     "momentum_profile", "solve_mu", "suggest_cutoff", "thermal_charge_density",
     "universal_curves", "ur_condensed_fraction", "ur_critical_temperature",

@@ -23,7 +23,7 @@ from .solver import (SolverConfig, _thermal_state, critical_temperature,
                      condensed_solution, density_ratio, solve_mu,
                      universal_curves)
 from .statistics import momentum_profile
-from .types import BoxSpec, PhasePoint
+from .types import BoxSpec, PhasePoint, require_count
 
 DEFAULT_Q_FAMILY = [0.01, 0.1, 1.0, 10.0]
 # argparse's own pattern for a negative number has no exponent, so it reads
@@ -96,6 +96,8 @@ def _cmd_ddim_tc(args):
 
 
 def _cmd_ratio_sweep(args):
+    # --points 0 leaves each series its T_c row alone
+    require_count("points", args.points, 0)
     solver = _configs(args)
     rows = []
     for q in args.q:
@@ -128,6 +130,7 @@ def _grid_top(tc, n):
 
 
 def _cmd_fraction_sweep(args):
+    require_count("points", args.points, 1)
     solver = _configs(args)
     rows = []
     for q in args.q:
@@ -239,18 +242,26 @@ def build_parser():
     return p
 
 
+def _error_record(exc, args) -> int:
+    """Write exc as the JSON error record on stderr; returns exit code 1."""
+    record = {"error": type(exc).__name__,
+              "operation": args.subcommand,
+              "message": str(exc)}
+    sys.stderr.write(json.dumps(record) + "\n")
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         rows, columns = args.func(args)
     except RelBecError as exc:
-        record = {"error": type(exc).__name__,
-                  "operation": args.subcommand,
-                  "message": str(exc)}
-        sys.stderr.write(json.dumps(record) + "\n")
-        return 1
-    _emit(rows, columns, args.format, args.out)
+        return _error_record(exc, args)
+    try:
+        _emit(rows, columns, args.format, args.out)
+    except OSError as exc:  # an --out path that cannot be written
+        return _error_record(exc, args)
     return 0
 
 

@@ -40,13 +40,16 @@ def zeta_int(n: int) -> float:
 
 def gamma_half(x: float) -> float:
     """Gamma function at positive integer or half-integer x, by upward
-    recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)."""
+    recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi); inf from
+    x = 172 on, where Gamma(x) is past the largest double."""
     require_finite("x", x)
-    two_x = 2.0 * x
-    if x <= 0.0 or two_x != round(two_x):
+    whole = float(x).is_integer()
+    if x <= 0.0 or not (whole or (2.0 * x).is_integer()):
         raise InvalidArgument(
             f"gamma_half needs a positive integer or half-integer, got {x}")
-    if x == round(x):
+    if x > 171.5:
+        return math.inf
+    if whole:
         val, arg = 1.0, 1.0
     else:
         val, arg = math.sqrt(math.pi), 0.5

@@ -7,8 +7,8 @@ k^2 (n1 - n2) together); every component must meet
 rel_tol * |value| + 1e-14 on its own.
 
 The initial panels follow the physical scales of a Bose integrand with
-temperature s = decay_scale and dispersion sqrt(k^2 + 1). Below the
-thermal momentum p = sqrt(s (s + 2)), where the gap sqrt(k^2 + 1) - 1
+temperature s and dispersion sqrt(k^2 + 1). Below the thermal
+momentum p = sqrt(s (s + 2)), where the gap sqrt(k^2 + 1) - 1
 equals s, they shrink geometrically toward k = 0 down to 1e-12 p, which
 resolves the sqrt(2 (1 - |mu|))-wide peak as |mu| -> 1 at any t, and the
 mass scale k ~ 1 when t >> 1. Above p they grow in steps of gap/s, after
@@ -30,8 +30,8 @@ over the few components. At the default tolerances thermal_charge_density
 is one such pass over 571 nodes at every (t, mu).
 
 Every component must keep one sign on [0, inf): the error estimate takes
-a panel's integral of |f| as |Kronrod sum|, exact only then (see
-integrate_semi_infinite). Nothing checks this at run time.
+a panel's integral of |f| as |Kronrod sum|, exact only then. The kernel's
+rows keep it: test_statistics.test_weighted_occupations_keep_one_sign.
 """
 import bisect
 import math
@@ -64,9 +64,11 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, 15 nodes
-# (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid: the product with 1
-# is exact and the two terms are added in order, so every node is the
-# double that h * x + mid gives elementwise
+# (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid: on a level of two or
+# more panels each is the double h * x + mid gives elementwise. A one-panel
+# level (a cutoff extension alone) is one row, which numpy hands to BLAS
+# gemv: OpenBLAS's SkylakeX kernel rounds ~9% of its nodes h x + mid once
+# (fused), its Haswell and Prescott kernels none.
 _NODE_MAP = np.stack([_NODES, np.ones(15)])
 # Columns: Kronrod weights over the 15 ascending nodes, and 200 times
 # Kronrod minus Gauss weights (the Gauss rule uses the odd nodes) for the
@@ -166,55 +168,12 @@ def _tail_factor(k_cut: float, s: float) -> float:
     return ell * (1.0 + 2.0 * r + 2.0 * r * r)
 
 
-def integrate_semi_infinite(f, config: QuadratureConfig,
-                            k_cut: float | None = None,
-                            decay_scale: float = 1.0):
-    """Integrate f over [0, inf); returns (value, error_estimate).
-
-    f must accept a 1-d ndarray of abscissas and return either an array of
-    the same length or an array of shape (m, len(k)) for m components, and
-    decay at least like e^{-k/decay_scale} beyond k_cut. Value and error
-    come back as floats or as arrays of length m. k_cut defaults to
-    max(10*decay_scale, 10) and is doubled while the analytic tail bound
-    is above its share of the tolerance.
-
-    Contract: each component keeps one sign on [0, inf) (zeros allowed).
-    The error estimate takes a panel's integral of |f| as the absolute
-    value of its Kronrod sum, which is exact only then; this is not
-    checked. Every integrand of thermal_charge_density is of one sign:
-    k^2 n1 and k^2 n2 are >= 0, and k^2 (n1 - n2) has the sign of mu.
-
-    The work is a level pass, repeated on the bisected panels until every
-    component meets its tolerance (see _levels); at the default tolerance
-    thermal_charge_density needs one pass.
-    """
-    if not 0.0 < decay_scale < math.inf:
-        raise InvalidArgument(
-            f"integrate_semi_infinite: decay_scale must be positive and "
-            f"finite, got {decay_scale}")
-    if k_cut is None:
-        k_cut = max(10.0 * decay_scale, 10.0)
-    # the panel edges take k_cut^2
-    if not (k_cut > 0.0 and k_cut * k_cut < math.inf):
-        raise InvalidArgument(
-            f"integrate_semi_infinite: k_cut must be positive with k_cut^2 "
-            f"a finite double, got {k_cut}")
-    value, error, ndim = _levels(f, config, k_cut, decay_scale)
-    value, error = np.array(value), np.array(error)
-    return (value, error) if ndim > 1 else (value[0], error[0])
-
-
 def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
-    """The level loop of integrate_semi_infinite: (value, error, ndim) with
-    value and error as lists of floats, one per component, and ndim that
-    of f's output.
-
-    Each level calls f once, on one buffer holding the 15 Kronrod nodes
-    of every panel followed by k_cut. The sums over panels are numpy's;
-    the tail bound, the running totals and the tolerance test are one
-    loop over the components on Python floats, which take the same IEEE
-    steps as numpy's float64 arithmetic.
-    """
+    """(value, error) of the integral of f over [0, inf), as lists of
+    floats, one per row of f's output; each row keeps one sign and decays
+    at least like e^{-k/s} beyond k_cut, which is doubled as needed. The
+    loop over the components runs on Python floats, which take the same
+    IEEE steps as numpy's float64 arithmetic."""
     edges = _initial_edges(k_cut, s)
     a, b = edges[:-1], edges[1:]
     done = done_err = None
@@ -250,7 +209,7 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
             tol.append(t)
             converged &= e <= t
         if converged:
-            return value, error, y.ndim
+            return value, error
         kron, err = panels
         extend = any(c > 0.5 * t for c, t in zip(tail, tol))
         limit = np.array([(t - d - (0.0 if extend else c)) / n
@@ -308,7 +267,7 @@ def thermal_charge_density(phase: PhasePoint,
         raise InvalidArgument(
             f"thermal_charge_density at t = {t}, mu = {phase.mu}: t must be "
             f"<= {_MAX_T:.3g}, above which the densities overflow")
-    (i1, i2, iq), _, _ = _levels(
+    (i1, i2, iq), _ = _levels(
         lambda k: _weighted_occupations(k, phase), config,
         _momentum(_CUT_EFOLDINGS * t), t)
     return ChargeDensities(n1=_MEASURE * i1, n2=_MEASURE * i2,

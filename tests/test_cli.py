@@ -117,6 +117,14 @@ def test_ratio_sweep_terminates_at_tc(capsys):
     assert all(t >= ts[0] for t in ts)
 
 
+def test_ratio_sweep_without_grid_points_keeps_the_tc_rows(capsys):
+    code, out, _ = run_cli(capsys, "ratio-sweep", "--q", "1", "10",
+                           "--points", "0")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().split("\n")] == [
+        "q_over_m3", "1.0000000000000000e+00", "1.0000000000000000e+01"]
+
+
 def test_universal_has_analytic_columns(capsys):
     code, out, _ = run_cli(capsys, "universal", "--q-min", "50",
                            "--q-max", "100", "--points", "2")
@@ -279,6 +287,9 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["--tol-quad", "1", "mu", "--q", "0.5", "--t", "2"],
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "inf", "--samples", "3"],
     ["ddim-tc", "--q-over-m", "1e308", "--dim", "3"],
+    ["ratio-sweep", "--q", "1", "--points", "-1"],
+    ["fraction-sweep", "--q", "1", "--points", "0"],
+    ["fraction-sweep", "--q", "1", "--points", "-2"],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):
     # a value out of its domain is reported, not a traceback; only a
@@ -322,6 +333,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("q_over_m3,")
+
+
+def test_unwritable_output_path_is_an_error_record(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "--out", str(target), "tc", "--q", "1")
+    assert code == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "FileNotFoundError"
+    assert record["operation"] == "tc"
+    assert str(target) in record["message"]
 
 
 def test_determinism_single_command(capsys):

@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relbec
 from relbec import (AsymptoteOutOfRange, Dimension, InvalidArgument,
                     NonPositiveTemperature, UnsupportedDimension,
                     ddim_critical_temperature, density_of_states, gamma_half,
@@ -45,6 +50,24 @@ def test_gamma_half_values():
     assert gamma_half(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-15)
     with pytest.raises(ValueError):
         gamma_half(0.3)
+
+
+@pytest.mark.parametrize("x", [172.0, 172.5, 1e9, 1e308])
+def test_gamma_half_past_the_doubles_is_inf(x):
+    assert gamma_half(x) == math.inf
+
+
+def test_gamma_half_returns_where_the_recursion_step_stalls():
+    # above 2^53, arg + 1.0 is arg: a recursion up to 1e17 never ends, so
+    # it runs in a fresh interpreter that a timeout can stop
+    src = str(pathlib.Path(relbec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from relbec import gamma_half; print(gamma_half(1e17))"],
+        env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout == "inf\n"
 
 
 def test_ur_densities_symmetric():

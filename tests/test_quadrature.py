@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from scipy.special import k0e, k1e, zeta
 
 from relbec import (InvalidArgument, NonConvergence, PhasePoint,
-                    QuadratureConfig, critical_temperature,
-                    integrate_semi_infinite, quadrature,
+                    QuadratureConfig, charge_integrand,
+                    critical_temperature, quadrature,
                     thermal_charge_density)
 
 # frozen 30-digit reference values
@@ -86,22 +86,25 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
+# The level loop on closed-form integrands, with the panels of
+# temperature s = 1 and the cutoff max(10 s, 10) = 10 unless stated.
 def test_gamma_three():
-    val, err = integrate_semi_infinite(lambda k: k * k * np.exp(-k),
-                                       QuadratureConfig())
+    (val,), (err,) = quadrature._levels(lambda k: k * k * np.exp(-k),
+                                        QuadratureConfig(), 10.0, 1.0)
     assert val == pytest.approx(2.0, rel=1e-12)
     assert err < 1e-10
 
 
 def test_gaussian_half_line():
-    val, _ = integrate_semi_infinite(lambda k: np.exp(-k * k),
-                                     QuadratureConfig())
+    (val,), _ = quadrature._levels(lambda k: np.exp(-k * k),
+                                   QuadratureConfig(), 10.0, 1.0)
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
 def test_error_estimate_honest():
     cfg = QuadratureConfig(rel_tol=1e-6)
-    val, err = integrate_semi_infinite(lambda k: k * k * np.exp(-k), cfg)
+    (val,), (err,) = quadrature._levels(lambda k: k * k * np.exp(-k), cfg,
+                                        10.0, 1.0)
     assert abs(val - 2.0) <= err + 1e-14
 
 
@@ -111,25 +114,15 @@ def test_quadrature_config_validation(rel_tol):
         QuadratureConfig(rel_tol=rel_tol)
 
 
-@pytest.mark.parametrize("name, value", [
-    ("k_cut", math.nan), ("k_cut", math.inf), ("k_cut", 0.0),
-    ("k_cut", -1.0), ("k_cut", 1e200), ("decay_scale", math.nan),
-    ("decay_scale", math.inf), ("decay_scale", 0.0), ("decay_scale", -1.0)])
-def test_integrate_semi_infinite_rejects_bad_scales(name, value):
-    with pytest.raises(InvalidArgument, match=f"{name} must be positive"):
-        integrate_semi_infinite(lambda k: k * k * np.exp(-k),
-                                QuadratureConfig(), **{name: value})
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("f, kwargs", [
-    (lambda k: k * k * np.exp(-k), {"k_cut": 1e-200}),
-    (lambda k: np.exp(-k), {"k_cut": 1.0, "decay_scale": 1e105})])
+    (lambda k: k * k * np.exp(-k), {"k_cut": 1e-200, "s": 1.0}),
+    (lambda k: np.exp(-k), {"k_cut": 1.0, "s": 1e105})])
 def test_nan_tail_bound_is_non_convergence(f, kwargs):
     # f(k_cut) = 0 times an overflowed tail factor leaves no panel to
     # refine, once at the start and once after 10 cutoff doublings
     with pytest.raises(NonConvergence, match="no panel left to refine"):
-        integrate_semi_infinite(f, QuadratureConfig(), **kwargs)
+        quadrature._levels(f, QuadratureConfig(), **kwargs)
 
 
 def test_non_convergence_on_budget(monkeypatch):
@@ -140,7 +133,7 @@ def test_non_convergence_on_budget(monkeypatch):
         return np.exp(-k) / np.sqrt(np.abs(k - 2.345) + 1e-14)
 
     with pytest.raises(NonConvergence):
-        integrate_semi_infinite(spike, cfg)
+        quadrature._levels(spike, cfg, 10.0, 1.0)
 
 
 def test_error_estimate_is_quadpack_on_one_signed_panels():
@@ -168,11 +161,9 @@ def test_error_estimate_is_quadpack_on_one_signed_panels():
 
 
 def test_charge_difference_integral_reference():
-    from relbec import charge_integrand
     phase = PhasePoint(1.0, 0.5)
-    val, _ = integrate_semi_infinite(lambda k: charge_integrand(k, phase),
-                                     QuadratureConfig(), k_cut=10.0,
-                                     decay_scale=1.0)
+    (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
+                                   QuadratureConfig(), 10.0, 1.0)
     assert val == pytest.approx(I_DIFF_REF, rel=1e-10)
 
 
@@ -197,13 +188,11 @@ def test_ultra_relativistic_charge():
 @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
 @pytest.mark.parametrize("mu", [0.2, 0.65, 0.95])
 def test_route_consistency(t, mu):
-    from relbec import charge_integrand
     cfg = QuadratureConfig()
     phase = PhasePoint(t, mu)
     d = thermal_charge_density(phase, cfg)
-    val, _ = integrate_semi_infinite(lambda k: charge_integrand(k, phase),
-                                     cfg, k_cut=max(10 * t, 10.0),
-                                     decay_scale=t)
+    (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
+                                   cfg, max(10 * t, 10.0), t)
     diff = val / (2.0 * math.pi ** 2)
     assert abs(diff - d.q_tilde) <= 10.0 * cfg.rel_tol * (d.n1 + d.n2)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
-                    momentum_profile)
+                    momentum_profile, quadrature)
 from relbec.statistics import _TINY, _bose, _gap, _weighted_occupations
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
@@ -137,6 +137,36 @@ def test_weighted_occupations_gapless_underflow(t):
     np.testing.assert_array_equal(mirror[0], rows[1])
     np.testing.assert_array_equal(mirror[1], rows[0])
     np.testing.assert_array_equal(mirror[2], -rows[2])
+
+
+def eos_nodes(t):
+    """k = 0, the panel edges and the Kronrod nodes of the first level of
+    thermal_charge_density at temperature t."""
+    edges = quadrature._initial_edges(
+        quadrature._momentum(quadrature._CUT_EFOLDINGS * t), t)
+    half = np.stack([edges[1:] - edges[:-1], edges[1:] + edges[:-1]]) / 2.0
+    nodes = half.T @ quadrature._NODE_MAP
+    return np.concatenate([[0.0], edges, nodes.ravel()])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weighted_occupations_keep_one_sign():
+    # the quadrature's error estimate takes a panel's integral of |f| as
+    # |Kronrod sum|, exact only for rows of one sign: k^2 n1, k^2 n2 >= 0
+    # and k^2 (n1 - n2) of the sign of mu, at every t the EOS accepts
+    rng = np.random.default_rng(1717)
+    ts = [1e-12, quadrature._MAX_T] + (10.0 ** rng.uniform(
+        -12.0, math.log10(quadrature._MAX_T), 2000)).tolist()
+    fixed = [1.0, -1.0, 0.0, -0.0, 1.0 - 1e-16, -(1.0 - 1e-16)]
+    for t in ts:
+        k = eos_nodes(t)
+        for mu in fixed + rng.uniform(-1.0, 1.0, 6).tolist():
+            rows = _weighted_occupations(k, PhasePoint(t, mu))
+            assert np.isfinite(rows).all(), (t, mu)
+            assert (rows[:2] >= 0.0).all(), (t, mu)
+            assert (rows[2] * math.copysign(1.0, mu) >= 0.0).all(), (t, mu)
+            if mu == 0.0:
+                assert not rows[2].any(), t
 
 
 @settings(max_examples=200)
