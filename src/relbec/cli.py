@@ -46,13 +46,13 @@ def _fmt(v):
     return str(v)
 
 
-def _emit(rows, columns, fmt, out_path):
+def _emit(columns, rows, fmt, out_path):
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: row[c] for c in columns} for row in rows]
+        payload = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -75,24 +75,22 @@ def _configs(args):
                         quad=QuadratureConfig(rel_tol=args.tol_quad))
 
 
+# Each _cmd_* returns (columns, rows): the column names, then one tuple of
+# values per row in that order.
 def _cmd_mu(args):
-    solver = _configs(args)
-    mu = solve_mu(args.q, args.t, solver)
-    return [{"q_over_m3": args.q, "t_over_m": args.t, "mu_over_m": mu}], \
-        ["q_over_m3", "t_over_m", "mu_over_m"]
+    mu = solve_mu(args.q, args.t, _configs(args))
+    return ("q_over_m3", "t_over_m", "mu_over_m"), [(args.q, args.t, mu)]
 
 
 def _cmd_tc(args):
     solver = _configs(args)
-    rows = [{"q_over_m3": q, "tc_over_m": critical_temperature(q, solver)}
-            for q in args.q]
-    return rows, ["q_over_m3", "tc_over_m"]
+    return ("q_over_m3", "tc_over_m"), [
+        (q, critical_temperature(q, solver)) for q in args.q]
 
 
 def _cmd_ddim_tc(args):
     tc = ddim_critical_temperature(args.q_over_m, Dimension(args.dim))
-    return [{"q_over_m": args.q_over_m, "dim": args.dim, "tc_over_m": tc}], \
-        ["q_over_m", "dim", "tc_over_m"]
+    return ("q_over_m", "dim", "tc_over_m"), [(args.q_over_m, args.dim, tc)]
 
 
 def _cmd_ratio_sweep(args):
@@ -102,21 +100,19 @@ def _cmd_ratio_sweep(args):
     rows = []
     for q in args.q:
         tc = critical_temperature(q, solver)
-        grid = [t for t in np.linspace(args.t_min, args.t_max, args.points)
-                if t > tc]
-        for t in [tc] + grid:  # each series starts (ends) at the transition
-            rows.append({"q_over_m3": q, "t_over_m": float(t),
-                         "n2_over_n1": density_ratio(q, float(t), solver)})
-    return rows, ["q_over_m3", "t_over_m", "n2_over_n1"]
+        grid = [float(t) for t in np.linspace(args.t_min, args.t_max,
+                                              args.points) if t > tc]
+        # each series starts (ends) at the transition
+        rows.extend((q, t, density_ratio(q, t, solver)) for t in [tc] + grid)
+    return ("q_over_m3", "t_over_m", "n2_over_n1"), rows
 
 
 def _cmd_profile(args):
     # condensed, the thermal cloud sits at the condensation point sign(q)
     mu = _thermal_state(args.q, args.t, _configs(args))[0]
     prof = momentum_profile(PhasePoint(args.t, mu), args.k_max, args.samples)
-    rows = [{"k_over_m": float(k), "n1_k": float(a), "n2_k": float(b)}
-            for k, a, b in zip(prof.k_grid, prof.n1_of_k, prof.n2_of_k)]
-    return rows, ["k_over_m", "n1_k", "n2_k"]
+    return ("k_over_m", "n1_k", "n2_k"), list(zip(
+        prof.k_grid.tolist(), prof.n1_of_k.tolist(), prof.n2_of_k.tolist()))
 
 
 def _grid_top(tc, n):
@@ -137,22 +133,16 @@ def _cmd_fraction_sweep(args):
         top = _grid_top(critical_temperature(q, solver), args.points)
         for i in range(1, args.points + 1):
             t = top * i / args.points
-            sol = condensed_solution(q, t, solver)
-            rows.append({"q_over_m3": q, "t_over_m": t,
-                         "q0_over_q": sol.q0 / q})
-    return rows, ["q_over_m3", "t_over_m", "q0_over_q"]
+            rows.append((q, t, condensed_solution(q, t, solver).q0 / q))
+    return ("q_over_m3", "t_over_m", "q0_over_q"), rows
 
 
 def _cmd_universal(args):
-    solver = _configs(args)
-    rows = []
-    for pt in universal_curves(args.q_min, args.q_max, args.points, solver):
-        rows.append({
-            "q_over_m3": pt.q, "tc_over_m": pt.t_c, "n2_over_n1": pt.ratio,
-            "tc_ur": ur_critical_temperature(pt.q),
-            "ratio_ur": ur_density_ratio(pt.t_c),
-        })
-    return rows, ["q_over_m3", "tc_over_m", "n2_over_n1", "tc_ur", "ratio_ur"]
+    curves = universal_curves(args.q_min, args.q_max, args.points,
+                              _configs(args))
+    return ("q_over_m3", "tc_over_m", "n2_over_n1", "tc_ur", "ratio_ur"), [
+        (pt.q, pt.t_c, pt.ratio, ur_critical_temperature(pt.q),
+         ur_density_ratio(pt.t_c)) for pt in curves]
 
 
 def _cmd_oracle_check(args):
@@ -165,13 +155,11 @@ def _cmd_oracle_check(args):
     rows = []
     for length in args.box_lengths:
         cutoff = suggest_cutoff(phase, length)
-        res = mode_sum(phase, BoxSpec(length, cutoff), tail_rel_tol=1e-3)
+        res = mode_sum(phase, BoxSpec(length, cutoff))
         dev = abs(res.q_tilde_fv - q_quad) / max(abs(q_quad), 1e-300)
-        rows.append({"box_length": length, "mode_cutoff": cutoff,
-                     "q_tilde_fv": res.q_tilde_fv, "q_tilde_quad": q_quad,
-                     "rel_deviation": dev})
-    return rows, ["box_length", "mode_cutoff", "q_tilde_fv", "q_tilde_quad",
-                  "rel_deviation"]
+        rows.append((length, cutoff, res.q_tilde_fv, q_quad, dev))
+    return ("box_length", "mode_cutoff", "q_tilde_fv", "q_tilde_quad",
+            "rel_deviation"), rows
 
 
 def build_parser():
@@ -255,11 +243,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, columns = args.func(args)
+        columns, rows = args.func(args)
     except RelBecError as exc:
         return _error_record(exc, args)
     try:
-        _emit(rows, columns, args.format, args.out)
+        _emit(columns, rows, args.format, args.out)
     except OSError as exc:  # an --out path that cannot be written
         return _error_record(exc, args)
     return 0

@@ -73,12 +73,18 @@ class Dimension:
 
 def ur_densities(t: float, mu: float) -> ChargeDensities:
     """First-order-in-mu ultra-relativistic densities:
-    n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3."""
+    n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3, taken as 2 b
+    rather than n1 - n2, which cancels at high t. InvalidArgument where t^3
+    overflows (t above ~5.6e102)."""
     require_temperature(t)
     require_finite("mu", mu)
-    a = zeta_int(3) * t ** 3 / math.pi ** 2
+    cube = _power(lambda: t ** 3)
+    if cube == math.inf:
+        raise InvalidArgument(
+            f"ur_densities at t = {t}, mu = {mu}: t^3 is not a finite double")
+    a = zeta_int(3) * cube / math.pi ** 2
     b = mu * t ** 2 / 6.0
-    return ChargeDensities.from_pair(a + b, a - b)
+    return ChargeDensities(n1=a + b, n2=a - b, q_tilde=2.0 * b)
 
 
 def _power(evaluate) -> float:
@@ -182,12 +188,17 @@ def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
 
 def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     """T -> 0 chemical potential at fixed condensate occupation:
-    mu ~ 1 - t ln((q0+1)/q0) in scaled units."""
+    mu ~ 1 - t ln((q0+1)/q0) in scaled units. Where 1/q0 overflows
+    (q0 below ~5.6e-309) the log is taken as -ln q0, its value to within
+    q0."""
     require_finite("q0_occ", q0_occ)
     if not (q0_occ > 0.0):
         raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
     require_temperature(t)
-    return 1.0 - t * math.log1p(1.0 / q0_occ)
+    inverse = 1.0 / q0_occ
+    log_ratio = (math.log1p(inverse) if inverse < math.inf
+                 else -math.log(q0_occ))
+    return 1.0 - t * log_ratio
 
 
 def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:

@@ -12,13 +12,13 @@ momentum p = sqrt(s (s + 2)), where the gap sqrt(k^2 + 1) - 1
 equals s, they shrink geometrically toward k = 0 down to 1e-12 p, which
 resolves the sqrt(2 (1 - |mu|))-wide peak as |mu| -> 1 at any t, and the
 mass scale k ~ 1 when t >> 1. Above p they grow in steps of gap/s, after
-the e^{-gap/s} Boltzmann tail, out to k_cut. Each level sends all of its
-panels to the integrand in one call, keeps the panels within their share
-of the remaining error budget and bisects the rest; at the default
-tolerances the initial panels meet it at every (t, mu) in one call. The
-tail beyond k_cut is bounded in closed form from the integrand at k_cut
-(an incomplete Gamma of order 3); while that bound is above half the
-tolerance the cutoff is doubled.
+the e^{-gap/s} Boltzmann tail, out to the fixed cutoff k_cut where the gap
+is 50 s. Each level sends all of its panels to the integrand in one call,
+keeps the panels within their share of the remaining error budget and
+bisects the rest; at the default tolerances the initial panels meet it at
+every (t, mu) in one call. The tail beyond k_cut is bounded in closed form
+from the integrand at k_cut (an incomplete Gamma of order 3); where that
+bound is not below the tolerance the pass raises NonConvergence.
 
 Every level is the same pass, and its number of numpy calls does not grow
 with the number of panels: the nodes of all panels and k_cut go to the
@@ -33,7 +33,6 @@ Every component must keep one sign on [0, inf): the error estimate takes
 a panel's integral of |f| as |Kronrod sum|, exact only then. The kernel's
 rows keep it: test_statistics.test_weighted_occupations_keep_one_sign.
 """
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -64,11 +63,8 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, 15 nodes
-# (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid: on a level of two or
-# more panels each is the double h * x + mid gives elementwise. A one-panel
-# level (a cutoff extension alone) is one row, which numpy hands to BLAS
-# gemv: OpenBLAS's SkylakeX kernel rounds ~9% of its nodes h x + mid once
-# (fused), its Haswell and Prescott kernels none.
+# (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid, each the double
+# h * x + mid gives elementwise: every level holds at least two panels.
 _NODE_MAP = np.stack([_NODES, np.ones(15)])
 # Columns: Kronrod weights over the 15 ascending nodes, and 200 times
 # Kronrod minus Gauss weights (the Gauss rule uses the odd nodes) for the
@@ -89,8 +85,12 @@ _WEIGHTS[:, 1] *= 200.0
 _BELOW = np.concatenate([[0.0], 2.0 ** -12 * 4.0 ** -np.arange(14, 0, -1.0),
                          2.0 ** -np.arange(12, -1, -1.0)])
 # Above p, edges at gap/s = _TAIL_U: panel widths grow from 1 by 1.3 each,
-# matching the e^{-gap/s} decay of the integrand.
-_TAIL_U = (1.0 + (1.3 ** np.arange(1, 31) - 1.0) / 0.3).tolist()
+# matching the e^{-gap/s} decay of the integrand, up to 43.6 below the
+# cutoff's 50.
+_TAIL_U = (1.0 + (1.3 ** np.arange(1, 11) - 1.0) / 0.3).tolist()
+# Cutoff where the gap is _CUT_EFOLDINGS * s: the Boltzmann tail beyond it
+# is below e^-50 of each density.
+_CUT_EFOLDINGS = 50.0
 # Absolute floor of every component's tolerance, rel_tol |value| + _ABS_TOL
 _ABS_TOL = 1e-14
 # Refinement gives up after this many bisection levels, or when a level
@@ -118,22 +118,17 @@ def _momentum(us: float) -> float:
 
 
 def _initial_edges(k_cut: float, s: float) -> np.ndarray:
-    """Panel edges on [0, k_cut] from the scales of a Bose integrand at
-    temperature s: geometric toward 0 below the thermal momentum, growing
-    steps in gap/s above it."""
-    p = min(_momentum(s), k_cut)
-    ksq = k_cut * k_cut
-    # 0.9 gap(k_cut)/s, the gap in statistics._gap's cancellation-free form
-    u_max = 0.9 * (ksq / (math.sqrt(ksq + 1.0) + 1.0) / s)
+    """The 39 panel edges on [0, k_cut], k_cut = _momentum(_CUT_EFOLDINGS
+    s), from the scales of a Bose integrand at temperature s: geometric
+    toward 0 below the thermal momentum, growing steps in gap/s above it."""
     # the momenta whose gap is u s, with _momentum's float steps inline
-    tail = [u * s for u in _TAIL_U[:bisect.bisect_left(_TAIL_U, u_max)]]
-    tail = [math.sqrt(us * (us + 2.0)) for us in tail]
+    tail = [math.sqrt(u * s * (u * s + 2.0)) for u in _TAIL_U]
     nb = len(_BELOW)
     edges = np.empty(nb + len(tail) + 1)
-    np.multiply(_BELOW, p, out=edges[:nb])
+    np.multiply(_BELOW, _momentum(s), out=edges[:nb])
     edges[nb:-1] = tail
     edges[-1] = k_cut
-    return edges if p < k_cut else edges[:-1]
+    return edges
 
 
 def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -168,12 +163,16 @@ def _tail_factor(k_cut: float, s: float) -> float:
     return ell * (1.0 + 2.0 * r + 2.0 * r * r)
 
 
-def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
+def _levels(f, config: QuadratureConfig, s: float):
     """(value, error) of the integral of f over [0, inf), as lists of
     floats, one per row of f's output; each row keeps one sign and decays
-    at least like e^{-k/s} beyond k_cut, which is doubled as needed. The
-    loop over the components runs on Python floats, which take the same
-    IEEE steps as numpy's float64 arithmetic."""
+    at least like e^{-gap/s} beyond the fixed cutoff k_cut =
+    _momentum(_CUT_EFOLDINGS * s). NonConvergence where a tail bound is
+    not below its tolerance, or the refinement budget runs out. The loop
+    over the components runs on Python floats, which take the same IEEE
+    steps as numpy's float64 arithmetic."""
+    k_cut = _momentum(_CUT_EFOLDINGS * s)
+    bound = _tail_factor(k_cut, s)
     edges = _initial_edges(k_cut, s)
     a, b = edges[:-1], edges[1:]
     done = done_err = None
@@ -194,7 +193,6 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         if done is None:
             done = done_err = [0.0] * len(sums)
         # one pass over the components: totals, tail bound, tolerance test
-        bound = _tail_factor(k_cut, s)
         value, error, tail, tol = [], [], [], []
         converged = True
         for v, e, c, d, d_err in zip(sums, err_sums, rows[:, -1].tolist(),
@@ -211,16 +209,16 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         if converged:
             return value, error
         kron, err = panels
-        extend = any(c > 0.5 * t for c, t in zip(tail, tol))
-        limit = np.array([(t - d - (0.0 if extend else c)) / n
+        limit = np.array([(t - d - c) / n
                           for t, d, c in zip(tol, done_err, tail)])
         over = (err > limit[:, None]).any(axis=0)
-        if not (extend or over.any()):
-            # a nan tail bound, 0 * inf where f(k_cut) = 0 and the tail
-            # factor overflows, leaves no panel over its share
+        if not (over.any() and all(c < t for c, t in zip(tail, tol))):
+            # a tail bound that is nan (0 * inf, where f(k_cut) = 0 and the
+            # tail factor overflows) also fails c < t
             raise NonConvergence(
-                f"quadrature error above tolerance with no panel left to "
-                f"refine at level {level}: tail bounds {tail} at k_cut = "
+                f"quadrature error above tolerance at level {level}, with a "
+                f"tail bound not below its tolerance or no panel left to "
+                f"refine: tail bounds {tail}, tolerances {tol} at k_cut = "
                 f"{k_cut}")
         keep = ~over
         done = [d + v for d, v in
@@ -230,10 +228,6 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
         mid = mid[over]
         a = np.concatenate([a[over], mid])
         b = np.concatenate([mid, b[over]])
-        if extend:
-            a = np.append(a, k_cut)
-            k_cut *= 2.0
-            b = np.append(b, k_cut)
         if level == _MAX_LEVELS or len(a) > _MAX_PANELS:
             break
     raise NonConvergence(
@@ -243,9 +237,6 @@ def _levels(f, config: QuadratureConfig, k_cut: float, s: float):
 
 
 _MEASURE = 1.0 / (2.0 * math.pi ** 2)
-# Cutoff where the gap is _CUT_EFOLDINGS * t: the Boltzmann tail beyond it
-# is below e^-50 of each density.
-_CUT_EFOLDINGS = 50.0
 # Largest t at which one pass stays finite and free of overflow warnings,
 # which begin at t ~ 4.2e102
 _MAX_T = 4e102
@@ -268,7 +259,6 @@ def thermal_charge_density(phase: PhasePoint,
             f"thermal_charge_density at t = {t}, mu = {phase.mu}: t must be "
             f"<= {_MAX_T:.3g}, above which the densities overflow")
     (i1, i2, iq), _ = _levels(
-        lambda k: _weighted_occupations(k, phase), config,
-        _momentum(_CUT_EFOLDINGS * t), t)
+        lambda k: _weighted_occupations(k, phase), config, t)
     return ChargeDensities(n1=_MEASURE * i1, n2=_MEASURE * i2,
                            q_tilde=_MEASURE * iq)

@@ -61,16 +61,12 @@ class ChargeDensities:
     thermal_charge_density integrates q_tilde directly from the
     cancellation-free difference integrand, so it agrees with n1 - n2 to
     the quadrature tolerance and keeps its own relative precision where
-    n1 - n2 cancels; from_pair stores n1 - n2 exactly.
+    n1 - n2 cancels.
     """
 
     n1: float
     n2: float
     q_tilde: float
-
-    @classmethod
-    def from_pair(cls, n1: float, n2: float) -> "ChargeDensities":
-        return cls(n1=n1, n2=n2, q_tilde=n1 - n2)
 
     @property
     def ratio(self) -> float:

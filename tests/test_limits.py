@@ -80,6 +80,29 @@ def test_ur_charge_direct():
     assert ur_densities(1.0, 1.0).q_tilde == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [1e6, 1e12, 1e16, 1e100, 5e102])
+@pytest.mark.parametrize("mu", [1e-3, 0.5, -1.0])
+def test_ur_charge_does_not_cancel(t, mu):
+    # n1 - n2 loses q_tilde to cancellation at high t (exactly 0.0 from
+    # t ~ 1e16); q_tilde = 2 b keeps it, and n1, n2 keep their sums
+    d = ur_densities(t, mu)
+    b = mu * t ** 2 / 6.0
+    assert d.q_tilde == 2.0 * b
+    assert d.q_tilde == pytest.approx(mu * t * t / 3.0, rel=1e-15)
+    a = ZETA3 * t ** 3 / math.pi ** 2
+    assert (d.n1, d.n2) == (a + b, a - b)
+
+
+@pytest.mark.parametrize("call", [lambda: ur_densities(1e103, 0.5),
+                                  lambda: ur_density_ratio(1e103)],
+                         ids=["ur_densities", "ur_density_ratio"])
+def test_ur_cube_overflow_raises(call):
+    # t ** 3 overflows from t ~ 5.6e102, where Python raises OverflowError
+    with pytest.raises(InvalidArgument,
+                       match=r"^ur_densities at t = 1e\+103, .*t\^3"):
+        call()
+
+
 def test_ur_critical_temperature_values():
     assert ur_critical_temperature(3.0) == pytest.approx(3.0, rel=1e-15)
     assert ur_critical_temperature(1.0 / 3.0) == pytest.approx(1.0, rel=1e-15)
@@ -195,6 +218,19 @@ def test_low_t_mu_asymptote():
     assert low_t_mu_asymptote(1e12, 0.1) == pytest.approx(1.0, abs=1e-10)
     assert low_t_mu_asymptote(1.0, 0.01) == pytest.approx(
         1.0 - 0.01 * math.log(2.0), rel=1e-14)
+
+
+def test_low_t_mu_asymptote_where_the_inverse_occupation_overflows():
+    # 1/q0 is inf below ~5.6e-309, so log1p(1/q0) would make mu -inf;
+    # -ln q0 is the log to within q0
+    assert low_t_mu_asymptote(5e-324, 0.5) == pytest.approx(
+        1.0 + 0.5 * math.log(5e-324), rel=1e-15)
+    assert low_t_mu_asymptote(5e-324, 0.5) == pytest.approx(-371.2, abs=0.1)
+    # on either side of the overflow the two forms agree
+    below = 1.0 / math.nextafter(math.inf, 0.0)
+    for q0 in (math.nextafter(below, 0.0), math.nextafter(below, 1.0)):
+        assert low_t_mu_asymptote(q0, 1.0) == pytest.approx(
+            1.0 + math.log(q0), rel=1e-15)
 
 
 def test_low_t_condensate_antiparticles():

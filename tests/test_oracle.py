@@ -235,6 +235,30 @@ def test_suggest_cutoff_takes_few_bound_evaluations(monkeypatch):
     assert max(counts) <= 2
 
 
+def test_suggest_cutoff_searches_up_from_a_low_guess(monkeypatch):
+    # a guess below the answer sends the search up: it gallops from the
+    # guess and bisects the last step, in O(log cutoff) bound evaluations
+    rng = np.random.default_rng(37)
+    probes = []
+    monkeypatch.setattr(oracle, "_tail_bound",
+                        lambda *args: probes.append(1) or _tail_bound(*args))
+    checked = 0
+    for _ in range(80):
+        phase = PhasePoint(10 ** rng.uniform(-3, 3), rng.uniform(-1, 1))
+        length, tol = 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-10, -2)
+        answer = doubling_cutoff(phase, length, tol)
+        if answer is None or answer <= 2:
+            continue
+        for guess in {2, max(answer // 3, 1), answer - 1}:
+            monkeypatch.setattr(oracle, "_cutoff_guess",
+                                lambda *args: guess)
+            probes.clear()
+            assert suggest_cutoff(phase, length, tol) == answer, guess
+            assert len(probes) <= 2.0 * math.log2(answer) + 3.0, guess
+            checked += 1
+    assert checked > 150
+
+
 @pytest.mark.parametrize("call", [
     lambda: mode_sum(PhasePoint(1.0, 0.5), BoxSpec(1e-200, 2)),
     lambda: mode_sum(PhasePoint(1.0, 0.5), BoxSpec(1e200, 2)),

@@ -86,25 +86,25 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
-# The level loop on closed-form integrands, with the panels of
-# temperature s = 1 and the cutoff max(10 s, 10) = 10 unless stated.
+# The level loop on closed-form integrands, with the panels and the
+# cutoff (~51) of temperature s = 1.
 def test_gamma_three():
     (val,), (err,) = quadrature._levels(lambda k: k * k * np.exp(-k),
-                                        QuadratureConfig(), 10.0, 1.0)
+                                        QuadratureConfig(), 1.0)
     assert val == pytest.approx(2.0, rel=1e-12)
     assert err < 1e-10
 
 
 def test_gaussian_half_line():
     (val,), _ = quadrature._levels(lambda k: np.exp(-k * k),
-                                   QuadratureConfig(), 10.0, 1.0)
+                                   QuadratureConfig(), 1.0)
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
 def test_error_estimate_honest():
     cfg = QuadratureConfig(rel_tol=1e-6)
     (val,), (err,) = quadrature._levels(lambda k: k * k * np.exp(-k), cfg,
-                                        10.0, 1.0)
+                                        1.0)
     assert abs(val - 2.0) <= err + 1e-14
 
 
@@ -114,15 +114,19 @@ def test_quadrature_config_validation(rel_tol):
         QuadratureConfig(rel_tol=rel_tol)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("f, kwargs", [
-    (lambda k: k * k * np.exp(-k), {"k_cut": 1e-200, "s": 1.0}),
-    (lambda k: np.exp(-k), {"k_cut": 1.0, "s": 1e105})])
-def test_nan_tail_bound_is_non_convergence(f, kwargs):
-    # f(k_cut) = 0 times an overflowed tail factor leaves no panel to
-    # refine, once at the start and once after 10 cutoff doublings
-    with pytest.raises(NonConvergence, match="no panel left to refine"):
-        quadrature._levels(f, QuadratureConfig(), **kwargs)
+@pytest.mark.parametrize("f", [lambda k: np.exp(-k * k),
+                               lambda k: k * k * np.exp(-k)],
+                         ids=["nan-bound", "inf-bound"])
+def test_nan_tail_bound_is_non_convergence(monkeypatch, f):
+    # an overflowed tail factor times f(k_cut) = 0 (e^-2600) is a nan
+    # bound, times f(k_cut) > 0 an inf one; neither is below its
+    # tolerance, so the first level raises
+    monkeypatch.setattr(quadrature, "_tail_factor", lambda k_cut, s: math.inf)
+    calls = []
+    with pytest.raises(NonConvergence, match="tail bound not below"):
+        quadrature._levels(lambda k: calls.append(1) or f(k),
+                           QuadratureConfig(), 1.0)
+    assert len(calls) == 1
 
 
 def test_non_convergence_on_budget(monkeypatch):
@@ -132,8 +136,19 @@ def test_non_convergence_on_budget(monkeypatch):
     def spike(k):
         return np.exp(-k) / np.sqrt(np.abs(k - 2.345) + 1e-14)
 
-    with pytest.raises(NonConvergence):
-        quadrature._levels(spike, cfg, 10.0, 1.0)
+    with pytest.raises(NonConvergence, match="budget exhausted"):
+        quadrature._levels(spike, cfg, 1.0)
+
+
+def test_initial_edges_are_one_layout_at_every_temperature():
+    # 28 edges below the thermal momentum, 10 above it and the cutoff:
+    # 38 panels, 570 nodes, at every s the EOS takes
+    for s in np.logspace(-300.0, math.log10(4e102), 2001):
+        k_cut = quadrature._momentum(quadrature._CUT_EFOLDINGS * s)
+        edges = quadrature._initial_edges(k_cut, float(s))
+        assert len(edges) == 39, s
+        assert (np.diff(edges) > 0.0).all(), s
+        assert edges[-1] == k_cut, s
 
 
 def test_error_estimate_is_quadpack_on_one_signed_panels():
@@ -163,7 +178,7 @@ def test_error_estimate_is_quadpack_on_one_signed_panels():
 def test_charge_difference_integral_reference():
     phase = PhasePoint(1.0, 0.5)
     (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
-                                   QuadratureConfig(), 10.0, 1.0)
+                                   QuadratureConfig(), 1.0)
     assert val == pytest.approx(I_DIFF_REF, rel=1e-10)
 
 
@@ -192,7 +207,7 @@ def test_route_consistency(t, mu):
     phase = PhasePoint(t, mu)
     d = thermal_charge_density(phase, cfg)
     (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
-                                   cfg, max(10 * t, 10.0), t)
+                                   cfg, t)
     diff = val / (2.0 * math.pi ** 2)
     assert abs(diff - d.q_tilde) <= 10.0 * cfg.rel_tol * (d.n1 + d.n2)
 

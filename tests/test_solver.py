@@ -365,11 +365,16 @@ def test_critical_temperature_bracket_holds_the_root():
                 <= thermal_charge_density(PhasePoint(hi, 1.0)).q_tilde), q
 
 
+def no_antiparticles(q):
+    """Densities of a thermal charge q carried by particles alone."""
+    return ChargeDensities(n1=q, n2=0.0, q_tilde=q)
+
+
 def test_critical_temperature_bracket_failure_names_the_charge(monkeypatch):
     # a thermal charge that never reaches q leaves no root in the bracket
     monkeypatch.setattr(
         solver, "thermal_charge_density",
-        lambda phase, config: ChargeDensities.from_pair(0.5, 0.0))
+        lambda phase, config: no_antiparticles(0.5))
     with pytest.raises(NonConvergence) as exc:
         critical_temperature(1.0)
     message = str(exc.value)
@@ -480,8 +485,8 @@ def test_critical_temperature_non_convergence_names_the_charge(monkeypatch):
     # a thermal charge that jumps at t = 1.2345 leaves Brent bisecting
     monkeypatch.setattr(
         solver, "thermal_charge_density",
-        lambda phase, config: ChargeDensities.from_pair(
-            2.0 if phase.t > 1.2345 else 0.5, 0.0))
+        lambda phase, config: no_antiparticles(
+            2.0 if phase.t > 1.2345 else 0.5))
     monkeypatch.setattr(solver, "_MAX_ITERS", 10)
     with pytest.raises(NonConvergence) as exc:
         critical_temperature(1.0)

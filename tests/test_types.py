@@ -45,8 +45,10 @@ def test_sign_symmetry_of_validation(t, mu):
 
 
 def test_charge_densities_difference_by_construction():
-    d = ChargeDensities.from_pair(0.3, 0.1)
-    assert d.q_tilde == 0.3 - 0.1
+    # the caller constructs the difference; it is stored as given, not
+    # recomputed from n1 - n2 (0.3 - 0.1 rounds to 0.19999999999999998)
+    d = ChargeDensities(n1=0.3, n2=0.1, q_tilde=0.2)
+    assert (d.n1, d.n2, d.q_tilde) == (0.3, 0.1, 0.2)
 
 
 def test_ratio_where_n1_underflows_raises():
