@@ -23,7 +23,7 @@ from .solver import (SolverConfig, _thermal_state, critical_temperature,
                      condensed_solution, density_ratio, solve_mu,
                      universal_curves)
 from .statistics import momentum_profile
-from .types import BoxSpec, PhasePoint, require_count
+from .types import BoxSpec, PhasePoint, require_count, require_finite
 
 DEFAULT_Q_FAMILY = [0.01, 0.1, 1.0, 10.0]
 # argparse's own pattern for a negative number has no exponent, so it reads
@@ -96,6 +96,8 @@ def _cmd_ddim_tc(args):
 def _cmd_ratio_sweep(args):
     # --points 0 leaves each series its T_c row alone
     require_count("points", args.points, 0)
+    require_finite("t_min", args.t_min)
+    require_finite("t_max", args.t_max)
     solver = _configs(args)
     rows = []
     for q in args.q:

@@ -27,7 +27,9 @@ sums come from one matrix product, the QUADPACK error estimate (Piessens
 et al., QUADPACK, 1983) is a few elementwise calls on the panels, and the
 running totals, the tail bound and the tolerance test are one Python loop
 over the few components. At the default tolerances thermal_charge_density
-is one such pass over 571 nodes at every (t, mu).
+is one such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
+statistics._DEAD_X, and no pass above it, where every k^2 n of both
+branches underflows to 0.0.
 
 Every component must keep one sign on [0, inf): the error estimate takes
 a panel's integral of |f| as |Kronrod sum|, exact only then. The kernel's
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
-from .statistics import _TINY, _weighted_occupations
+from .statistics import _DEAD_X, _TINY, _weighted_occupations
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import charge_integrand  # noqa: F401
@@ -251,13 +253,17 @@ def thermal_charge_density(phase: PhasePoint,
     k^2 (n1 - n2) on shared nodes; each meets the tolerance on its own.
     q_tilde is the integral of the direct difference, not n1 - n2, so it
     keeps its relative precision where n1 and n2 nearly cancel (high t,
-    small mu). Raises InvalidArgument above t = _MAX_T.
+    small mu). Where (1 - |mu|)/t exceeds _DEAD_X every k^2 n of both
+    branches is 0.0, and so are the three densities, without a pass.
+    Raises InvalidArgument above t = _MAX_T.
     """
     t = phase.t
     if t > _MAX_T:
         raise InvalidArgument(
             f"thermal_charge_density at t = {t}, mu = {phase.mu}: t must be "
             f"<= {_MAX_T:.3g}, above which the densities overflow")
+    if (1.0 - abs(phase.mu)) / t > _DEAD_X:
+        return ChargeDensities(n1=0.0, n2=0.0, q_tilde=0.0)
     (i1, i2, iq), _ = _levels(
         lambda k: _weighted_occupations(k, phase), config, t)
     return ChargeDensities(n1=_MEASURE * i1, n2=_MEASURE * i2,

@@ -58,10 +58,6 @@ class GasSolution:
     q0: float
     order_param_sq: float
 
-    @property
-    def condensed_fraction(self) -> float:
-        return self.q0 / (self.q0 + self.densities.q_tilde)
-
 
 def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float,
            rtol: float, max_iters: int, operation: str) -> float:

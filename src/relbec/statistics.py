@@ -23,6 +23,10 @@ _OVERFLOW_X = 700.0
 _SERIES_X = 1e-8
 # Smallest normal double: an exponent below it means the gap has underflowed.
 _TINY = 2.2250738585072014e-308
+# Above this exponent np.exp(-x) is 0.0 and np.expm1(-x) is -1.0 (e^-746 is
+# below half the smallest subnormal): a branch whose exponents all exceed
+# it has k^2 n = 0.0 at every finite k^2.
+_DEAD_X = 746.0
 
 
 def _gap(ksq):
@@ -90,6 +94,11 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}). Every factor is
     finite at any (t, mu), so the row keeps full relative precision where
     n1 - n2 would cancel (high t, small mu) and never overflows.
+
+    Every exponent of n_< is at least (1 + |mu|)/t. Where that exceeds
+    _DEAD_X, n_< is 0.0 and 1 + n_< is 1.0 at every node, so only n_> is
+    evaluated: its row is the same double as in the pass over both, the
+    n_< row is 0.0 and the difference row is n_> (1 - e^{-2|mu|/t}).
     """
     k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
@@ -97,11 +106,14 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     # out[2] holds k^2 until the difference row overwrites it
     ksq = np.multiply(k, k, out=out[2])
     gap = _gap(ksq)
-    x = np.empty((2,) + k.shape)
-    np.add(gap, 1.0 - mu, out=x[0])
-    np.add(gap, 1.0 + mu, out=x[1])
+    # row of n_>: particles for mu >= 0, antiparticles below; the n_< row
+    # is skipped where all its exponents, >= (1 + |mu|)/t, exceed _DEAD_X
+    larger = 0 if mu >= 0.0 else 1
+    smaller_dead = (1.0 + abs(mu)) / t > _DEAD_X
+    rows = slice(larger, larger + 1) if smaller_dead else slice(0, 2)
+    x = np.add.outer((1.0 - mu, 1.0 + mu)[rows], gap)
     x /= t
-    occ = _bose(x, out=out[:2])
+    occ = _bose(x, out=out[rows])
     # x >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
     # underflows can some n be inf, which would make k^2 n = 0 * inf
     if (1.0 - abs(mu)) / t < _TINY and x.min() < _TINY:
@@ -111,11 +123,16 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
         occ[under] = 2.0 * t
     else:
         occ *= ksq
-    larger, x_smaller = (occ[0], x[1]) if mu >= 0.0 else (occ[1], x[0])
     damping = math.copysign(-math.expm1(-2.0 * abs(mu) / t), mu)
+    if smaller_dead:
+        out[1 - larger] = 0.0
+        # n_> (-damping) / expm1(-x_<) with expm1(-x_<) = -1.0
+        np.multiply(out[larger], damping, out=out[2])
+        return out
     # n_> (-damping) / expm1(-x_<) is exactly n_> damping / (-expm1(-x_<)):
     # the sign goes into the scalar instead of a pass over the row
-    np.multiply(larger, -damping, out=out[2])
+    np.multiply(out[larger], -damping, out=out[2])
+    x_smaller = x[1 - larger]
     np.negative(x_smaller, out=x_smaller)
     out[2] /= np.expm1(x_smaller, out=x_smaller)
     return out

@@ -288,6 +288,8 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "inf", "--samples", "3"],
     ["ddim-tc", "--q-over-m", "1e308", "--dim", "3"],
     ["ratio-sweep", "--q", "1", "--points", "-1"],
+    ["ratio-sweep", "--q", "1", "--t-min", "nan", "--points", "3"],
+    ["ratio-sweep", "--q", "1", "--t-max", "nan"],
     ["fraction-sweep", "--q", "1", "--points", "0"],
     ["fraction-sweep", "--q", "1", "--points", "-2"],
 ])
@@ -298,6 +300,18 @@ def test_invalid_argument_is_an_error_record(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("option,value", [("--t-min", "nan"),
+                                          ("--t-max", "nan"),
+                                          ("--t-max", "inf")])
+def test_ratio_sweep_names_a_non_finite_bound(capsys, option, value):
+    code, out, err = run_cli(capsys, "ratio-sweep", "--q", "1", option,
+                             value, "--points", "3")
+    assert code == 1
+    assert out == ""
+    field = option[2:].replace("-", "_")
+    assert json.loads(err)["message"] == f"{field} must be finite, got {value}"
 
 
 @pytest.mark.parametrize("dim", ["171", "200", "400"])

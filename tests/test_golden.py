@@ -10,6 +10,7 @@ them on purpose regenerates them,
 and names the moved outputs in CHANGES.md.
 """
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -61,6 +62,30 @@ def eos_points():
     return points
 
 
+def dispatch():
+    """numpy's enabled SIMD dispatch targets and the OpenBLAS core, which
+    decide the last bits of exp, expm1 and the matrix products; None
+    where this numpy does not expose them."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        targets = [name for name in __cpu_dispatch__
+                   if __cpu_features__.get(name)]
+    except ImportError:
+        targets = None
+    core = None
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    return {"numpy_dispatch": targets, "openblas_core": core}
+
+
 def eos_hex(t, mu, config):
     d = thermal_charge_density(PhasePoint(t, mu), config)
     return [d.n1.hex(), d.n2.hex(), d.q_tilde.hex()]
@@ -84,7 +109,8 @@ def record():
                    f"{TIGHT_TOL:g} (tight)",
         "recorded_with": {"numpy": np.__version__,
                           "python": platform.python_version(),
-                          "platform": platform.platform()},
+                          "platform": platform.platform(),
+                          **dispatch()},
         "points": rows}, indent=1) + "\n")
     CLI_DIR.mkdir(exist_ok=True)
     for name, argv in CLI_CASES.items():
@@ -95,14 +121,24 @@ def row_id(row):
     return f"{float.fromhex(row['t']):.3g},{float.fromhex(row['mu']):.10g}"
 
 
-EOS_ROWS = (json.loads(EOS_FILE.read_text())["points"] if EOS_FILE.exists()
-            else [])
+EOS_RECORD = json.loads(EOS_FILE.read_text()) if EOS_FILE.exists() else {}
+EOS_ROWS = EOS_RECORD.get("points", [])
+
+
+def dispatch_note():
+    """The dispatch the goldens were recorded with and the running one,
+    for a failure message: a mismatch under another dispatch may be the
+    dispatch's, not the code's."""
+    recorded = {key: EOS_RECORD.get("recorded_with", {}).get(key)
+                for key in ("numpy_dispatch", "openblas_core")}
+    return f"recorded with {recorded}, running {dispatch()}"
 
 
 @pytest.mark.parametrize("row", EOS_ROWS, ids=row_id)
 def test_eos_doubles_at_default_tolerance(row):
     t, mu = float.fromhex(row["t"]), float.fromhex(row["mu"])
-    assert eos_hex(t, mu, QuadratureConfig()) == row["default"]
+    assert eos_hex(t, mu, QuadratureConfig()) == row["default"], \
+        dispatch_note()
 
 
 @pytest.mark.parametrize("row", EOS_ROWS, ids=row_id)
@@ -112,12 +148,13 @@ def test_eos_doubles_at_tight_tolerance(row):
                                QuadratureConfig(rel_tol=TIGHT_TOL))
     for got, want in zip((d.n1, d.n2, d.q_tilde), row["tight"]):
         assert got == pytest.approx(float.fromhex(want), rel=TIGHT_TOL,
-                                    abs=0.0)
+                                    abs=0.0), dispatch_note()
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_stdout_matches_golden(name):
-    assert cli_stdout(CLI_CASES[name]) == (CLI_DIR / f"{name}.txt").read_text()
+    assert cli_stdout(CLI_CASES[name]) == (
+        CLI_DIR / f"{name}.txt").read_text(), dispatch_note()
 
 
 if __name__ == "__main__":

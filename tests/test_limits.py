@@ -271,6 +271,23 @@ def test_non_finite_arguments_raise(entry):
             call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: ur_critical_temperature(0.0), "q"),
+    (lambda: ur_critical_temperature(-1.0), "q"),
+    (lambda: ur_condensed_fraction(0.0, 0.0, Dimension(3)), "t_c"),
+    (lambda: ur_condensed_fraction(0.0, -1.0, Dimension(3)), "t_c"),
+    (lambda: low_t_mu_asymptote(0.0, 0.1), "condensate occupation"),
+    (lambda: low_t_mu_asymptote(-1.0, 0.1), "condensate occupation"),
+    (lambda: low_t_condensate_antiparticles(0.0, 0.1),
+     "condensate occupation"),
+    (lambda: low_t_condensate_antiparticles(-1.0, 0.1),
+     "condensate occupation"),
+])
+def test_non_positive_arguments_raise(call, name):
+    with pytest.raises(InvalidArgument, match=f"^{name} must be > 0, got"):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: ur_densities(0.0, 0.3),
     lambda: ur_density_ratio(-1.0),

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from scipy.special import k0e, k1e, zeta
 
 from relbec import (InvalidArgument, NonConvergence, PhasePoint,
                     QuadratureConfig, charge_integrand,
-                    critical_temperature, quadrature,
+                    critical_temperature, quadrature, statistics,
                     thermal_charge_density)
 
 # frozen 30-digit reference values
@@ -298,7 +301,8 @@ def test_integrated_ratio_bound(t, mu):
 
 def test_one_kernel_call_of_571_nodes_per_eos(monkeypatch):
     # at the default tolerances the initial panels converge everywhere:
-    # one call, on the same 571-node layout at every t
+    # one call, on the same 571-node layout at every t, and none where
+    # every k^2 n of both branches underflows to 0.0
     calls = record_kernel_calls(monkeypatch)
     rng = np.random.default_rng(12)
     points = []
@@ -315,7 +319,93 @@ def test_one_kernel_call_of_571_nodes_per_eos(monkeypatch):
     for t, mu in points:
         calls.clear()
         thermal_charge_density(PhasePoint(t, mu))
-        assert calls == [571], (t, mu)
+        both_dead = (1.0 - abs(mu)) / t > statistics._DEAD_X
+        assert calls == ([] if both_dead else [571]), (t, mu)
+
+
+def dead_branch_points(n=2000, seed=1919):
+    """(t, mu) with (1 - |mu|)/t, for half of them, or (1 + |mu|)/t, for
+    the other half, within 10% of _DEAD_X or one ulp of t either side of
+    it; a quarter of the mu are +-1, +-0.0 or +-(1 - 1e-16)."""
+    rng = np.random.default_rng(seed)
+    fixed = [1.0, -1.0, 0.0, -0.0, 1.0 - 1e-16, -(1.0 - 1e-16)]
+    points = []
+    for i in range(n):
+        mu = (fixed[i // 4 % len(fixed)] if i % 4 == 0
+              else float(rng.uniform(-1.0, 1.0)))
+        bound = 1.0 - abs(mu) if i % 2 and abs(mu) < 1.0 else 1.0 + abs(mu)
+        t = bound / statistics._DEAD_X
+        if i % 3:
+            t /= float(rng.uniform(0.9, 1.1))
+        else:
+            t = math.nextafter(t, math.inf if i % 6 else 0.0)
+        points.append((t, mu))
+    return points
+
+
+# momenta of the kernel comparison: 0, the smallest subnormal, k^2
+# underflowing, and up to k^2 = 1e300
+SHORTCUT_MOMENTA = np.concatenate([[0.0, 5e-324, 1e-200, 1e-20],
+                                   np.geomspace(1e-10, 1e3, 40),
+                                   [1e10, 1e100, 1e150]])
+
+
+def shortcut_changes(points, full_pass):
+    """The points whose EOS doubles, at two tolerances, or kernel rows (as
+    int64) change once full_pass() has turned the dead-branch shortcut
+    off."""
+    def outputs(t, mu):
+        phase = PhasePoint(t, mu)
+        eos = [thermal_charge_density(phase, QuadratureConfig(rel_tol=tol))
+               for tol in (1e-10, 1e-13)]
+        rows = statistics._weighted_occupations(SHORTCUT_MOMENTA, phase)
+        return ([(d.n1.hex(), d.n2.hex(), d.q_tilde.hex()) for d in eos],
+                rows.view(np.int64).tolist())
+
+    shortcut = [outputs(t, mu) for t, mu in points]
+    full_pass()
+    return [p for p, out in zip(points, shortcut) if outputs(*p) != out]
+
+
+def test_dead_branch_shortcut_matches_the_full_pass(monkeypatch):
+    # where (1 + |mu|)/t or (1 - |mu|)/t exceeds _DEAD_X the kernel skips
+    # one branch and the EOS both: every double must be the full pass's
+    points = dead_branch_points()
+    both = sum((1.0 - abs(mu)) / t > statistics._DEAD_X for t, mu in points)
+    one = sum((1.0 + abs(mu)) / t > statistics._DEAD_X
+              for t, mu in points) - both
+    assert min(both, one, len(points) - both - one) > 300
+
+    def full_pass():
+        for module in (statistics, quadrature):
+            monkeypatch.setattr(module, "_DEAD_X", math.inf)
+
+    assert shortcut_changes(points, full_pass) == []
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+def test_dead_branch_shortcut_on_narrower_simd_loops(disabled):
+    # the shortcut is exact only where np.exp(-x) is 0.0 and np.expm1(-x)
+    # is -1.0 above _DEAD_X, on whichever loop numpy dispatches
+    features = pytest.importorskip(
+        "numpy._core._multiarray_umath").__cpu_features__
+    if not all(features.get(name) for name in disabled.split()):
+        pytest.skip(f"{disabled} is not dispatched on this machine")
+    code = ("import math\n"
+            "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+            "from relbec import quadrature, statistics\n"
+            "import test_quadrature as tq\n"
+            "assert not f['X86_V4']\n"
+            "def full_pass():\n"
+            "    statistics._DEAD_X = quadrature._DEAD_X = math.inf\n"
+            "print(tq.shortcut_changes(tq.dead_branch_points(), full_pass))")
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[0] == "[]"
 
 
 @pytest.mark.parametrize("t,mu", [(19343.60940176208, 0.5928032952783189),

@@ -148,6 +148,25 @@ def test_condensed_fraction_monotone_decreasing():
     assert fracs[-1] == pytest.approx(0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: condensed_solution(0.0, 1.0),
+    lambda: condensed_solution(-1.0, 1.0),
+    lambda: density_ratio(0.0, 1.0),
+    lambda: density_ratio(-0.5, 1.0),
+])
+def test_non_positive_charge_raises(call):
+    with pytest.raises(InvalidArgument, match="^q must be > 0, got"):
+        call()
+
+
+@pytest.mark.parametrize("q_min, q_max", [
+    (0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf),
+    (math.nan, 1.0)])
+def test_universal_curves_rejects_a_bad_range(q_min, q_max):
+    with pytest.raises(InvalidArgument, match="0 < q_min < q_max < inf"):
+        universal_curves(q_min, q_max, 3)
+
+
 def test_condensed_solution_above_critical_rejected():
     tc = critical_temperature(1.0)
     with pytest.raises(AboveCritical):
@@ -469,6 +488,13 @@ def test_universal_curves_integrate_each_point_once(eos_points):
     # the ratio at T_c comes from the densities found at the root
     assert _distinct_points(
         eos_points, lambda: universal_curves(0.01, 100.0, 5)) == tc_calls
+
+
+def test_solve_mu_integrates_a_root_at_the_bracket_end(eos_points):
+    # Brent settles on mu = 0, the bracket end whose q_tilde = 0 is known
+    # without a pass; the densities there are integrated last
+    assert solve_mu(5e-324, 1.0) == 0.0
+    assert eos_points == [(1.0, 1.0), (1.0, 5e-301), (1.0, 0.0)]
 
 
 def test_solve_mu_non_convergence_names_the_point(monkeypatch):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from relbec import (BoxSpec, ChargeDensities, InvalidArgument,
-                    NonPositiveTemperature, PhasePoint, UnphysicalMu,
-                    thermal_charge_density)
+                    MomentumProfile, NonPositiveTemperature, PhasePoint,
+                    UnphysicalMu, thermal_charge_density)
 
 
 def test_phase_point_passthrough():
@@ -57,6 +58,12 @@ def test_ratio_where_n1_underflows_raises():
     assert densities.n1 == 0.0
     with pytest.raises(InvalidArgument, match="n1 = 0"):
         densities.ratio
+
+
+@pytest.mark.parametrize("lengths", [(3, 3, 2), (3, 2, 3), (2, 3, 3)])
+def test_momentum_profile_rejects_unequal_lengths(lengths):
+    with pytest.raises(InvalidArgument, match="share length"):
+        MomentumProfile(*(np.zeros(n) for n in lengths))
 
 
 def test_box_spec_validation():
