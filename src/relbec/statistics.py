@@ -6,27 +6,30 @@ omega_bar = sqrt(k^2+1) + mu: the two branches share the gap
 sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
 through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
 accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
+
+The occupation 1/(e^x - 1) is one formula at every exponent x >= 0,
+e^{-x}/(1 - e^{-x}) with the denominator taken as -expm1(-x). Neither
+factor can overflow, since e^{-x} <= 1 and 1 - e^{-x} <= 1, so large x
+needs no clamp: e^{-x} underflows gracefully to subnormals and 0.0. expm1
+keeps 1 - e^{-x} to full relative precision as x -> 0, so small x needs
+no series either.
 """
-import contextlib
 import math
+import sys
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .types import MomentumProfile, PhasePoint, require_count
 
-# Beyond this exponent expm1 overflows; occupation is then e^{-x} exactly
-# to double precision.
-_OVERFLOW_X = 700.0
-# Below this exponent e^x - 1 loses digits; switch to the Laurent series
-# 1/x - 1/2 + x/12.
-_SERIES_X = 1e-8
 # Smallest normal double: an exponent below it means the gap has underflowed.
 _TINY = 2.2250738585072014e-308
 # Above this exponent np.exp(-x) is 0.0 and np.expm1(-x) is -1.0 (e^-746 is
 # below half the smallest subnormal): a branch whose exponents all exceed
 # it has k^2 n = 0.0 at every finite k^2.
 _DEAD_X = 746.0
+# Largest momentum whose square is a finite double
+_MAX_K = math.sqrt(sys.float_info.max)
 
 
 def _gap(ksq):
@@ -35,37 +38,33 @@ def _gap(ksq):
     return ksq / (np.sqrt(ksq + 1.0) + 1.0)
 
 
-def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Bose-Einstein occupation 1/(e^x - 1) on an array of exponents
-    x >= 0, written into out when given (x = 0 gives inf). Below
-    _SERIES_X it takes the Laurent series, above _OVERFLOW_X e^{-x}.
+def _negated_bose(neg_x: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """The negated occupation -1/(e^x - 1) = e^{-x}/expm1(-x) from an array
+    neg_x = -x <= 0, written into out when given: one exp and one expm1
+    pass. neg_x is left holding expm1(-x) = -(1 - e^{-x}), the denominator
+    of 1 + n = 1/(1 - e^{-x}), for a caller that needs it too. Where x is
+    below the smallest normal double the quotient overflows (x = 0 divides
+    by zero); anywhere else it is finite."""
+    out = np.exp(neg_x, out=out)
+    return np.divide(out, np.expm1(neg_x, out=neg_x), out=out)
 
-    expm1 takes a slow path where it overflows, so its input is clamped
-    at _OVERFLOW_X (those entries are overwritten by e^{-x}), and it is
-    skipped when every x is above that. 1/x overflows or divides by zero
-    only for x below the smallest normal double, so only then are those
-    warnings silenced.
+
+def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Bose-Einstein occupation 1/(e^x - 1) = e^{-x}/(1 - e^{-x}) on an
+    array of exponents x >= 0, written into out when given (x = 0 gives
+    inf).
+
+    No regime needs its own form (see the module docstring): the one
+    formula is within 3 ulp of the exact occupation wherever that is a
+    normal double, and 0.0 where it is below half the smallest subnormal
+    (test_occupation_matches_mpmath). The overflow and divide-by-zero
+    warnings, which arise only where x is below the smallest normal
+    double, are silenced.
     """
-    x_min = np.minimum.reduce(x, axis=None)
-    if x_min > _OVERFLOW_X:
-        out = np.negative(x, out=out)
-        return np.exp(out, out=out)
-    x_max = np.maximum.reduce(x, axis=None)
-    arg = x
-    if x_max > _OVERFLOW_X:
-        arg = out = np.minimum(x, _OVERFLOW_X, out=out)
-    with (np.errstate(divide="ignore", over="ignore") if x_min < _TINY
-          else contextlib.nullcontext()):
-        out = np.expm1(arg, out=out)
-        np.divide(1.0, out, out=out)
-        if x_min < _SERIES_X:
-            small = x < _SERIES_X
-            xs = x[small]
-            out[small] = 1.0 / xs - 0.5 + xs / 12.0
-    if x_max > _OVERFLOW_X:
-        big = x > _OVERFLOW_X
-        out[big] = np.exp(-x[big])
-    return out
+    with np.errstate(divide="ignore", over="ignore"):
+        out = _negated_bose(np.negative(x), out)
+    return np.negative(out, out=out)
 
 
 def charge_integrand(k, phase: PhasePoint):
@@ -73,27 +72,43 @@ def charge_integrand(k, phase: PhasePoint):
 
     Accepts a scalar or an ndarray of momenta. At the condensation point
     mu = +-1 the particle branch has the finite limit k^2 n -> 2t as
-    k -> 0, so the integrand tends to +-2t rather than 0*inf.
+    k -> 0, so the integrand tends to +-2t rather than 0*inf. Raises
+    InvalidArgument where k^2 is not a finite double (|k| above ~1.34e154,
+    inf or nan).
     """
-    out = _weighted_occupations(np.atleast_1d(k), phase)[2]
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    squarable = np.abs(ks) <= _MAX_K
+    if not squarable.all():
+        raise InvalidArgument(
+            f"charge_integrand: k^2 must be a finite double, got k = "
+            f"{ks[~squarable][0]}")
+    out = _weighted_occupations(ks, phase)[2]
     return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
 
 
 def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """Rows k^2 n1(k), k^2 n2(k) and k^2 [n1(k) - n2(k)] on an array of
-    momenta, as one (3, len(k)) array.
+    momenta whose squares are finite, as one (3, len(k)) array.
 
-    Where the exponent (gap + 1 -+ mu)/t has underflowed, which happens
-    only at mu = +-1 as k -> 0 (the gap k^2/(E + 1) vanishes with k^2),
-    k^2 n takes its limit t(E + 1) = 2t; that also covers momenta whose
-    k^2 underflows to 0 while the occupation is infinite.
+    The exponents x = (gap + 1 -+ mu)/t of the live rows are built
+    negated, as ((mu - 1, -1 - mu) - gap)/t with -gap = k^2/(-1 -
+    sqrt(k^2 + 1)), the exact negation of x, and go through one exp and
+    one expm1 pass (_negated_bose); the sign of -n is undone by weighting
+    with -k^2.
+
+    Where the exponent has underflowed, which happens only at mu = +-1 as
+    k -> 0 (the gap k^2/(E + 1) vanishes with k^2), k^2 n takes its limit
+    t(E + 1) = 2t; that also covers momenta whose k^2 underflows to 0
+    while the occupation is infinite.
 
     The difference row is formed without cancellation: with the branch of
     the smaller gap as n_> and the other as n_<,
     n_> - n_< = n_> (1 + n_<) (1 - e^{-2|mu|/t}), where 1 + n_< =
-    1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}). Every factor is
-    finite at any (t, mu), so the row keeps full relative precision where
-    n1 - n2 would cancel (high t, small mu) and never overflows.
+    1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}), and its
+    denominator is the expm1 the occupation pass leaves behind. Every
+    factor is finite at any (t, mu), so the row keeps full relative
+    precision where n1 - n2 would cancel (high t, small mu) and never
+    overflows.
 
     Every exponent of n_< is at least (1 + |mu|)/t. Where that exceeds
     _DEAD_X, n_< is 0.0 and 1 + n_< is 1.0 at every node, so only n_> is
@@ -103,38 +118,41 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
     out = np.empty((3,) + k.shape)
-    # out[2] holds k^2 until the difference row overwrites it
-    ksq = np.multiply(k, k, out=out[2])
-    gap = _gap(ksq)
+    # out[2] holds -k^2 until the difference row overwrites it
+    neg_ksq = np.multiply(k, k, out=out[2])
+    neg_gap = np.add(neg_ksq, 1.0)
+    np.sqrt(neg_gap, out=neg_gap)
+    np.subtract(-1.0, neg_gap, out=neg_gap)
+    np.divide(neg_ksq, neg_gap, out=neg_gap)
+    np.negative(neg_ksq, out=neg_ksq)
     # row of n_>: particles for mu >= 0, antiparticles below; the n_< row
     # is skipped where all its exponents, >= (1 + |mu|)/t, exceed _DEAD_X
     larger = 0 if mu >= 0.0 else 1
     smaller_dead = (1.0 + abs(mu)) / t > _DEAD_X
     rows = slice(larger, larger + 1) if smaller_dead else slice(0, 2)
-    x = np.add.outer((1.0 - mu, 1.0 + mu)[rows], gap)
-    x /= t
-    occ = _bose(x, out=out[rows])
+    neg_x = np.add.outer((mu - 1.0, -1.0 - mu)[rows], neg_gap)
+    neg_x /= t
     # x >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
-    # underflows can some n be inf, which would make k^2 n = 0 * inf
-    if (1.0 - abs(mu)) / t < _TINY and x.min() < _TINY:
-        under = x < _TINY
-        occ[under] = 0.0
-        occ *= ksq
+    # underflows can some n be inf or overflow; there x is set to inf, for
+    # n = 0 without a warning, and k^2 n to its limit afterwards
+    under = None
+    if (1.0 - abs(mu)) / t < _TINY:
+        under = neg_x > -_TINY
+        neg_x[under] = -math.inf
+    occ = _negated_bose(neg_x, out=out[rows])
+    occ *= neg_ksq
+    if under is not None:
         occ[under] = 2.0 * t
-    else:
-        occ *= ksq
     damping = math.copysign(-math.expm1(-2.0 * abs(mu) / t), mu)
     if smaller_dead:
         out[1 - larger] = 0.0
         # n_> (-damping) / expm1(-x_<) with expm1(-x_<) = -1.0
         np.multiply(out[larger], damping, out=out[2])
         return out
-    # n_> (-damping) / expm1(-x_<) is exactly n_> damping / (-expm1(-x_<)):
-    # the sign goes into the scalar instead of a pass over the row
+    # n_> damping / (1 - e^{-x_<}) as n_> (-damping) / expm1(-x_<): the
+    # sign goes into the scalar instead of a pass over the row
     np.multiply(out[larger], -damping, out=out[2])
-    x_smaller = x[1 - larger]
-    np.negative(x_smaller, out=x_smaller)
-    out[2] /= np.expm1(x_smaller, out=x_smaller)
+    out[2] /= neg_x[1 - larger]
     return out
 
 

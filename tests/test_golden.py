@@ -7,7 +7,9 @@ them on purpose regenerates them,
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the moved outputs in CHANGES.md.
+and names the moved outputs in CHANGES.md. It prints, for each EOS point
+and each CLI file, how many values changed (compared by float.hex, so
+-0.0 against 0.0 counts) and the largest relative move.
 """
 import contextlib
 import ctypes
@@ -16,6 +18,7 @@ import json
 import math
 import pathlib
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -98,11 +101,54 @@ def cli_stdout(argv):
     return out.getvalue()
 
 
+def values(text):
+    """The fields of a CLI stdout in order: floats where they parse as
+    one, the text otherwise."""
+    out = []
+    for field in re.split(r'[\s,\[\]{}:"]+', text):
+        if field:
+            try:
+                out.append(float(field))
+            except ValueError:
+                out.append(field)
+    return out
+
+
+def moved(old, new):
+    """'<changed> of <n> values changed, largest relative move <r>' for two
+    lists of floats (or text fields), changes compared by float.hex."""
+    if len(old) != len(new):
+        return f"{len(old)} -> {len(new)} fields, not compared"
+    changed, largest = 0, 0.0
+    for a, b in zip(old, new):
+        if isinstance(a, float) and isinstance(b, float):
+            if a.hex() == b.hex():
+                continue
+            diff = abs(b - a)
+            largest = max(largest, diff / abs(a) if a else
+                          (math.inf if diff else 0.0))
+        elif a == b:
+            continue
+        changed += 1
+    return (f"{changed} of {len(old)} values changed, largest relative move "
+            f"{largest:.2g}")
+
+
 def record():
+    """Rewrite the goldens, printing what moved against the files it
+    replaces."""
+    before = json.loads(EOS_FILE.read_text()) if EOS_FILE.exists() else {}
+    old_rows = {(row["t"], row["mu"]): row for row in before.get("points", [])}
     rows = [{"t": t.hex(), "mu": mu.hex(),
              "default": eos_hex(t, mu, QuadratureConfig()),
              "tight": eos_hex(t, mu, QuadratureConfig(rel_tol=TIGHT_TOL))}
             for t, mu in eos_points()]
+    for row in rows:
+        old = old_rows.get((row["t"], row["mu"]))
+        new = [float.fromhex(v) for v in row["default"] + row["tight"]]
+        print(f"eos {row_id(row)}: " + (
+            moved([float.fromhex(v) for v in old["default"] + old["tight"]],
+                  new) if old else "new point"))
     EOS_FILE.write_text(json.dumps({
         "comment": "float.hex of (n1, n2, q_tilde) from thermal_charge_density "
                    "at the default rel_tol (default) and at rel_tol = "
@@ -114,7 +160,12 @@ def record():
         "points": rows}, indent=1) + "\n")
     CLI_DIR.mkdir(exist_ok=True)
     for name, argv in CLI_CASES.items():
-        (CLI_DIR / f"{name}.txt").write_text(cli_stdout(argv))
+        path = CLI_DIR / f"{name}.txt"
+        text = cli_stdout(argv)
+        print(f"cli {name}: " + (
+            moved(values(path.read_text()), values(text)) if path.exists()
+            else "new file"))
+        path.write_text(text)
 
 
 def row_id(row):

@@ -1,11 +1,13 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
-                    momentum_profile, quadrature)
+                    momentum_profile, quadrature, statistics)
 from relbec.statistics import _TINY, _bose, _gap, _weighted_occupations
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
@@ -59,8 +61,9 @@ def test_occupation_unit_energy():
 
 
 def test_occupation_tiny_energy_series():
-    # Laurent branch: 1/x - 1/2 + x/12 without catastrophic cancellation;
-    # at x = 3e-9 it differs from 1/expm1(x) in the last bit
+    # e^{-x}/(-expm1(-x)) keeps full precision as x -> 0 with no series:
+    # at x = 3e-9 it is the same double as the Laurent series
+    # 1/x - 1/2 + x/12
     assert _bose(np.array([1e-12]))[0] == pytest.approx(1e12 - 0.5,
                                                         rel=1e-12)
     x = 3e-9
@@ -72,7 +75,7 @@ def test_occupation_huge_exponent():
 
 
 def test_occupation_writes_in_place():
-    # every branch at once: series, expm1, e^{-x}, and x = 0 -> inf
+    # x = 0 -> inf, tiny, moderate and large exponents, written into out
     x = np.array([[0.0, 1e-12, 1.0], [30.0, 650.0, 720.0]])
     out = np.empty_like(x)
     assert _bose(x, out=out) is out
@@ -83,7 +86,7 @@ def test_occupation_writes_in_place():
 
 
 def test_occupation_all_above_overflow():
-    # every exponent in the e^{-x} regime, down to subnormal and zero
+    # exponents beyond the overflow of e^x, down to subnormal and zero
     # results: the same doubles as where the array also holds small ones
     x = np.array([[700.5, 720.0, 745.0], [746.0, 2000.0, 1e6]])
     out = np.empty_like(x)
@@ -91,6 +94,42 @@ def test_occupation_all_above_overflow():
     mixed = _bose(np.append(x.ravel(), 1.0))
     np.testing.assert_array_equal(out.ravel(), mixed[:-1])
     assert out[0, 2] > 0.0 and out[1, 2] == 0.0
+
+
+# Largest distance in ulp of _bose from the exact occupation where that is
+# a normal double: 2, measured on 100000 log-uniform x with numpy's
+# AVX-512, AVX2 and baseline exp/expm1 loops
+OCCUPATION_ULP = 2
+
+
+def test_occupation_matches_mpmath():
+    # seeded x over [5e-324, 1e3] plus the edges of the regimes the
+    # occupation once had: the series below 1e-8, the clamp from 700, the
+    # subnormal results from 708 to 745 and 0.0 from 746
+    rng = np.random.default_rng(2002)
+    x = np.concatenate([
+        [0.0, 5e-324, 1e-8, math.nextafter(1e-8, 0.0), 700.0, 746.0,
+         2000.0],
+        np.arange(708.0, 746.0), rng.uniform(708.0, 746.0, 100),
+        np.exp(rng.uniform(math.log(5e-324), math.log(1e3), 4000))])
+    got = _bose(x)
+    assert got[0] == math.inf
+    bits = got.view(np.int64)
+    smallest = mpmath.mpf(2) ** -1074
+    with mpmath.workdps(40):
+        for xi, g, gbits in zip(x[1:].tolist(), got[1:].tolist(),
+                                bits[1:].tolist()):
+            exact = 1 / mpmath.expm1(mpmath.mpf(xi))
+            ref = float(exact)
+            if exact < smallest / 2:
+                assert g == 0.0, xi
+            elif ref == math.inf:
+                assert g == math.inf, xi
+            elif ref >= _TINY:
+                ulps = abs(gbits - int(np.float64(ref).view(np.int64)))
+                assert ulps <= OCCUPATION_ULP, (xi, g, ref)
+            else:  # subnormal: within one unit of the smallest subnormal
+                assert abs(g - ref) <= 5e-324, (xi, g, ref)
 
 
 def test_charge_integrand_vanishes_at_zero_mu():
@@ -112,6 +151,30 @@ def test_charge_integrand_limit_at_condensation_point():
     # Richardson in k^2: limit = v4 + (v4 - v3) * h4/(h3 - h4)
     extrap = v4 + (v4 - v3) * 1e-8 / (1e-6 - 1e-8)
     assert extrap == pytest.approx(at_zero, rel=1e-6)
+
+
+@pytest.mark.parametrize("k, named", [
+    (1e200, "1e+200"), (-1e200, "-1e+200"), (math.inf, "inf"),
+    (math.nan, "nan"), (np.array([1.0, 2e154, 3.0]), "2e+154"),
+    (np.array([[0.5], [-math.inf]]), "-inf")])
+def test_charge_integrand_rejects_momenta_without_finite_square(k, named):
+    # k^2 overflowed (a RuntimeWarning) or was nan, and the integrand nan
+    message = f"k^2 must be a finite double, got k = {named}"
+    with pytest.raises(InvalidArgument, match=re.escape(message) + "$"):
+        charge_integrand(k, PhasePoint(1.0, 0.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_charge_integrand_at_the_largest_squarable_momenta():
+    for k in (1.3e154, -1.3e154, statistics._MAX_K):
+        assert math.isfinite(charge_integrand(k, PhasePoint(1.0, 0.5)))
+    above = math.nextafter(statistics._MAX_K, math.inf)
+    assert math.isinf(above * above)
+    with pytest.raises(InvalidArgument):
+        charge_integrand(above, PhasePoint(1.0, 0.5))
+    values = charge_integrand(np.array([0.0, 1.0, 1.3e154]),
+                              PhasePoint(1.0, 0.5))
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("mu", [1.0, -1.0])
