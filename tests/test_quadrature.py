@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,40 @@ def test_initial_edges_are_one_layout_at_every_temperature():
         assert len(edges) == 39, s
         assert (np.diff(edges) > 0.0).all(), s
         assert edges[-1] == k_cut, s
+
+
+def test_kronrod_constants_are_double_roundings():
+    # G7/K15 from its definition at 40 digits: the Gauss nodes are the
+    # roots of P7, its weights 2/((1 - x^2) P7'(x)^2); the 4 Kronrod nodes
+    # and the 8 Kronrod weights make the 15-point rule exact on x^0 ...
+    # x^22 (the odd powers hold by symmetry). Newton starts from the
+    # literals rounded to 2 digits.
+    with mpmath.workdps(40):
+        p7 = mpmath.taylor(lambda x: mpmath.legendre(7, x), 0, 7)[::-1]
+        xg = sorted((r.real for r in mpmath.polyroots(p7, extraprec=60)
+                     if r.real > 0), reverse=True) + [mpmath.mpf(0)]
+        wg = [2 / ((1 - x * x) * mpmath.diff(
+            lambda y: mpmath.legendre(7, y), x) ** 2) for x in xg]
+
+        def moments(*v):
+            nodes = [v[0], xg[0], v[1], xg[1], v[2], xg[2], v[3]]
+            weights = v[4:11]
+            return [2 * sum(w * x ** (2 * j) for w, x in zip(weights, nodes))
+                    + (v[11] if j == 0 else 0) - mpmath.mpf(2) / (2 * j + 1)
+                    for j in range(12)]
+
+        seed = [round(v, 2) for v in quadrature._XK[:-1:2].tolist()
+                + quadrature._WK.tolist()]
+        v = mpmath.findroot(moments, seed)
+        assert max(abs(r) for r in moments(*v)) < mpmath.mpf(10) ** -35
+        xk = [v[0], xg[0], v[1], xg[1], v[2], xg[2], v[3], xg[3]]
+        wk = list(v[4:])
+        # QUADPACK's dqk15 prints the first node to 33 digits
+        assert abs(xk[0] - mpmath.mpf("0.991455371120812639206854697526329")
+                   ) < mpmath.mpf(10) ** -32
+        assert quadrature._XK.tolist() == [float(x) for x in xk]
+        assert quadrature._WK.tolist() == [float(w) for w in wk]
+        assert quadrature._WG.tolist() == [float(w) for w in wg]
 
 
 def test_error_estimate_is_quadpack_on_one_signed_panels():
