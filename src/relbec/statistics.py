@@ -7,12 +7,10 @@ sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
 through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
 accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
 
-The occupation 1/(e^x - 1) is one formula at every exponent x >= 0,
-e^{-x}/(1 - e^{-x}) with the denominator taken as -expm1(-x). Neither
-factor can overflow, since e^{-x} <= 1 and 1 - e^{-x} <= 1, so large x
-needs no clamp: e^{-x} underflows gracefully to subnormals and 0.0. expm1
-keeps 1 - e^{-x} to full relative precision as x -> 0, so small x needs
-no series either.
+The occupation 1/(e^x - 1) is one formula at every x >= 0,
+e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
+overflow, so large x needs no clamp, and expm1 keeps full precision as
+x -> 0, so small x needs no series.
 """
 import math
 import sys
@@ -38,14 +36,10 @@ def _gap(ksq):
     return ksq / (np.sqrt(ksq + 1.0) + 1.0)
 
 
-def _negated_bose(neg_x: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """The negated occupation -1/(e^x - 1) = e^{-x}/expm1(-x) from an array
-    neg_x = -x <= 0, written into out when given: one exp and one expm1
-    pass. neg_x is left holding expm1(-x) = -(1 - e^{-x}), the denominator
-    of 1 + n = 1/(1 - e^{-x}), for a caller that needs it too. Where x is
-    below the smallest normal double the quotient overflows (x = 0 divides
-    by zero); anywhere else it is finite."""
+def _negated_bose(neg_x: np.ndarray, out=None) -> np.ndarray:
+    """-1/(e^x - 1) = e^{-x}/expm1(-x) from an array neg_x = -x <= 0, into
+    out when given, by one exp and one expm1 pass; neg_x is left holding
+    expm1(-x), the negated denominator of 1 + n = 1/(1 - e^{-x})."""
     out = np.exp(neg_x, out=out)
     return np.divide(out, np.expm1(neg_x, out=neg_x), out=out)
 
@@ -53,15 +47,10 @@ def _negated_bose(neg_x: np.ndarray, out: np.ndarray | None = None
 def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Bose-Einstein occupation 1/(e^x - 1) = e^{-x}/(1 - e^{-x}) on an
     array of exponents x >= 0, written into out when given (x = 0 gives
-    inf).
-
-    No regime needs its own form (see the module docstring): the one
-    formula is within 3 ulp of the exact occupation wherever that is a
-    normal double, and 0.0 where it is below half the smallest subnormal
-    (test_occupation_matches_mpmath). The overflow and divide-by-zero
-    warnings, which arise only where x is below the smallest normal
-    double, are silenced.
-    """
+    inf): within 2 ulp of the exact value where that is a normal double
+    (test_occupation_matches_mpmath). The quotient overflows or divides by
+    zero only where x is below the smallest normal double, so those
+    warnings are silenced."""
     with np.errstate(divide="ignore", over="ignore"):
         out = _negated_bose(np.negative(x), out)
     return np.negative(out, out=out)
@@ -90,11 +79,9 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """Rows k^2 n1(k), k^2 n2(k) and k^2 [n1(k) - n2(k)] on an array of
     momenta whose squares are finite, as one (3, len(k)) array.
 
-    The exponents x = (gap + 1 -+ mu)/t of the live rows are built
-    negated, as ((mu - 1, -1 - mu) - gap)/t with -gap = k^2/(-1 -
-    sqrt(k^2 + 1)), the exact negation of x, and go through one exp and
-    one expm1 pass (_negated_bose); the sign of -n is undone by weighting
-    with -k^2.
+    The exponents x = (gap + 1 -+ mu)/t of the live rows are built as their
+    exact negation ((mu - 1, -1 - mu) - gap)/t, -gap = k^2/(-1 -
+    sqrt(k^2 + 1)), for _negated_bose; weighting by -k^2 undoes its sign.
 
     Where the exponent has underflowed, which happens only at mu = +-1 as
     k -> 0 (the gap k^2/(E + 1) vanishes with k^2), k^2 n takes its limit
@@ -104,11 +91,10 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     The difference row is formed without cancellation: with the branch of
     the smaller gap as n_> and the other as n_<,
     n_> - n_< = n_> (1 + n_<) (1 - e^{-2|mu|/t}), where 1 + n_< =
-    1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}), and its
-    denominator is the expm1 the occupation pass leaves behind. Every
-    factor is finite at any (t, mu), so the row keeps full relative
-    precision where n1 - n2 would cancel (high t, small mu) and never
-    overflows.
+    1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}) and comes from the
+    expm1 pass already made. Every factor is finite at any (t, mu), so the
+    row keeps full relative precision where n1 - n2 would cancel (high t,
+    small mu) and never overflows.
 
     Every exponent of n_< is at least (1 + |mu|)/t. Where that exceeds
     _DEAD_X, n_< is 0.0 and 1 + n_< is 1.0 at every node, so only n_> is
@@ -119,12 +105,9 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     t, mu = phase.t, phase.mu
     out = np.empty((3,) + k.shape)
     # out[2] holds -k^2 until the difference row overwrites it
-    neg_ksq = np.multiply(k, k, out=out[2])
-    neg_gap = np.add(neg_ksq, 1.0)
-    np.sqrt(neg_gap, out=neg_gap)
-    np.subtract(-1.0, neg_gap, out=neg_gap)
-    np.divide(neg_ksq, neg_gap, out=neg_gap)
-    np.negative(neg_ksq, out=neg_ksq)
+    ksq = np.multiply(k, k, out=out[2])
+    neg_gap = ksq / (-1.0 - np.sqrt(ksq + 1.0))
+    neg_ksq = np.negative(ksq, out=ksq)
     # row of n_>: particles for mu >= 0, antiparticles below; the n_< row
     # is skipped where all its exponents, >= (1 + |mu|)/t, exceed _DEAD_X
     larger = 0 if mu >= 0.0 else 1
@@ -133,8 +116,7 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     neg_x = np.add.outer((mu - 1.0, -1.0 - mu)[rows], neg_gap)
     neg_x /= t
     # x >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
-    # underflows can some n be inf or overflow; there x is set to inf, for
-    # n = 0 without a warning, and k^2 n to its limit afterwards
+    # underflows can n overflow; there x is set to inf meanwhile
     under = None
     if (1.0 - abs(mu)) / t < _TINY:
         under = neg_x > -_TINY
@@ -149,8 +131,7 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
         # n_> (-damping) / expm1(-x_<) with expm1(-x_<) = -1.0
         np.multiply(out[larger], damping, out=out[2])
         return out
-    # n_> damping / (1 - e^{-x_<}) as n_> (-damping) / expm1(-x_<): the
-    # sign goes into the scalar instead of a pass over the row
+    # n_> damping / (1 - e^{-x_<}) as n_> (-damping) / expm1(-x_<)
     np.multiply(out[larger], -damping, out=out[2])
     out[2] /= neg_x[1 - larger]
     return out
