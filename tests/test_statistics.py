@@ -103,9 +103,9 @@ OCCUPATION_ULP = 2
 
 
 def test_occupation_matches_mpmath():
-    # seeded x over [5e-324, 1e3] plus the edges of the regimes the
-    # occupation once had: the series below 1e-8, the clamp from 700, the
-    # subnormal results from 708 to 745 and 0.0 from 746
+    # seeded x over [5e-324, 1e3] plus the edges where a naive form fails:
+    # e^x - 1 loses digits below 1e-8, e^x nears overflow from 700, the
+    # results are subnormal from 708 to 745 and 0.0 from 746
     rng = np.random.default_rng(2002)
     x = np.concatenate([
         [0.0, 5e-324, 1e-8, math.nextafter(1e-8, 0.0), 700.0, 746.0,
