@@ -19,9 +19,9 @@ from .quadrature import QuadratureConfig
 # this module calls no thermal_charge_density itself, but bench/tracing.py
 # wraps it under this module's name
 from .quadrature import thermal_charge_density  # noqa: F401
-from .solver import (SolverConfig, _thermal_state, critical_temperature,
-                     condensed_solution, density_ratio, solve_mu,
-                     universal_curves)
+from .solver import (SolverConfig, _critical_point, _thermal_state,
+                     critical_temperature, condensed_solution, density_ratio,
+                     solve_mu, universal_curves)
 from .statistics import momentum_profile
 from .types import BoxSpec, PhasePoint, require_count, require_finite
 
@@ -101,11 +101,16 @@ def _cmd_ratio_sweep(args):
     solver = _configs(args)
     rows = []
     for q in args.q:
-        tc = critical_temperature(q, solver)
+        if not 0.0 < q < math.inf:
+            # raises: T_c(q) is undefined, or T_c(0) = 0 has no ratio
+            density_ratio(q, critical_temperature(q, solver), solver)
+        # each series starts (ends) at the transition, whose ratio comes
+        # from the densities the T_c solve found there
+        tc, at_tc = _critical_point(q, solver)
         grid = [float(t) for t in np.linspace(args.t_min, args.t_max,
                                               args.points) if t > tc]
-        # each series starts (ends) at the transition
-        rows.extend((q, t, density_ratio(q, t, solver)) for t in [tc] + grid)
+        rows.append((q, tc, at_tc.ratio))
+        rows.extend((q, t, density_ratio(q, t, solver)) for t in grid)
     return ("q_over_m3", "t_over_m", "n2_over_n1"), rows
 
 

@@ -10,7 +10,9 @@ accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
 The occupation 1/(e^x - 1) is one formula at every x >= 0,
 e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
 overflow, so large x needs no clamp, and expm1 keeps full precision as
-x -> 0, so small x needs no series.
+x -> 0, so small x needs no series. The exponents of the two branches
+differ by the constant 2|mu|/t at every k, so the kernel makes its exp
+and expm1 passes over one branch and derives the other by a multiply.
 """
 import math
 import sys
@@ -24,7 +26,8 @@ from .types import MomentumProfile, PhasePoint, require_count
 _TINY = 2.2250738585072014e-308
 # Above this exponent np.exp(-x) is 0.0 and np.expm1(-x) is -1.0 (e^-746 is
 # below half the smallest subnormal): a branch whose exponents all exceed
-# it has k^2 n = 0.0 at every finite k^2.
+# it has k^2 n = 0.0 at every finite k^2, and the EOS skips a phase point
+# where both branches do.
 _DEAD_X = 746.0
 # Largest momentum whose square is a finite double
 _MAX_K = math.sqrt(sys.float_info.max)
@@ -36,24 +39,18 @@ def _gap(ksq):
     return ksq / (np.sqrt(ksq + 1.0) + 1.0)
 
 
-def _negated_bose(neg_x: np.ndarray, out=None) -> np.ndarray:
-    """-1/(e^x - 1) = e^{-x}/expm1(-x) from an array neg_x = -x <= 0, into
-    out when given, by one exp and one expm1 pass; neg_x is left holding
-    expm1(-x), the negated denominator of 1 + n = 1/(1 - e^{-x})."""
-    out = np.exp(neg_x, out=out)
-    return np.divide(out, np.expm1(neg_x, out=neg_x), out=out)
-
-
 def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Bose-Einstein occupation 1/(e^x - 1) = e^{-x}/(1 - e^{-x}) on an
-    array of exponents x >= 0, written into out when given (x = 0 gives
-    inf): within 2 ulp of the exact value where that is a normal double
-    (test_occupation_matches_mpmath). The quotient overflows or divides by
-    zero only where x is below the smallest normal double, so those
-    warnings are silenced."""
+    """Bose-Einstein occupation 1/(e^x - 1) = e^{-x}/(-expm1(-x)) on an
+    array of exponents x >= 0, by one exp and one expm1 pass, written into
+    out when given (x = 0 gives inf): within 2 ulp of the exact value where
+    that is a normal double (test_occupation_matches_mpmath). The quotient
+    overflows or divides by zero only where x is below the smallest normal
+    double, so those warnings are silenced."""
+    neg_x = np.negative(x)
+    out = np.exp(neg_x, out=out)
     with np.errstate(divide="ignore", over="ignore"):
-        out = _negated_bose(np.negative(x), out)
-    return np.negative(out, out=out)
+        return np.divide(out, np.negative(np.expm1(neg_x, out=neg_x),
+                                          out=neg_x), out=out)
 
 
 def charge_integrand(k, phase: PhasePoint):
@@ -79,62 +76,65 @@ def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """Rows k^2 n1(k), k^2 n2(k) and k^2 [n1(k) - n2(k)] on an array of
     momenta whose squares are finite, as one (3, len(k)) array.
 
-    The exponents x = (gap + 1 -+ mu)/t of the live rows are built as their
-    exact negation ((mu - 1, -1 - mu) - gap)/t, -gap = k^2/(-1 -
-    sqrt(k^2 + 1)), for _negated_bose; weighting by -k^2 undoes its sign.
+    The branch of the smaller gap, n_> (particles for mu >= 0), has the
+    exponents x_> = (gap + 1 - |mu|)/t, built as their exact negation
+    ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)). The other
+    branch, n_<, has x_< = x_> + d, d = 2|mu|/t, so one exp and one expm1
+    pass give both: e^{-x_<} = e^{-x_>} e^{-d} and expm1(-x_<) =
+    expm1(-x_>) e^{-d} + expm1(-d), a sum of two terms <= 0 that cannot
+    cancel; e^{-d} and expm1(-d) are corrected for the rounding of d. Both
+    rows are then e^{-x}/expm1(-x), weighted by -k^2. Where x_< > 746 the
+    product e^{-x_<}, and so the n_< row, underflows to 0.0 by itself.
 
-    Where the exponent has underflowed, which happens only at mu = +-1 as
-    k -> 0 (the gap k^2/(E + 1) vanishes with k^2), k^2 n takes its limit
-    t(E + 1) = 2t; that also covers momenta whose k^2 underflows to 0
-    while the occupation is infinite.
+    Where x_> has underflowed, which happens only at mu = +-1 as k -> 0
+    (the gap k^2/(E + 1) vanishes with k^2), k^2 n_> takes its limit
+    t(E + 1) = 2t and the n_< pair is (e^{-d}, expm1(-d)); that also
+    covers momenta whose k^2 underflows to 0 while the occupation is
+    infinite.
 
-    The difference row is formed without cancellation: with the branch of
-    the smaller gap as n_> and the other as n_<,
-    n_> - n_< = n_> (1 + n_<) (1 - e^{-2|mu|/t}), where 1 + n_< =
-    1/(1 - e^{-omega_</t}) is at most 1/(1 - e^{-1/t}) and comes from the
-    expm1 pass already made. Every factor is finite at any (t, mu), so the
+    The difference row is formed without cancellation:
+    n_> - n_< = n_> (1 + n_<) (1 - e^{-d}), where 1 + n_< =
+    1/(1 - e^{-x_<}) is at most 1/(1 - e^{-1/t}) and comes from the
+    expm1 row already made. Every factor is finite at any (t, mu), so the
     row keeps full relative precision where n1 - n2 would cancel (high t,
     small mu) and never overflows.
-
-    Every exponent of n_< is at least (1 + |mu|)/t. Where that exceeds
-    _DEAD_X, n_< is 0.0 and 1 + n_< is 1.0 at every node, so only n_> is
-    evaluated: its row is the same double as in the pass over both, the
-    n_< row is 0.0 and the difference row is n_> (1 - e^{-2|mu|/t}).
     """
     k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
-    out = np.empty((3,) + k.shape)
-    # out[2] holds -k^2 until the difference row overwrites it
-    ksq = np.multiply(k, k, out=out[2])
-    neg_gap = ksq / (-1.0 - np.sqrt(ksq + 1.0))
-    neg_ksq = np.negative(ksq, out=ksq)
-    # row of n_>: particles for mu >= 0, antiparticles below; the n_< row
-    # is skipped where all its exponents, >= (1 + |mu|)/t, exceed _DEAD_X
-    larger = 0 if mu >= 0.0 else 1
-    smaller_dead = (1.0 + abs(mu)) / t > _DEAD_X
-    rows = slice(larger, larger + 1) if smaller_dead else slice(0, 2)
-    neg_x = np.add.outer((mu - 1.0, -1.0 - mu)[rows], neg_gap)
+    near, far = (0, 1) if mu >= 0.0 else (1, 0)
+    # rows k^2 n1, k^2 n2, k^2 (n1 - n2) (-k^2 until then), expm1(-x_1)
+    # and expm1(-x_2) (-1 - sqrt(k^2 + 1) and -x_> until then)
+    buf = np.empty((5,) + k.shape)
+    ksq = np.multiply(k, k, out=buf[2])
+    m_near, m_far = buf[3 + near], buf[3 + far]
+    np.sqrt(np.add(ksq, 1.0, out=m_far), out=m_far)
+    neg_x = np.divide(ksq, np.subtract(-1.0, m_far, out=m_far), out=m_near)
+    neg_x += abs(mu) - 1.0
     neg_x /= t
-    # x >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
-    # underflows can n overflow; there x is set to inf meanwhile
-    under = None
-    if (1.0 - abs(mu)) / t < _TINY:
-        under = neg_x > -_TINY
+    neg_ksq = np.negative(ksq, out=ksq)
+    # x_> >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
+    # underflows can n_> overflow; there it is 0 meanwhile, then 2t
+    under = neg_x > -_TINY if (1.0 - abs(mu)) / t < _TINY else None
+    d = 2.0 * abs(mu) / t
+    e_d, m_d = math.exp(-d), math.expm1(-d)
+    if e_d:  # d's rounding error r from a long double quotient, if any
+        r = float(np.longdouble(2.0 * abs(mu)) / t - d)
+        e_d, m_d = e_d - e_d * r, m_d - e_d * r
+    n_near = np.exp(neg_x, out=buf[near])
+    np.expm1(neg_x, out=neg_x)
+    # (e^{-x_<}, expm1(-x_<)) from (e^{-x_>}, expm1(-x_>))
+    np.multiply(buf[near::3], e_d, out=buf[far::3])
+    m_far += m_d
+    if under is not None:
         neg_x[under] = -math.inf
-    occ = _negated_bose(neg_x, out=out[rows])
+    occ = np.divide(buf[:2], buf[3:], out=buf[:2])
     occ *= neg_ksq
     if under is not None:
-        occ[under] = 2.0 * t
-    damping = math.copysign(-math.expm1(-2.0 * abs(mu) / t), mu)
-    if smaller_dead:
-        out[1 - larger] = 0.0
-        # n_> (-damping) / expm1(-x_<) with expm1(-x_<) = -1.0
-        np.multiply(out[larger], damping, out=out[2])
-        return out
-    # n_> damping / (1 - e^{-x_<}) as n_> (-damping) / expm1(-x_<)
-    np.multiply(out[larger], -damping, out=out[2])
-    out[2] /= neg_x[1 - larger]
-    return out
+        n_near[under] = 2.0 * t
+    # sign(mu) n_> (1 - e^{-d})/(1 - e^{-x_<}), with 1 - e^{-d} = -expm1(-d)
+    diff = np.multiply(n_near, -math.copysign(m_d, mu), out=neg_ksq)
+    diff /= m_far
+    return buf[:3]
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:

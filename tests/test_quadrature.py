@@ -387,7 +387,7 @@ SHORTCUT_MOMENTA = np.concatenate([[0.0, 5e-324, 1e-200, 1e-20],
 
 def shortcut_changes(points, full_pass):
     """The points whose EOS doubles, at two tolerances, or kernel rows (as
-    int64) change once full_pass() has turned the dead-branch shortcut
+    int64) change once full_pass() has turned the EOS's dead-branch skip
     off."""
     def outputs(t, mu):
         phase = PhasePoint(t, mu)
@@ -403,8 +403,10 @@ def shortcut_changes(points, full_pass):
 
 
 def test_dead_branch_shortcut_matches_the_full_pass(monkeypatch):
-    # where (1 + |mu|)/t or (1 - |mu|)/t exceeds _DEAD_X the kernel skips
-    # one branch and the EOS both: every double must be the full pass's
+    # where (1 - |mu|)/t exceeds _DEAD_X the EOS makes no pass and returns
+    # 0.0: every double must be the full pass's. Where only (1 + |mu|)/t
+    # exceeds it the kernel's far row underflows to 0.0 by itself, with no
+    # skip: those points and the live ones are the controls
     points = dead_branch_points()
     both = sum((1.0 - abs(mu)) / t > statistics._DEAD_X for t, mu in points)
     one = sum((1.0 + abs(mu)) / t > statistics._DEAD_X
@@ -412,15 +414,14 @@ def test_dead_branch_shortcut_matches_the_full_pass(monkeypatch):
     assert min(both, one, len(points) - both - one) > 300
 
     def full_pass():
-        for module in (statistics, quadrature):
-            monkeypatch.setattr(module, "_DEAD_X", math.inf)
+        monkeypatch.setattr(quadrature, "_DEAD_X", math.inf)
 
     assert shortcut_changes(points, full_pass) == []
 
 
 @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
 def test_dead_branch_shortcut_on_narrower_simd_loops(disabled):
-    # the shortcut is exact only where np.exp(-x) is 0.0 and np.expm1(-x)
+    # the EOS's skip is exact only where np.exp(-x) is 0.0 and np.expm1(-x)
     # is -1.0 above _DEAD_X, on whichever loop numpy dispatches
     features = pytest.importorskip(
         "numpy._core._multiarray_umath").__cpu_features__
@@ -428,11 +429,11 @@ def test_dead_branch_shortcut_on_narrower_simd_loops(disabled):
         pytest.skip(f"{disabled} is not dispatched on this machine")
     code = ("import math\n"
             "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-            "from relbec import quadrature, statistics\n"
+            "from relbec import quadrature\n"
             "import test_quadrature as tq\n"
             "assert not f['X86_V4']\n"
             "def full_pass():\n"
-            "    statistics._DEAD_X = quadrature._DEAD_X = math.inf\n"
+            "    quadrature._DEAD_X = math.inf\n"
             "print(tq.shortcut_changes(tq.dead_branch_points(), full_pass))")
     src = os.path.dirname(os.path.dirname(quadrature.__file__))
     path = os.pathsep.join([src, os.path.dirname(__file__),

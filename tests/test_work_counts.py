@@ -1,0 +1,108 @@
+"""Work counts as Tier-1 gates: EOS evaluations per inversion and per
+default sweep, and kernel calls and nodes per EOS.
+
+Timings drift with the machine and its load; these counts do not. They
+are taken through the names the benchmark's tracer wraps:
+solver.thermal_charge_density for EOS calls and
+quadrature._weighted_occupations for kernel calls. Each count is asserted
+to be at most its recorded value. A change that lowers a count lowers its
+bound here; one that raises a count says why.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from relbec import cli, quadrature, solver, statistics
+
+# q bands of the inversion counts, with 20 seeded draws each; solve_mu
+# runs at t from 1.12 to 10 times T_c(q)
+BANDS = [(1e-12, 1e-6), (1e-6, 1e-3), (1e-3, 1.0), (1.0, 1e3), (1e3, 1e9)]
+DRAWS = 20
+BAND_IDS = [f"q{lo:g}-{hi:g}" for lo, hi in BANDS]
+# per band: (total, max) EOS over the draws
+TC_EOS = [(177, 9), (160, 8), (168, 9), (196, 10), (200, 10)]
+MU_EOS = [(475, 29), (280, 17), (148, 11), (106, 7), (87, 5)]
+# EOS per default sweep
+SWEEP_EOS = {"universal": 228, "fraction-sweep": 236, "ratio-sweep": 1040}
+# Kronrod nodes of the one level-0 pass: 38 panels of 15, and k_cut
+NODES_PER_EOS = 571
+
+
+@pytest.fixture
+def eos_calls(monkeypatch):
+    """One (phase, node counts of its kernel calls) entry per EOS call
+    made through the solver."""
+    calls = []
+    eos = solver.thermal_charge_density
+    kernel = quadrature._weighted_occupations
+
+    def counting_eos(phase, *args, **kwargs):
+        calls.append((phase, []))
+        return eos(phase, *args, **kwargs)
+
+    def counting_kernel(k, phase):
+        calls[-1][1].append(len(k))
+        return kernel(k, phase)
+
+    monkeypatch.setattr(solver, "thermal_charge_density", counting_eos)
+    monkeypatch.setattr(quadrature, "_weighted_occupations",
+                        counting_kernel)
+    return calls
+
+
+def dead_eos(calls):
+    """The number of EOS calls where both branches are dead, after
+    checking that each other one made one kernel call of 571 nodes and
+    each of those none."""
+    dead = 0
+    for phase, nodes in calls:
+        both_dead = (1.0 - abs(phase.mu)) / phase.t > statistics._DEAD_X
+        assert nodes == ([] if both_dead else [NODES_PER_EOS]), phase
+        dead += both_dead
+    return dead
+
+
+def band_draws(band):
+    """Seeded (q, t/T_c) draws of one band."""
+    rng = np.random.default_rng(2100 + BANDS.index(band))
+    lo, hi = band
+    qs = np.exp(rng.uniform(math.log(lo), math.log(hi), DRAWS))
+    return list(zip(qs.tolist(), rng.uniform(1.12, 10.0, DRAWS).tolist()))
+
+
+@pytest.mark.parametrize("band, recorded", zip(BANDS, TC_EOS), ids=BAND_IDS)
+def test_eos_per_critical_temperature(eos_calls, band, recorded):
+    counts = []
+    for q, _ in band_draws(band):
+        eos_calls.clear()
+        solver.critical_temperature(q)
+        assert dead_eos(eos_calls) == 0
+        counts.append(len(eos_calls))
+    total, most = recorded
+    assert sum(counts) <= total and max(counts) <= most
+
+
+@pytest.mark.parametrize("band, recorded", zip(BANDS, MU_EOS), ids=BAND_IDS)
+def test_eos_per_solve_mu(eos_calls, band, recorded):
+    counts, dead = [], 0
+    for q, above in band_draws(band):
+        t = above * solver.critical_temperature(q)
+        eos_calls.clear()
+        solver.solve_mu(q, t)
+        dead += dead_eos(eos_calls)
+        counts.append(len(eos_calls))
+    total, most = recorded
+    assert sum(counts) <= total and max(counts) <= most
+    if band[1] <= 1e-6:
+        # at t <~ 1e-5 Brent's first steps land where both branches are
+        # dead, and those EOS make no kernel call
+        assert dead > 0
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEP_EOS))
+def test_eos_per_default_sweep(eos_calls, capsys, sweep):
+    assert cli.main([sweep]) == 0
+    capsys.readouterr()
+    assert len(eos_calls) <= SWEEP_EOS[sweep]
+    assert dead_eos(eos_calls) == 0
