@@ -23,7 +23,8 @@ from .solver import (SolverConfig, _critical_point, _thermal_state,
                      critical_temperature, condensed_solution, density_ratio,
                      solve_mu, universal_curves)
 from .statistics import momentum_profile
-from .types import BoxSpec, PhasePoint, require_count, require_finite
+from .types import (BoxSpec, PhasePoint, require_count, require_finite,
+                    require_positive)
 
 DEFAULT_Q_FAMILY = [0.01, 0.1, 1.0, 10.0]
 # argparse's own pattern for a negative number has no exponent, so it reads
@@ -101,9 +102,7 @@ def _cmd_ratio_sweep(args):
     solver = _configs(args)
     rows = []
     for q in args.q:
-        if not 0.0 < q < math.inf:
-            # raises: T_c(q) is undefined, or T_c(0) = 0 has no ratio
-            density_ratio(q, critical_temperature(q, solver), solver)
+        require_positive("q", q)
         # each series starts (ends) at the transition, whose ratio comes
         # from the densities the T_c solve found there
         tc, at_tc = _critical_point(q, solver)

@@ -46,11 +46,8 @@ class DivergentCondensateMode(RelBecError):
 
 
 class TailTooLarge(RelBecError):
-    """Mode cutoff too small: truncated modes contribute above tolerance."""
-
-    def __init__(self, message, tail_bound=None):
-        super().__init__(message)
-        self.tail_bound = tail_bound
+    """Mode cutoff too small: truncated modes contribute above tolerance;
+    the message gives the tail bound."""
 
 
 class BudgetExceeded(RelBecError):

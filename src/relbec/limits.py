@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AsymptoteOutOfRange, InvalidArgument, UnsupportedDimension
-from .types import ChargeDensities, require_finite, require_temperature
+from .types import (ChargeDensities, require_finite, require_positive,
+                    require_temperature)
 
 _ZETA_TABLE = {
     2: math.pi ** 2 / 6.0,
@@ -111,9 +112,7 @@ def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
     in fully scaled units T_c/m = sqrt(3 q/m^3). InvalidArgument where
     3 q overflows."""
-    require_finite("q", q_over_m)
-    if not (q_over_m > 0.0):
-        raise InvalidArgument(f"q must be > 0, got {q_over_m}")
+    require_positive("q", q_over_m)
     t_c = math.sqrt(3.0 * q_over_m)
     if t_c == math.inf:
         raise InvalidArgument(
@@ -122,13 +121,13 @@ def ur_critical_temperature(q_over_m: float) -> float:
     return t_c
 
 
-def ur_density_ratio(t_c: float, mu: float = 1.0) -> float:
-    """UR antiparticle ratio at the transition.
+def ur_density_ratio(t_c: float) -> float:
+    """UR antiparticle ratio at the transition, where mu = 1.
 
     Valid only deep in the UR regime; as t_c -> 0 it tends to -1, a
     documented failure of the expansion (the true ratio stays in (0, 1)).
     """
-    return ur_densities(t_c, mu).ratio
+    return ur_densities(t_c, 1.0).ratio
 
 
 def density_of_states(eps: float, dim: Dimension) -> float:
@@ -160,9 +159,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     the prefactor is not a positive finite double (d >= 155),
     InvalidArgument where T_c is not (pref q over- or underflows).
     """
-    require_finite("q", q_over_m)
-    if not (q_over_m > 0.0):
-        raise InvalidArgument(f"q must be > 0, got {q_over_m}")
+    require_positive("q", q_over_m)
     d = dim.d
     pref = _power(lambda: (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
         4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1)))
@@ -178,9 +175,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
 
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
     """UR condensed fraction 1 - (t/t_c)^{d-1}; an inverted parabola at d=3."""
-    require_finite("t_c", t_c)
-    if not (t_c > 0.0):
-        raise InvalidArgument(f"t_c must be > 0, got {t_c}")
+    require_positive("t_c", t_c)
     if not (0.0 <= t <= t_c):
         raise InvalidArgument(f"need 0 <= t <= t_c, got t = {t}, t_c = {t_c}")
     return 1.0 - (t / t_c) ** (dim.d - 1)
@@ -191,9 +186,7 @@ def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     mu ~ 1 - t ln((q0+1)/q0) in scaled units. Where 1/q0 overflows
     (q0 below ~5.6e-309) the log is taken as -ln q0, its value to within
     q0."""
-    require_finite("q0_occ", q0_occ)
-    if not (q0_occ > 0.0):
-        raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
+    require_positive("condensate occupation", q0_occ)
     require_temperature(t)
     inverse = 1.0 / q0_occ
     log_ratio = (math.log1p(inverse) if inverse < math.inf
@@ -208,9 +201,7 @@ def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:
     Evaluated through e^{-2/t} so it stays finite for small t; outside the
     validity region the denominator turns non-positive and the call fails.
     """
-    require_finite("q0_occ", q0_occ)
-    if not (q0_occ > 0.0):
-        raise InvalidArgument(f"condensate occupation must be > 0, got {q0_occ}")
+    require_positive("condensate occupation", q0_occ)
     require_temperature(t)
     x = 2.0 / t
     emx = math.exp(-x) if x < 745.0 else 0.0

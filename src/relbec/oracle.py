@@ -469,8 +469,7 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
         raise TailTooLarge(
             f"mode_sum at t = {t}, mu = {mu}, L = {length} with cutoff "
             f"{cutoff}: tail bound {tail:.3e} above {tail_rel_tol:.1e} of the "
-            f"summed density {n1_fv + n2_fv:.3e}; raise mode_cutoff",
-            tail_bound=tail)
+            f"summed density {n1_fv + n2_fv:.3e}; raise mode_cutoff")
     return ModeSumResult(q_tilde_fv=n1_fv - n2_fv, n1_fv=n1_fv, n2_fv=n2_fv,
                          modes_used=_lattice_points(cutoff),
                          tail_bound=tail)

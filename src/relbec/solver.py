@@ -16,7 +16,8 @@ from .errors import (AboveCritical, BelowCritical, InvalidArgument,
 from .limits import _ZETA_3_2
 from .quadrature import QuadratureConfig, thermal_charge_density
 from .types import (ChargeDensities, CriticalPoint, PhasePoint,
-                    require_count, require_finite, require_temperature)
+                    require_count, require_finite, require_positive,
+                    require_temperature)
 
 # Brent's method cannot narrow a bracket below a few ulps of the root
 _MIN_RTOL = 4.0 * np.finfo(float).eps
@@ -228,9 +229,7 @@ def condensed_solution(q: float, t: float,
 
     q0 is clamped to >= 0 to absorb quadrature noise at t -> T_c.
     """
-    require_finite("q", q)
-    if not (q > 0.0):
-        raise InvalidArgument(f"q must be > 0, got {q}")
+    require_positive("q", q)
     phase = PhasePoint(t, 1.0)
     densities = thermal_charge_density(phase, config.quad)
     if densities.q_tilde > q * (1.0 + 100.0 * config.t_tol):
@@ -249,8 +248,7 @@ def density_ratio(q: float, t: float,
     Above the transition mu is solved from q; at or below it the thermal
     gas sits at mu = 1 and the ratio is that of the thermal clouds.
     """
-    if not (q > 0.0):
-        raise InvalidArgument(f"q must be > 0, got {q}")
+    require_positive("q", q)
     return _thermal_state(q, t, config)[1].ratio
 
 

@@ -39,15 +39,15 @@ def _gap(ksq):
     return ksq / (np.sqrt(ksq + 1.0) + 1.0)
 
 
-def _bose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _bose(x: np.ndarray) -> np.ndarray:
     """Bose-Einstein occupation 1/(e^x - 1) = e^{-x}/(-expm1(-x)) on an
-    array of exponents x >= 0, by one exp and one expm1 pass, written into
-    out when given (x = 0 gives inf): within 2 ulp of the exact value where
-    that is a normal double (test_occupation_matches_mpmath). The quotient
-    overflows or divides by zero only where x is below the smallest normal
-    double, so those warnings are silenced."""
+    array of exponents x >= 0, by one exp and one expm1 pass (x = 0 gives
+    inf): within 2 ulp of the exact value where that is a normal double
+    (test_occupation_matches_mpmath). The quotient overflows or divides by
+    zero only where x is below the smallest normal double, so those
+    warnings are silenced."""
     neg_x = np.negative(x)
-    out = np.exp(neg_x, out=out)
+    out = np.exp(neg_x)
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(out, np.negative(np.expm1(neg_x, out=neg_x),
                                           out=neg_x), out=out)
@@ -68,7 +68,10 @@ def charge_integrand(k, phase: PhasePoint):
         raise InvalidArgument(
             f"charge_integrand: k^2 must be a finite double, got k = "
             f"{ks[~squarable][0]}")
-    out = _weighted_occupations(ks, phase)[2]
+    # at a subnormal t an exponent (gap + 1 -+ mu)/t can overflow to inf,
+    # whose occupation 0.0 is the exact limit
+    with np.errstate(over="ignore"):
+        out = _weighted_occupations(ks, phase)[2]
     return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
 
 
@@ -149,5 +152,6 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
             f"k_max must be > 0 with k_max^2 a finite double, got {k_max}")
     require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
-    n1, n2, _ = _weighted_occupations(k, phase)
+    with np.errstate(over="ignore"):  # as in charge_integrand
+        n1, n2, _ = _weighted_occupations(k, phase)
     return MomentumProfile(k_grid=k, n1_of_k=n1, n2_of_k=n2)

@@ -21,6 +21,14 @@ def require_finite(name: str, value) -> None:
         raise InvalidArgument(f"{name} must be finite, got {value}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise InvalidArgument, naming the argument, unless value is finite
+    and > 0."""
+    require_finite(name, value)
+    if not (value > 0.0):
+        raise InvalidArgument(f"{name} must be > 0, got {value}")
+
+
 def require_count(name: str, value, least: int) -> None:
     """Raise InvalidArgument, naming the argument, unless value is an
     integer (Python or numpy) >= least."""
@@ -114,10 +122,7 @@ class BoxSpec:
     mode_cutoff: int
 
     def __post_init__(self):
-        require_finite("box_length", self.box_length)
-        if not (self.box_length > 0.0):
-            raise InvalidArgument(
-                f"box_length must be > 0, got {self.box_length}")
+        require_positive("box_length", self.box_length)
         if not (isinstance(self.mode_cutoff, int) and self.mode_cutoff >= 1):
             raise InvalidArgument(
                 f"mode_cutoff must be an integer >= 1, got {self.mode_cutoff}")

@@ -292,6 +292,10 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["ratio-sweep", "--q", "1", "--t-max", "nan"],
     ["fraction-sweep", "--q", "1", "--points", "0"],
     ["fraction-sweep", "--q", "1", "--points", "-2"],
+    ["ratio-sweep", "--q", "0"],
+    ["ratio-sweep", "--q", "-1"],
+    ["ratio-sweep", "--q", "nan"],
+    ["ratio-sweep", "--q", "inf"],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):
     # a value out of its domain is reported, not a traceback; only a

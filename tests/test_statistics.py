@@ -75,10 +75,9 @@ def test_occupation_huge_exponent():
 
 
 def test_occupation_writes_in_place():
-    # x = 0 -> inf, tiny, moderate and large exponents, written into out
+    # x = 0 -> inf, tiny, moderate and large exponents, on a 2-d array
     x = np.array([[0.0, 1e-12, 1.0], [30.0, 650.0, 720.0]])
-    out = np.empty_like(x)
-    assert _bose(x, out=out) is out
+    out = _bose(x)
     expected = [[math.inf, 1e12 - 0.5, 1.0 / math.expm1(1.0)],
                 [1.0 / math.expm1(30.0), 1.0 / math.expm1(650.0),
                  math.exp(-720.0)]]
@@ -89,8 +88,7 @@ def test_occupation_all_above_overflow():
     # exponents beyond the overflow of e^x, down to subnormal and zero
     # results: the same doubles as where the array also holds small ones
     x = np.array([[700.5, 720.0, 745.0], [746.0, 2000.0, 1e6]])
-    out = np.empty_like(x)
-    assert _bose(x, out=out) is out
+    out = _bose(x)
     mixed = _bose(np.append(x.ravel(), 1.0))
     np.testing.assert_array_equal(out.ravel(), mixed[:-1])
     assert out[0, 2] > 0.0 and out[1, 2] == 0.0
@@ -185,6 +183,22 @@ def test_charge_integrand_gapless_underflow(k, mu):
     t = 1.0
     assert charge_integrand(k, PhasePoint(t, mu)) == pytest.approx(
         math.copysign(2.0 * t, mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, -1.0])
+def test_public_kernel_callers_at_subnormal_temperature(mu):
+    # the exponents (gap + 1 -+ mu)/t overflow to inf, a RuntimeWarning
+    # unless silenced: every occupation is 0.0 but k^2 n_> -> 2t as k -> 0
+    # at |mu| = 1
+    t = 1e-310
+    limit = 2.0 * t if abs(mu) == 1.0 else 0.0
+    assert charge_integrand(1e-160, PhasePoint(t, mu)) == pytest.approx(
+        math.copysign(limit, mu), rel=1e-10, abs=0.0)
+    prof = momentum_profile(PhasePoint(t, mu), 1.0, 4)
+    near, far = ((prof.n1_of_k, prof.n2_of_k) if mu > 0.0
+                 else (prof.n2_of_k, prof.n1_of_k))
+    np.testing.assert_array_equal(near, [limit, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(far, 0.0)
 
 
 @pytest.mark.parametrize("t", [1e-9, 1.0, 1e6])
