@@ -22,18 +22,14 @@ bound is not below the tolerance the pass raises NonConvergence.
 
 Every level is the same pass, and its number of numpy calls does not grow
 with the number of panels: the nodes of all panels and k_cut go to the
-integrand in one buffer, each component's Kronrod and Kronrod-minus-Gauss
-sums come from one matrix product, the QUADPACK error estimate (Piessens
-et al., QUADPACK, 1983) is a few elementwise calls on the panels, and the
-running totals, the tail bound and the tolerance test are one Python loop
-over the few components. At the default tolerances thermal_charge_density
-is one such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
+integrand in one buffer, each component's Kronrod sum K and Kronrod-minus-
+Gauss sum K - G come from one matrix product, a panel's error estimate is
+|K - G|, and the running totals, the tail bound and the tolerance test are
+one Python loop over the few components. The estimate asks nothing of the
+integrand's sign. At the default tolerances thermal_charge_density is one
+such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
 statistics._DEAD_X, and no pass above it, where every k^2 n of both
 branches underflows to 0.0.
-
-Every component must keep one sign on [0, inf): the error estimate takes
-a panel's integral of |f| as |Kronrod sum|, exact only then. The kernel's
-rows keep it: test_statistics.test_weighted_occupations_keep_one_sign.
 """
 import math
 from dataclasses import dataclass
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
-from .statistics import _DEAD_X, _TINY, _weighted_occupations
+from .statistics import _DEAD_X, _weighted_occupations
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import charge_integrand  # noqa: F401
@@ -69,14 +65,12 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, 15 nodes
 # (h, mid) @ _NODE_MAP gives a panel's nodes h x + mid, each the double
 # h * x + mid gives elementwise: every level holds at least two panels.
 _NODE_MAP = np.stack([_NODES, np.ones(15)])
-# Columns: Kronrod weights over the 15 ascending nodes, and 200 times
-# Kronrod minus Gauss weights (the Gauss rule uses the odd nodes) for the
-# error estimate.
+# Columns: Kronrod weights over the 15 ascending nodes, and Kronrod minus
+# Gauss weights (the Gauss rule uses the odd nodes) for the error estimate.
 _WEIGHTS = np.zeros((15, 2))
 _WEIGHTS[:, 0] = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS[1::2, 1] = -np.concatenate([_WG[:-1], _WG[::-1]])
 _WEIGHTS[:, 1] += _WEIGHTS[:, 0]
-_WEIGHTS[:, 1] *= 200.0
 
 # Initial mesh below the thermal momentum p, relative to p: 12 panels
 # halving toward k = 0, then panels shrinking by 4 down to 1e-12. The
@@ -135,23 +129,12 @@ def _initial_edges(k_cut: float, s: float) -> np.ndarray:
 
 
 def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Kronrod values and error estimates of panels with half-widths h
-    from integrand values y[component, panel, node], as out[0] and out[1]
-    of one (2, component, panel) array.
-
-    The error estimate is QUADPACK's resabs min(1, (200 |K - G|/resabs)^1.5),
-    written as min(resabs, e sqrt(e/resabs)) with e = 200 |K - G|. resabs,
-    the integral of |y| on the panel, is taken as |K|, which is exact for
-    a component of one sign; resabs = 0 means y = 0 on the panel and a
-    zero error."""
-    sums = y @ _WEIGHTS
-    out = np.multiply(sums.transpose(2, 0, 1), h, order="C")
-    resabs, e = np.abs(out)
-    err = out[1]
-    np.divide(e, np.maximum(resabs, _TINY), out=err)
-    np.sqrt(err, out=err)
-    err *= e
-    np.minimum(err, resabs, out=err)
+    """Kronrod values K and error estimates |K - G| of panels with
+    half-widths h from integrand values y[component, panel, node], as
+    out[0] and out[1] of one (2, component, panel) array. G is the G7
+    rule embedded in K15's nodes."""
+    out = np.multiply((y @ _WEIGHTS).transpose(2, 0, 1), h, order="C")
+    np.abs(out[1], out=out[1])
     return out
 
 
@@ -168,7 +151,7 @@ def _tail_factor(k_cut: float, s: float) -> float:
 
 def _levels(f, config: QuadratureConfig, s: float):
     """(value, error) of the integral of f over [0, inf), as lists of
-    floats, one per row of f's output; each row keeps one sign and decays
+    floats, one per row of f's output; a row may change sign, and decays
     at least like e^{-gap/s} beyond the fixed cutoff k_cut =
     _momentum(_CUT_EFOLDINGS * s). NonConvergence where a tail bound is
     not below its tolerance, or the refinement budget runs out. The loop

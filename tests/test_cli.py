@@ -296,6 +296,13 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["ratio-sweep", "--q", "-1"],
     ["ratio-sweep", "--q", "nan"],
     ["ratio-sweep", "--q", "inf"],
+    # counts above types._MAX_COUNT, rejected before any allocation
+    ["profile", "--q", "1", "--t", "2", "--samples", str(10 ** 6 + 1)],
+    ["profile", "--q", "1", "--t", "2", "--samples", str(10 ** 13)],
+    ["universal", "--points", str(10 ** 6 + 1)],
+    ["universal", "--points", str(10 ** 13)],
+    ["ratio-sweep", "--q", "1", "--points", str(10 ** 6 + 1)],
+    ["ratio-sweep", "--q", "1", "--points", str(10 ** 13)],
 ])
 def test_invalid_argument_is_an_error_record(capsys, argv):
     # a value out of its domain is reported, not a traceback; only a

@@ -228,9 +228,9 @@ def eos_nodes(t):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weighted_occupations_keep_one_sign():
-    # the quadrature's error estimate takes a panel's integral of |f| as
-    # |Kronrod sum|, exact only for rows of one sign: k^2 n1, k^2 n2 >= 0
-    # and k^2 (n1 - n2) of the sign of mu, at every t the EOS accepts
+    # the occupations are positive where |mu| <= 1, so the kernel's rows
+    # keep one sign on the pass's own nodes: k^2 n1, k^2 n2 >= 0 and
+    # k^2 (n1 - n2) of the sign of mu, at every t the EOS accepts
     rng = np.random.default_rng(1717)
     ts = [1e-12, quadrature._MAX_T] + (10.0 ** rng.uniform(
         -12.0, math.log10(quadrature._MAX_T), 2000)).tolist()

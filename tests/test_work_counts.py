@@ -1,5 +1,6 @@
 """Work counts as Tier-1 gates: EOS evaluations per inversion and per
-default sweep, and kernel calls and nodes per EOS.
+default sweep, kernel calls and nodes per EOS, and kernel nodes per EOS
+at tight tolerances.
 
 Timings drift with the machine and its load; these counts do not. They
 are taken through the names the benchmark's tracer wraps:
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from relbec import cli, quadrature, solver, statistics
+from relbec.types import PhasePoint
 
 # q bands of the inversion counts, with 20 seeded draws each; solve_mu
 # runs at t from 1.12 to 10 times T_c(q)
@@ -27,6 +29,11 @@ MU_EOS = [(475, 29), (280, 17), (148, 11), (106, 7), (87, 5)]
 SWEEP_EOS = {"universal": 228, "fraction-sweep": 236, "ratio-sweep": 1040}
 # Kronrod nodes of the one level-0 pass: 38 panels of 15, and k_cut
 NODES_PER_EOS = 571
+# Kernel nodes per EOS at tight tolerances, where the error estimate
+# rather than the initial panels decides how many levels a pass takes:
+# (total, max) over TIGHT_DRAWS seeded (t, mu)
+TIGHT_DRAWS = 500
+TIGHT_NODES = {1e-12: (158488, 692), 1e-13: (167358, 812)}
 
 
 @pytest.fixture
@@ -106,3 +113,34 @@ def test_eos_per_default_sweep(eos_calls, capsys, sweep):
     capsys.readouterr()
     assert len(eos_calls) <= SWEEP_EOS[sweep]
     assert dead_eos(eos_calls) == 0
+
+
+def tight_draws():
+    """Seeded (t, mu) over t from 1e-12 to 1e6: four in five with mu
+    uniform in (-1, 1), the rest within 1e-16 to 1e-1 of |mu| = 1."""
+    rng = np.random.default_rng(2300)
+    ts = 10.0 ** rng.uniform(-12.0, 6.0, TIGHT_DRAWS)
+    mus = rng.uniform(-1.0, 1.0, TIGHT_DRAWS)
+    near = TIGHT_DRAWS // 5
+    mus[:near] = np.sign(mus[:near]) * (
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, near))
+    return list(zip(ts.tolist(), mus.tolist()))
+
+
+@pytest.mark.parametrize("rel_tol", sorted(TIGHT_NODES))
+def test_kernel_nodes_per_eos_at_tight_tolerance(monkeypatch, rel_tol):
+    nodes = []
+    kernel = quadrature._weighted_occupations
+
+    def counting_kernel(k, phase):
+        nodes[-1] += len(k)
+        return kernel(k, phase)
+
+    monkeypatch.setattr(quadrature, "_weighted_occupations",
+                        counting_kernel)
+    config = quadrature.QuadratureConfig(rel_tol=rel_tol)
+    for t, mu in tight_draws():
+        nodes.append(0)
+        quadrature.thermal_charge_density(PhasePoint(t, mu), config)
+    total, most = TIGHT_NODES[rel_tol]
+    assert sum(nodes) <= total and max(nodes) <= most
