@@ -6,7 +6,8 @@ Output is deterministic: floats are printed with 17 significant digits in
 lowercase scientific notation, rows in grid order.
 """
 import argparse
-import json
+import contextlib
+import gc
 import math
 import re
 import sys
@@ -48,18 +49,18 @@ def _fmt(v):
 
 
 def _emit(columns, rows, fmt, out_path):
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    """Write the table to out_path, or to stdout when it is None. CSV goes
+    out row by row as each row is formatted; JSON is one json.dumps of the
+    whole list of records."""
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w")) as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        else:
+            import json  # only JSON output and error records load it
+            payload = [dict(zip(columns, row)) for row in rows]
+            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def __getattr__(name):
@@ -76,8 +77,8 @@ def _configs(args):
                         quad=QuadratureConfig(rel_tol=args.tol_quad))
 
 
-# Each _cmd_* returns (columns, rows): the column names, then one tuple of
-# values per row in that order.
+# Each _cmd_* returns (columns, rows): the column names, then an iterable of
+# one tuple of values per row in that order.
 def _cmd_mu(args):
     mu = solve_mu(args.q, args.t, _configs(args))
     return ("q_over_m3", "t_over_m", "mu_over_m"), [(args.q, args.t, mu)]
@@ -117,8 +118,8 @@ def _cmd_profile(args):
     # condensed, the thermal cloud sits at the condensation point sign(q)
     mu = _thermal_state(args.q, args.t, _configs(args))[0]
     prof = momentum_profile(PhasePoint(args.t, mu), args.k_max, args.samples)
-    return ("k_over_m", "n1_k", "n2_k"), list(zip(
-        prof.k_grid.tolist(), prof.n1_of_k.tolist(), prof.n2_of_k.tolist()))
+    return ("k_over_m", "n1_k", "n2_k"), zip(
+        prof.k_grid.tolist(), prof.n1_of_k.tolist(), prof.n2_of_k.tolist())
 
 
 def _grid_top(tc, n):
@@ -241,11 +242,18 @@ def _error_record(exc, args) -> int:
     record = {"error": type(exc).__name__,
               "operation": args.subcommand,
               "message": str(exc)}
+    import json
     sys.stderr.write(json.dumps(record) + "\n")
     return 1
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # A program run: everything the imports made lives until exit, so
+        # no collection should walk it again, the ones the interpreter
+        # makes at shutdown included. In-process callers pass argv and keep
+        # a collectable heap.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

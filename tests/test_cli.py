@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -12,6 +13,8 @@ import relbec
 from relbec import (BelowCritical, PhasePoint, cli, solver, solve_mu,
                     thermal_charge_density)
 from relbec.cli import main
+from relbec.statistics import momentum_profile
+from test_golden import CLI_CASES, CLI_DIR
 
 
 def run_cli(capsys, *argv):
@@ -210,22 +213,68 @@ def test_condensed_oracle_check_takes_the_sign_of_q(capsys):
         assert [float(v) for v in m[2:4]] == [-float(v) for v in p[2:4]]
 
 
-def _fresh_interpreter(code):
-    """stdout of code run by a fresh interpreter that imports the same
-    relbec as this one."""
+def _python(*args):
+    """The finished run of `python args` in a fresh interpreter that
+    imports the same relbec as this one, with stdout and stderr as bytes."""
     src = str(pathlib.Path(relbec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True)
+
+
+def _fresh_interpreter(code):
+    """stdout of code run by a fresh interpreter that imports the same
+    relbec as this one."""
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr.decode()
+    return run.stdout.decode()
 
 
 @pytest.mark.parametrize("statement", ["import relbec", "import relbec.cli"])
 def test_import_loads_no_scipy(statement):
+    # nor json, which only JSON output and error records need
     loaded = _fresh_interpreter(
         f"import sys\n{statement}\nprint(*sys.modules)").split()
     assert "relbec.solver" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded
+            if m.split(".")[0] in ("scipy", "json")] == []
+
+
+@pytest.mark.parametrize("name", ["tc", "tc-json"])
+def test_program_run_matches_golden(name):
+    # through `python -m relbec.cli`, i.e. sys.exit(main()) with no argv
+    run = _python("-m", "relbec.cli", *CLI_CASES[name])
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (CLI_DIR / f"{name}.txt").read_bytes()
+
+
+def test_program_run_error_is_a_record_and_exit_code_1(capsys):
+    argv = ["tc", "--q", "-1"]
+    run = _python("-m", "relbec.cli", *argv)
+    assert (run.returncode, run.stdout) == (1, b"")
+    record = json.loads(run.stderr)
+    assert (record["error"], record["operation"]) == ("InvalidArgument", "tc")
+    assert run.stderr.decode() == run_cli(capsys, *argv)[2]
+
+
+def test_in_process_main_leaves_the_heap_collectable(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "tc", "--q", "1")[0] == 0
+    assert run_cli(capsys, "tc", "--q", "-1")[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_program_run_freezes_the_import_heap():
+    out = _fresh_interpreter(
+        "import gc, sys\n"
+        "import relbec.cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "sys.argv = ['relbec', 'ddim-tc', '--q-over-m', '1', '--dim', '3']\n"
+        "code = relbec.cli.main()\n"
+        "print(code, gc.get_freeze_count())\n")
+    code, frozen = out.splitlines()[-1].split()
+    assert code == "0" and int(frozen) > 0
 
 
 def test_oracle_names_resolve_on_first_use():
@@ -369,6 +418,25 @@ def test_unwritable_output_path_is_an_error_record(tmp_path, capsys):
     assert record["error"] == "FileNotFoundError"
     assert record["operation"] == "tc"
     assert str(target) in record["message"]
+
+
+def test_profile_output_is_written_row_by_row(tmp_path):
+    target = tmp_path / "profile.csv"
+    tracemalloc.start()
+    try:
+        code = main(["--out", str(target), "profile", "--q", "1", "--t", "2",
+                     "--samples", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # formatted whole, this 6.9 MB of text peaked at 40.9 MB
+    assert peak <= 40.9e6 / 2
+    prof = momentum_profile(PhasePoint(2.0, solve_mu(1.0, 2.0)), 10.0, 100000)
+    assert target.read_text() == "k_over_m,n1_k,n2_k\n" + "".join(
+        f"{k:.16e},{n1:.16e},{n2:.16e}\n" for k, n1, n2 in zip(
+            prof.k_grid.tolist(), prof.n1_of_k.tolist(),
+            prof.n2_of_k.tolist()))
 
 
 def test_determinism_single_command(capsys):
