@@ -6,11 +6,12 @@ solver modules; the CLI also reports them as they are (ddim-tc and the
 UR columns of universal), next to the numerical results.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import AsymptoteOutOfRange, InvalidArgument, UnsupportedDimension
 from .types import (ChargeDensities, require_finite, require_positive,
-                    require_temperature)
+                    require_real, require_temperature)
 
 _ZETA_TABLE = {
     2: math.pi ** 2 / 6.0,
@@ -27,8 +28,9 @@ def zeta_int(n: int) -> float:
     Common values are tabulated; larger n use the direct series with an
     Euler-Maclaurin tail, accurate to ~1e-15.
     """
-    if not (isinstance(n, int) and n >= 2):
+    if not (isinstance(n, numbers.Integral) and n >= 2):
         raise InvalidArgument(f"zeta_int needs an integer n >= 2, got {n}")
+    n = int(n)
     if n in _ZETA_TABLE:
         return _ZETA_TABLE[n]
     big_n = 400
@@ -43,8 +45,8 @@ def gamma_half(x: float) -> float:
     """Gamma function at positive integer or half-integer x, by upward
     recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi); inf from
     x = 172 on, where Gamma(x) is past the largest double."""
-    require_finite("x", x)
-    whole = float(x).is_integer()
+    x = require_finite("x", x)
+    whole = x.is_integer()
     if x <= 0.0 or not (whole or (2.0 * x).is_integer()):
         raise InvalidArgument(
             f"gamma_half needs a positive integer or half-integer, got {x}")
@@ -67,9 +69,10 @@ class Dimension:
     d: int
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 3):
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 3):
             raise UnsupportedDimension(
                 f"need integer spatial dimension d >= 3, got {self.d}")
+        object.__setattr__(self, "d", int(self.d))  # a Python int
 
 
 def ur_densities(t: float, mu: float) -> ChargeDensities:
@@ -77,8 +80,8 @@ def ur_densities(t: float, mu: float) -> ChargeDensities:
     n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3, taken as 2 b
     rather than n1 - n2, which cancels at high t. InvalidArgument where t^3
     overflows (t above ~5.6e102)."""
-    require_temperature(t)
-    require_finite("mu", mu)
+    t = require_temperature(t)
+    mu = require_finite("mu", mu)
     cube = _power(lambda: t ** 3)
     if cube == math.inf:
         raise InvalidArgument(
@@ -112,7 +115,7 @@ def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
     in fully scaled units T_c/m = sqrt(3 q/m^3). InvalidArgument where
     3 q overflows."""
-    require_positive("q", q_over_m)
+    q_over_m = require_positive("q", q_over_m)
     t_c = math.sqrt(3.0 * q_over_m)
     if t_c == math.inf:
         raise InvalidArgument(
@@ -136,7 +139,7 @@ def density_of_states(eps: float, dim: Dimension) -> float:
     for scaled energy eps >= 1. UnsupportedDimension where the prefactor
     is not a positive finite double, InvalidArgument where the value
     overflows."""
-    require_finite("eps", eps)
+    eps = require_finite("eps", eps)
     if eps < 1.0:
         raise InvalidArgument(f"energy below the mass gap: eps = {eps}")
     d = dim.d
@@ -159,7 +162,7 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     the prefactor is not a positive finite double (d >= 155),
     InvalidArgument where T_c is not (pref q over- or underflows).
     """
-    require_positive("q", q_over_m)
+    q_over_m = require_positive("q", q_over_m)
     d = dim.d
     pref = _power(lambda: (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
         4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1)))
@@ -175,7 +178,8 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
 
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
     """UR condensed fraction 1 - (t/t_c)^{d-1}; an inverted parabola at d=3."""
-    require_positive("t_c", t_c)
+    t_c = require_positive("t_c", t_c)
+    t = require_real("t", t)
     if not (0.0 <= t <= t_c):
         raise InvalidArgument(f"need 0 <= t <= t_c, got t = {t}, t_c = {t_c}")
     return 1.0 - (t / t_c) ** (dim.d - 1)
@@ -186,8 +190,8 @@ def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     mu ~ 1 - t ln((q0+1)/q0) in scaled units. Where 1/q0 overflows
     (q0 below ~5.6e-309) the log is taken as -ln q0, its value to within
     q0."""
-    require_positive("condensate occupation", q0_occ)
-    require_temperature(t)
+    q0_occ = require_positive("condensate occupation", q0_occ)
+    t = require_temperature(t)
     inverse = 1.0 / q0_occ
     log_ratio = (math.log1p(inverse) if inverse < math.inf
                  else -math.log(q0_occ))
@@ -201,8 +205,8 @@ def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:
     Evaluated through e^{-2/t} so it stays finite for small t; outside the
     validity region the denominator turns non-positive and the call fails.
     """
-    require_positive("condensate occupation", q0_occ)
-    require_temperature(t)
+    q0_occ = require_positive("condensate occupation", q0_occ)
+    t = require_temperature(t)
     x = 2.0 / t
     emx = math.exp(-x) if x < 745.0 else 0.0
     # (q0+1)/(q0 (e^x - 1) - 1) * e^{-x}/e^{-x}

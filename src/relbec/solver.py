@@ -17,7 +17,7 @@ from .limits import _ZETA_3_2
 from .quadrature import QuadratureConfig, thermal_charge_density
 from .types import (ChargeDensities, CriticalPoint, PhasePoint,
                     require_count, require_finite, require_positive,
-                    require_temperature)
+                    require_real, require_temperature)
 
 # Brent's method cannot narrow a bracket below a few ulps of the root
 _MIN_RTOL = 4.0 * np.finfo(float).eps
@@ -145,8 +145,8 @@ def _thermal_state(q: float, t: float, config: SolverConfig):
     1.0 for a state just above T_c). q = 0 integrates once, at mu = 0;
     q < 0 is solved as |q| and conjugated.
     """
-    require_finite("q", q)
-    require_temperature(t)
+    q = require_finite("q", q)
+    t = require_temperature(t)
     if q == 0.0:
         phase = PhasePoint(t, 0.0)
         return 0.0, thermal_charge_density(phase, config.quad), False
@@ -214,7 +214,7 @@ def critical_temperature(q: float,
     The bracket is _tc_bracket's closed form; should it miss the root,
     NonConvergence names q.
     """
-    require_finite("q", q)
+    q = require_finite("q", q)
     if q < 0.0:
         raise InvalidArgument(
             f"q must be >= 0 (use conjugation for q < 0), got {q}")
@@ -229,7 +229,7 @@ def condensed_solution(q: float, t: float,
 
     q0 is clamped to >= 0 to absorb quadrature noise at t -> T_c.
     """
-    require_positive("q", q)
+    q = require_positive("q", q)
     phase = PhasePoint(t, 1.0)
     densities = thermal_charge_density(phase, config.quad)
     if densities.q_tilde > q * (1.0 + 100.0 * config.t_tol):
@@ -248,7 +248,7 @@ def density_ratio(q: float, t: float,
     Above the transition mu is solved from q; at or below it the thermal
     gas sits at mu = 1 and the ratio is that of the thermal clouds.
     """
-    require_positive("q", q)
+    q = require_positive("q", q)
     return _thermal_state(q, t, config)[1].ratio
 
 
@@ -256,9 +256,10 @@ def universal_curves(q_min: float, q_max: float, points: int,
                      config: SolverConfig = SolverConfig()):
     """Mass-independent transition line: log-spaced q grid with T_c and
     the antiparticle ratio at the transition for each point."""
+    q_min, q_max = require_real("q_min", q_min), require_real("q_max", q_max)
     if not (0.0 < q_min < q_max < math.inf):
         raise InvalidArgument("require 0 < q_min < q_max < inf")
-    require_count("points", points, 2)
+    points = require_count("points", points, 2)
     out = []
     for q in np.geomspace(q_min, q_max, points):
         q = float(q)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidArgument
-from .types import MomentumProfile, PhasePoint, require_count
+from .types import MomentumProfile, PhasePoint, require_count, require_real
 
 # Smallest normal double: an exponent below it means the gap has underflowed.
 _TINY = 2.2250738585072014e-308
@@ -147,10 +147,11 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
     to the thermal charge density. No 1/2pi^2 prefactor is applied to the
     emitted curves.
     """
+    k_max = require_real("k_max", k_max)
     if not (k_max > 0.0 and k_max * k_max < math.inf):
         raise InvalidArgument(
             f"k_max must be > 0 with k_max^2 a finite double, got {k_max}")
-    require_count("samples", samples, 2)
+    samples = require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
     with np.errstate(over="ignore"):  # as in charge_integrand
         n1, n2, _ = _weighted_occupations(k, phase)

@@ -14,19 +14,39 @@ import numpy as np
 from .errors import InvalidArgument, NonPositiveTemperature, UnphysicalMu
 
 
-def require_finite(name: str, value) -> None:
-    """Raise InvalidArgument, naming the argument, if value is nan or
-    infinite."""
+def require_real(name: str, value) -> float:
+    """value as a Python float: a numpy scalar would carry its own precision
+    and promotion rules into the arithmetic, so every entry point takes its
+    real arguments through here once. Raise InvalidArgument, naming the
+    argument, unless value is a real number (Python or numpy) within the
+    doubles; inf and nan pass."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidArgument(f"{name} must be a real double, got {value!r}")
+
+
+def require_finite(name: str, value) -> float:
+    """value as a Python float; raise InvalidArgument, naming the argument,
+    if it is nan or infinite."""
+    if type(value) is not float:
+        value = require_real(name, value)
     if not math.isfinite(value):
         raise InvalidArgument(f"{name} must be finite, got {value}")
+    return value
 
 
-def require_positive(name: str, value) -> None:
-    """Raise InvalidArgument, naming the argument, unless value is finite
-    and > 0."""
-    require_finite(name, value)
+def require_positive(name: str, value) -> float:
+    """value as a Python float; raise InvalidArgument, naming the argument,
+    unless it is finite and > 0."""
+    value = require_finite(name, value)
     if not (value > 0.0):
         raise InvalidArgument(f"{name} must be > 0, got {value}")
+    return value
 
 
 # Largest sample or grid count: a profile of 10**6 samples holds ~40 MB
@@ -34,22 +54,24 @@ def require_positive(name: str, value) -> None:
 _MAX_COUNT = 10 ** 6
 
 
-def require_count(name: str, value, least: int) -> None:
-    """Raise InvalidArgument, naming the argument, unless value is an
-    integer (Python or numpy) from least to _MAX_COUNT = 10**6, before
-    anything of that size is allocated."""
+def require_count(name: str, value, least: int) -> int:
+    """value as a Python int; raise InvalidArgument, naming the argument,
+    unless it is an integer (Python or numpy) from least to _MAX_COUNT =
+    10**6, before anything of that size is allocated."""
     if not (isinstance(value, numbers.Integral)
             and least <= value <= _MAX_COUNT):
         raise InvalidArgument(
             f"{name} must be an integer from {least} to {_MAX_COUNT}, "
             f"got {value}")
+    return int(value)
 
 
-def require_temperature(t) -> None:
-    """Raise unless t is a finite temperature > 0."""
-    require_finite("t", t)
+def require_temperature(t) -> float:
+    """t as a Python float; raise unless it is a finite temperature > 0."""
+    t = require_finite("t", t)
     if not (t > 0.0):
         raise NonPositiveTemperature(f"temperature must be > 0, got t = {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,11 @@ class PhasePoint:
     mu: float
 
     def __post_init__(self):
+        # t and mu are stored as Python floats; the check on type keeps
+        # float inputs, the common case, off the coercion
+        if type(self.t) is not float or type(self.mu) is not float:
+            object.__setattr__(self, "t", require_real("t", self.t))
+            object.__setattr__(self, "mu", require_real("mu", self.mu))
         require_temperature(self.t)
         if not (abs(self.mu) <= 1.0):
             raise UnphysicalMu(
@@ -130,7 +157,11 @@ class BoxSpec:
     mode_cutoff: int
 
     def __post_init__(self):
-        require_positive("box_length", self.box_length)
-        if not (isinstance(self.mode_cutoff, int) and self.mode_cutoff >= 1):
+        # stored as a Python float and int, as PhasePoint's fields are
+        object.__setattr__(self, "box_length",
+                           require_positive("box_length", self.box_length))
+        if not (isinstance(self.mode_cutoff, numbers.Integral)
+                and self.mode_cutoff >= 1):
             raise InvalidArgument(
                 f"mode_cutoff must be an integer >= 1, got {self.mode_cutoff}")
+        object.__setattr__(self, "mode_cutoff", int(self.mode_cutoff))

@@ -1,10 +1,7 @@
 import gc
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +11,7 @@ from relbec import (BelowCritical, PhasePoint, cli, solver, solve_mu,
                     thermal_charge_density)
 from relbec.cli import main
 from relbec.statistics import momentum_profile
+from conftest import run_python
 from test_golden import CLI_CASES, CLI_DIR
 
 
@@ -216,11 +214,7 @@ def test_condensed_oracle_check_takes_the_sign_of_q(capsys):
 def _python(*args):
     """The finished run of `python args` in a fresh interpreter that
     imports the same relbec as this one, with stdout and stderr as bytes."""
-    src = str(pathlib.Path(relbec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True)
+    return run_python(*args, capture_output=True)
 
 
 def _fresh_interpreter(code):

@@ -1,14 +1,10 @@
 import math
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import relbec
+from conftest import run_python
 from relbec import (AsymptoteOutOfRange, Dimension, InvalidArgument,
                     NonPositiveTemperature, UnsupportedDimension,
                     ddim_critical_temperature, density_of_states, gamma_half,
@@ -60,13 +56,9 @@ def test_gamma_half_past_the_doubles_is_inf(x):
 def test_gamma_half_returns_where_the_recursion_step_stalls():
     # above 2^53, arg + 1.0 is arg: a recursion up to 1e17 never ends, so
     # it runs in a fresh interpreter that a timeout can stop
-    src = str(pathlib.Path(relbec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from relbec import gamma_half; print(gamma_half(1e17))"],
-        env=env, check=True, capture_output=True, text=True, timeout=60)
+    out = run_python(
+        "-c", "from relbec import gamma_half; print(gamma_half(1e17))",
+        check=True, capture_output=True, text=True, timeout=60)
     assert out.stdout == "inf\n"
 
 

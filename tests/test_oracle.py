@@ -1,8 +1,5 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import kve
 
+from conftest import run_python
 from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     InvalidArgument, NonPositiveTemperature, PhasePoint,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
@@ -17,9 +15,10 @@ from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     thermal_charge_density)
 from relbec import oracle
 from relbec.limits import zeta_int
-from relbec.oracle import (_DIRECT_SHELLS, _MARGIN, _MAX_CUTOFF,
+from relbec.oracle import (_DIRECT_SHELLS, _MARGIN, _MAX_CUTOFF, _MAX_SHELLS,
                            _boltzmann_head, _density_floor, _k2e,
                            _lattice_points, _plan, _shell_counts, _tail_bound)
+from relbec.statistics import _bose, _gap
 
 # 20-digit finite-volume reference (t=1, mu=0.5, L=20, |n| <= 15)
 FV_N1_REF = 0.13717411487013
@@ -310,6 +309,88 @@ def test_shell_counts_small():
     assert counts.tolist() == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
 
 
+def test_shell_counts_match_brute_force_up_to_2000():
+    # every lattice vector with |n|^2 <= 2000 binned by |n|^2; the float64
+    # table holds the same integers for every max_m
+    axis = np.arange(-44, 45) ** 2
+    norms = (axis[:, None, None] + axis[None, :, None]
+             + axis[None, None, :]).ravel()
+    r3 = np.bincount(norms[norms <= 2000], minlength=2001)
+    for max_m in range(2001):
+        counts = _shell_counts(max_m)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, r3[:max_m + 1]), max_m
+
+
+def per_sign_density(s, t, vol, head, gap, counts):
+    """(1/L^3) sum over n != 0 of 1/(e^{x_n} - 1), x_n = (gap_n + 1 - s)/t,
+    for one sign s = +-mu at a time: the Boltzmann head plus the remainder
+    over the direct shells, as mode_sum evaluated each charge before both
+    shared one pass."""
+    energy = gap + (1.0 - s)
+    rest = _bose(energy / t) * np.exp(-len(head) / t * energy)
+    weights = np.exp(-(1.0 - s) / t * np.arange(1, len(head) + 1))
+    return float(np.dot(weights, head)) + float(np.dot(counts, rest)) / vol
+
+
+def per_sign_mode_sum(phase, box):
+    """(n1_fv, n2_fv, q_tilde_fv, tail_bound) with per_sign_density at +mu
+    and -mu on mode_sum's plan, shells and head."""
+    t, mu, length = phase.t, phase.mu, box.box_length
+    j_max, m_direct, m_wind = _plan(phase, box)
+    shells = _shell_counts(max(m_direct, m_wind))
+    head = _boltzmann_head(t, length, j_max, shells[:m_wind + 1])
+    k = 2.0 * math.pi / length * np.sqrt(np.arange(1, m_direct + 1,
+                                                   dtype=float))
+    gap = _gap(k * k)
+    counts = shells[1:m_direct + 1].copy()
+    n1, n2 = (per_sign_density(s, t, length ** 3, head, gap, counts)
+              for s in (mu, -mu))
+    return n1, n2, n1 - n2, _tail_bound(phase, box)
+
+
+def test_mode_sum_matches_the_per_sign_formula_bit_for_bit():
+    # seeded boxes, t from 0.05 to 50; mu at +-1, +-0.0 and drawn values.
+    # A third each: direct boxes, split ones, and split ones with t L
+    # below 5, whose few Boltzmann terms leave the most to the remainder
+    rng = np.random.default_rng(2525)
+    kinds = {"direct": 0, "split": 0}
+    for i in range(270):
+        t = 10 ** rng.uniform(math.log10(0.05), math.log10(50.0))
+        mu = ([1.0, -1.0, 0.0, -0.0][i % 4] if i % 2
+              else rng.uniform(-1.0, 1.0))
+        length = 10 ** rng.uniform(0.0, 2.5)
+        cutoff = int(rng.integers(65, 1200))
+        if i % 3 == 0:
+            cutoff = int(rng.integers(1, 65))
+        elif i % 3 == 1:
+            length = rng.uniform(1.0, 5.0) / min(t, 5.0)
+        phase, box = PhasePoint(t, mu), BoxSpec(length, cutoff)
+        res = mode_sum(phase, box, tail_rel_tol=math.inf)
+        got = (res.n1_fv, res.n2_fv, res.q_tilde_fv, res.tail_bound)
+        want = per_sign_mode_sum(phase, box)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (
+            t, mu, length, cutoff)
+        kinds["split" if cutoff ** 2 > _DIRECT_SHELLS else "direct"] += 1
+    assert kinds["direct"] >= 90 and kinds["split"] >= 180
+
+
+def test_mode_sum_peak_allocation_near_the_shell_budget():
+    # 182418 direct shells, within 10% of _MAX_SHELLS: the (2, m) rows of
+    # both charges peak at ~9.5 doubles per shell, as the one-charge
+    # passes did
+    phase, box = PhasePoint(1.0, 0.5), BoxSpec(9e4, 1000)
+    _, m_direct, _ = _plan(phase, box)
+    assert 0.9 * _MAX_SHELLS < m_direct <= _MAX_SHELLS
+    tracemalloc.start()
+    try:
+        mode_sum(phase, box, tail_rel_tol=math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * m_direct
+
+
 def test_split_sum_within_tail_bound_of_truncated_sum():
     # a box above the direct budget whose tail is not negligible: the split
     # sum takes every mode, the explicit sum stops at the cutoff
@@ -405,11 +486,8 @@ def test_lattice_points_on_narrower_simd_loops(disabled):
             "from relbec.oracle import _lattice_points\n"
             "assert not f['X86_V4']\n"
             "print([_lattice_points(c) for c in (1302, 2603, 4096)])")
-    src = os.path.dirname(os.path.dirname(oracle.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": disabled},
+                     check=True, capture_output=True, text=True).stdout
     assert out.split("\n")[0] == "[9245307476, 73877279362, 287851423224]"
 
 

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
@@ -10,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import k0e, k1e, zeta
 
+from conftest import run_python
 from relbec import (InvalidArgument, NonConvergence, PhasePoint,
                     QuadratureConfig, charge_integrand,
                     critical_temperature, quadrature, statistics,
@@ -446,12 +444,8 @@ def test_dead_branch_shortcut_on_narrower_simd_loops(disabled):
             "def full_pass():\n"
             "    quadrature._DEAD_X = math.inf\n"
             "print(tq.shortcut_changes(tq.dead_branch_points(), full_pass))")
-    src = os.path.dirname(os.path.dirname(quadrature.__file__))
-    path = os.pathsep.join([src, os.path.dirname(__file__),
-                            os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": disabled},
+                     check=True, capture_output=True, text=True).stdout
     assert out.split("\n")[0] == "[]"
 
 

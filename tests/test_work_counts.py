@@ -1,21 +1,23 @@
 """Work counts as Tier-1 gates: EOS evaluations per inversion and per
-default sweep, kernel calls and nodes per EOS, and kernel nodes per EOS
-at tight tolerances.
+default sweep, kernel calls and nodes per EOS, kernel nodes per EOS at
+tight tolerances, and the oracle's terms, shells and square roots per
+suggested box.
 
 Timings drift with the machine and its load; these counts do not. They
 are taken through the names the benchmark's tracer wraps:
 solver.thermal_charge_density for EOS calls and
-quadrature._weighted_occupations for kernel calls. Each count is asserted
-to be at most its recorded value. A change that lowers a count lowers its
-bound here; one that raises a count says why.
+quadrature._weighted_occupations for kernel calls; the oracle's through
+its plan, its Bessel evaluations and its modes_used count. Each count is
+asserted to be at most its recorded value. A change that lowers a count
+lowers its bound here; one that raises a count says why.
 """
 import math
 
 import numpy as np
 import pytest
 
-from relbec import cli, quadrature, solver, statistics
-from relbec.types import PhasePoint
+from relbec import cli, oracle, quadrature, solver, statistics
+from relbec.types import BoxSpec, PhasePoint
 
 # q bands of the inversion counts, with 20 seeded draws each; solve_mu
 # runs at t from 1.12 to 10 times T_c(q)
@@ -34,6 +36,15 @@ NODES_PER_EOS = 571
 # (total, max) over TIGHT_DRAWS seeded (t, mu)
 TIGHT_DRAWS = 500
 TIGHT_NODES = {1e-12: (158488, 692), 1e-13: (167358, 812)}
+
+# The benchmark's oracle boxes, each at its suggested cutoff, and summed
+# over them: J, direct shells and winding shells of the plans; Bessel
+# pairs, J (winding shells + 1); radicands of the modes_used count
+ORACLE_BOXES = [(t, mu, length) for t in (0.5, 1.0, 5.0)
+                for mu in (-0.9, 0.0, 0.9) for length in (50.0, 100.0, 200.0)]
+ORACLE_PLANS = (6825, 7449, 18)
+ORACLE_BESSEL_PAIRS = 8775
+ORACLE_RADICANDS = 2003753
 
 
 @pytest.fixture
@@ -144,3 +155,35 @@ def test_kernel_nodes_per_eos_at_tight_tolerance(monkeypatch, rel_tol):
         quadrature.thermal_charge_density(PhasePoint(t, mu), config)
     total, most = TIGHT_NODES[rel_tol]
     assert sum(nodes) <= total and max(nodes) <= most
+
+
+def test_oracle_work_per_suggested_box(monkeypatch):
+    plans, sizes = [], {"bessel": 0, "radicands": 0}
+    plan, k2e, floor_root_sum = (oracle._plan, oracle._k2e,
+                                 oracle._floor_root_sum)
+
+    def counting_plan(phase, box):
+        plans.append(plan(phase, box))
+        return plans[-1]
+
+    def counting_k2e(x):
+        sizes["bessel"] += x.size
+        return k2e(x)
+
+    def counting_floor_root_sum(radicands):
+        sizes["radicands"] += radicands.size
+        return floor_root_sum(radicands)
+
+    monkeypatch.setattr(oracle, "_plan", counting_plan)
+    monkeypatch.setattr(oracle, "_k2e", counting_k2e)
+    monkeypatch.setattr(oracle, "_floor_root_sum", counting_floor_root_sum)
+    for t, mu, length in ORACLE_BOXES:
+        phase = PhasePoint(t, mu)
+        oracle.mode_sum(phase, BoxSpec(length,
+                                       oracle.suggest_cutoff(phase, length)))
+    assert len(plans) == len(ORACLE_BOXES)
+    totals = [sum(p[i] for p in plans) for i in range(3)]
+    assert all(n <= most for n, most in zip(totals, ORACLE_PLANS)), totals
+    pairs = sum(j_max * (m_wind + 1) for j_max, _, m_wind in plans)
+    assert sizes["bessel"] == pairs <= ORACLE_BESSEL_PAIRS
+    assert sizes["radicands"] <= ORACLE_RADICANDS
