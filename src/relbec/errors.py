@@ -46,8 +46,9 @@ class DivergentCondensateMode(RelBecError):
 
 
 class TailTooLarge(RelBecError):
-    """Mode cutoff too small: truncated modes contribute above tolerance;
-    the message gives the tail bound."""
+    """A mode sum's tail bound is above its tolerance: for a direct box the
+    modes beyond a too small cutoff, for a split box (cutoff above 64) the
+    modes past its fixed margins. The message gives the tail bound."""
 
 
 class BudgetExceeded(RelBecError):

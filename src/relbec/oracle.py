@@ -4,22 +4,22 @@ mode.
 
 Modes live on k = (2 pi / L) n with integer vector n != 0. Degenerate
 modes are grouped by |n|^2, so a direct sum costs one occupation
-evaluation per lattice shell. Boxes with few shells are summed directly,
-truncated at |n| <= mode_cutoff. Larger boxes split the Bose occupation
-into a Boltzmann head and a remainder,
+evaluation per lattice shell. Boxes with mode_cutoff <= 64 are summed
+directly, truncated at |n| <= mode_cutoff. Larger boxes are split boxes:
+they sum every n != 0, whatever their cutoff, by splitting the Bose
+occupation into a Boltzmann head and a remainder,
 
     1/(e^x - 1) = sum_{j=1..J} e^{-j x} + e^{-J x}/(e^x - 1),
 
-and sum the head over the whole lattice in its winding-number (Poisson)
-form, in which every term but the first few windings is negligible; the
-remainder dies out within a few hundred shells. Both charges share one
-remainder pass, weighted by one float64 table of shell degeneracies. No
-array grows with the number of shells within the cutoff. Only the exact
-count of modes_used, taken over one of the ball's 48 symmetric copies,
-costs O(mode_cutoff^2) time, in O(mode_cutoff) memory: ~0.79 ms of a
-~0.93 ms sum at cutoff 2606, where the head, 1000 terms of one winding
-shell, takes ~0.06 ms and the shell table ~28 us. Up to cutoff 4096 the
-count takes its square roots in float32, exactly.
+and summing the head over the whole lattice in its winding-number
+(Poisson) form, in which every term but the first few windings is
+negligible; the remainder dies out within a few hundred shells. Both
+charges share one remainder pass, weighted by one float64 table of shell
+degeneracies. A split box's work depends on t and L alone; its cutoff
+sets only the exact count of modes_used, taken over one of the ball's 48
+symmetric copies in O(mode_cutoff^2) time and O(mode_cutoff) memory
+(float32 square roots up to cutoff 4096, exactly). suggest_cutoff gives
+a split box cutoff 65, whose count takes 1102 square roots.
 """
 import math
 import sys
@@ -37,7 +37,7 @@ from .types import (BoxSpec, PhasePoint, require_finite, require_real,
                     require_temperature)
 
 # Boxes with mode_cutoff^2 up to this many shells are summed directly and
-# truncated at the cutoff; larger ones take the split sum.
+# truncated at the cutoff; larger ones take the split sum over every n != 0.
 _DIRECT_SHELLS = 4096
 # Boltzmann terms in the head per unit of t*L: J = floor(_SPLIT t L) keeps
 # beta = j/t <= _SPLIT L. There the n != 0 part of the lattice sum of
@@ -56,11 +56,6 @@ _MARGIN = 40.0
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
 _MAX_CUTOFF = 30_000
-# suggest_cutoff takes cutoffs up to _SEARCH_CAP = 2^23, the last power of
-# two below 10^7; its first probe comes from _GUESS_STEPS steps towards the
-# continuous inverse of the tail bound (4 leave it right or off by one).
-_SEARCH_CAP = 1 << 23
-_GUESS_STEPS = 4
 # The modes_used count takes its square roots in rectangles of lattice
 # rows, one numpy call each rather than one per row: up to _COUNT_ROWS
 # rows and about _COUNT_CHUNK radicands (a 0.25 MB float32 or 0.5 MB
@@ -74,7 +69,9 @@ _BELOW = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
 
 @dataclass(frozen=True)
 class ModeSumResult:
-    """Finite-volume densities with truncation diagnostics."""
+    """Finite-volume densities with truncation diagnostics (see mode_sum);
+    modes_used counts 0 < |n| <= mode_cutoff, even where the sum does not
+    stop there."""
 
     q_tilde_fv: float
     n1_fv: float
@@ -255,52 +252,20 @@ def _density_floor(phase: PhasePoint, box: BoxSpec) -> float:
     return weight * max(gauss, octant)
 
 
-def _cutoff_guess(t: float, mu: float, dk: float, limit: float) -> int:
-    """The cutoff at which _tail_bound meets limit, from its continuous
-    inverse: a first probe for suggest_cutoff, right or off by one.
-
-    With k0 = dk (cutoff - 1), x = k0/t and a = |mu|/t, the bound is
-    _MEASURE t^3 p e^{a - x} w, p = x^2 + 2 x + 2, w = c_near + c_far
-    e^{-2 a}, where c_near and c_far are _tail_bound's _excess_factor for
-    the sign of mu and the other. So the root of h(x) = lead + log(p w) - x,
-    lead = log(_MEASURE t^3 / limit) + a, is wanted. h falls and is
-    concave in x (w aside), so one fixed-point step from k0 = dk lands left
-    of the root and Newton steps with h' = -x^2/p then close in from the
-    right. Each step is clamped to the cutoffs 2 to _SEARCH_CAP, so x stays
-    finite. A limit of 0 is taken as the smallest double, where the bound
-    underflows.
-    """
-    if not 0.0 <= limit < math.inf:
-        return 2
-    a = abs(mu) / t
-    lead = (math.log(_MEASURE) + 3.0 * math.log(t)
-            - math.log(max(limit, 5e-324)) + a)
-    x_min = x = dk / t
-    x_max = (_SEARCH_CAP - 1) * x_min
-    for step in range(_GUESS_STEPS):
-        k0 = x * t
-        gap0 = float(_gap(k0 * k0))
-        w = (_excess_factor(gap0, 1.0 - abs(mu), t)
-             + math.exp(-2.0 * a) * _excess_factor(gap0, 1.0 + abs(mu), t))
-        p = x * x + 2.0 * x + 2.0
-        h = lead + math.log(p * w) - x
-        x = min(max(x + (h * p / x / x if step else h), x_min), x_max)
-    return min(math.ceil(x / x_min + 1.0), _SEARCH_CAP)
-
-
 def suggest_cutoff(phase: PhasePoint, box_length: float,
                    tail_rel_tol: float = 1e-5) -> int:
-    """Smallest mode cutoff whose tail bound is below tail_rel_tol times a
-    scale of the summed densities: the UR estimate 2 zeta(3) t^3/pi^2,
-    capped at 9 times _density_floor. With the default tolerances the box
-    then passes mode_sum's own check, whose 1e-4 is ten times looser.
+    """Smallest mode cutoff up to 64 whose tail bound is below tail_rel_tol
+    times a scale of the summed densities: the UR estimate
+    2 zeta(3) t^3/pi^2, capped at 9 times _density_floor. With the default
+    tolerances the box then passes mode_sum's own check, whose 1e-4 is ten
+    times looser. Where no cutoff up to 64 reaches it, 65, the first
+    cutoff of a split box, which mode_sum sums over every n != 0 whatever
+    its cutoff.
 
-    The bound falls monotonically with the cutoff, so the search gallops
-    from _cutoff_guess towards the answer and bisects the last step: two
-    bound evaluations when the guess is right. Cutoffs above _SEARCH_CAP
-    are not considered.
+    The bound falls monotonically with the cutoff, so the search probes 64
+    and then bisects: at most 7 bound evaluations.
     """
-    t, mu = phase.t, phase.mu
+    t = phase.t
     box = BoxSpec(box_length, 2)
     box_length = box.box_length
     _require_scales("suggest_cutoff", phase, box_length)
@@ -313,29 +278,9 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     def above(cutoff):
         return _tail_bound(phase, BoxSpec(box_length, cutoff)) > limit
 
-    guess = _cutoff_guess(t, mu, 2.0 * math.pi / box_length, limit)
-    if above(guess):
-        lo, step = guess, 1
-        while lo < _SEARCH_CAP:
-            hi = min(lo + step, _SEARCH_CAP)
-            if not above(hi):
-                break
-            lo, step = hi, 2 * step
-        else:
-            raise TailTooLarge(
-                f"suggest_cutoff at t = {t}, mu = {mu}, L = "
-                f"{box_length}: no affordable cutoff reaches the tolerance; "
-                f"the tail bound at cutoff {lo} is still above "
-                f"{tail_rel_tol:.1e} of the density scale {scale:.3e}")
-    else:
-        hi, step = guess, 1
-        while True:
-            if hi == 2:  # cutoffs 1 and 2 share one bound
-                return 2
-            lo = max(hi - step, 2)
-            if above(lo):
-                break
-            hi, step = lo, 2 * step
+    lo, hi = 1, math.isqrt(_DIRECT_SHELLS)  # cutoffs 1 and 2 share a bound
+    if above(hi):
+        return hi + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -371,7 +316,8 @@ def _require_tolerance(operation: str, phase: PhasePoint, length: float,
 
 
 def _plan(phase: PhasePoint, box: BoxSpec):
-    """(J, direct shells, winding shells) of one box, within the budgets.
+    """(J, direct shells, winding shells) of one box, within the budgets;
+    for a split box they do not depend on its cutoff.
 
     The remainder e^{-J x}/(e^x - 1) falls like e^{-(J + 1) gap/t}, so
     shells whose gap exceeds the first shell's by _MARGIN t/(J + 1) are
@@ -390,7 +336,8 @@ def _plan(phase: PhasePoint, box: BoxSpec):
     k1 = 2.0 * math.pi / length
     gap = _gap(k1 * k1) + _MARGIN * t / (j_max + 1)
     half = length / (2.0 * math.pi)
-    m_direct = math.ceil(min(max_m, gap * (gap + 2.0) * half * half))
+    m_direct = math.ceil(min(_MAX_SHELLS + 1.0,
+                             gap * (gap + 2.0) * half * half))
     lw2 = (2.0 * j_max / t + _MARGIN) * _MARGIN if j_max else 0.0
     m_wind = math.floor(min(_MAX_SHELLS + 1.0, lw2 / length / length))
     if (cutoff > _MAX_CUTOFF or max(m_direct, m_wind) > _MAX_SHELLS
@@ -430,24 +377,65 @@ def _boltzmann_head(t: float, length: float, j_max: int,
     return _MEASURE * beta[:, 0] * terms.sum(axis=1) - 1.0 / length ** 3
 
 
+def _lattice_tail(radius: float, rate: float) -> float:
+    """Bound on the sum of f(|n|) over integer vectors |n| >= radius >= 1,
+    in units of f(radius), for a falling f <= f(radius) e^{-rate (r -
+    radius)}: summed by parts against the volume radius - h <= |x| <= r + h,
+    h = sqrt(3)/2, which holds the unit cubes of radius <= |n| <= r."""
+    h = 0.5 * math.sqrt(3.0)
+    a = radius + h
+    return 4.0 * math.pi * ((a * a * a - (radius - h) ** 3) / 3.0
+                            + (a * a + (2.0 * a + 2.0 / rate) / rate) / rate)
+
+
+def _cut_bound(phase: PhasePoint, length: float, plan, weights, heads):
+    """Bound on the n1 + n2 that a split box's two _MARGIN cuts leave out.
+
+    Remainder shells past m_direct, from |n| = R: e^{-J x}/(e^x - 1) <=
+    c e^{-(J + 1) x}, c = _excess_factor there, and the convex gap is at
+    least its tangent at k0 = R dk, of slope k0/(gap0 + 1). Windings past
+    m_wind, from |w| = R_w: K2(x) sqrt(x) e^x decreases, so a term is at
+    most e^{-(rho_w - beta)} times the w = 0 one of its j, which the head
+    plus its n = 0 term bounds; rho_w - beta falls with beta, so J/t bounds
+    every j, and it is convex in |w|, of slope L^2 R_w/rho_w at R_w.
+    """
+    t, (j_max, m_direct, m_wind) = phase.t, plan
+    dk = 2.0 * math.pi / length
+    radius = math.sqrt(m_direct + 1.0)
+    k0 = dk * radius
+    gap0 = float(_gap(k0 * k0))
+    shells = _lattice_tail(radius, (j_max + 1) / t * dk * k0 / (gap0 + 1.0))
+    beta, lr = j_max / t, length * math.sqrt(m_wind + 1.0)
+    rho = math.hypot(beta, lr)
+    windings = (math.exp(-lr * lr / (rho + beta))
+                * _lattice_tail(lr / length, length * lr / rho))
+    vol = length ** 3
+    return sum(_excess_factor(gap0, offset, t) * shells / vol
+               * math.exp(-(j_max + 1) * (gap0 + offset) / t)
+               + windings * (h + float(w.sum()) / vol)
+               for offset, w, h in zip((1.0 - phase.mu, 1.0 + phase.mu),
+                                       weights, heads))
+
+
 def mode_sum(phase: PhasePoint, box: BoxSpec,
              tail_rel_tol: float = 1e-4) -> ModeSumResult:
     """Finite-volume thermal densities by lattice mode summation.
 
     Boxes with mode_cutoff^2 <= _DIRECT_SHELLS return the Bose occupations
-    summed over 0 < |n| <= mode_cutoff, divided by L^3. Larger boxes
-    return the sum over all n != 0 (the Boltzmann head by windings, the
-    remainder by shells), which differs from the truncated sum by less
-    than tail_bound. Either way tail_bound is the analytic bound on the
-    modes beyond the cutoff, and modes_used counts 0 < |n| <= mode_cutoff.
-    Fails with TailTooLarge when the bound exceeds tail_rel_tol relative
-    to the summed densities, with BudgetExceeded, before allocating, when
-    the box needs more terms, shells or modes than the budgets allow, and
-    with InvalidArgument where t^3 or L^3 is not a normal double. Terms
-    are summed in a fixed order, so results repeat bit for bit. n1 and n2
-    are the two rows of one pass whose rows differ only in the sign of mu,
-    each summed by its own dot products, so q_tilde_fv is exactly odd in
-    mu.
+    summed over 0 < |n| <= mode_cutoff, divided by L^3. Larger (split)
+    boxes return the sum over all n != 0 (the Boltzmann head by windings,
+    the remainder by shells): the same doubles at every cutoff above 64.
+    tail_bound bounds the distance from the returned n1 + n2 to the sum
+    over every n != 0, rounding aside: the modes past the cutoff
+    (_tail_bound) or past the two margins (_cut_bound). modes_used counts
+    0 < |n| <= mode_cutoff. Fails with TailTooLarge when the bound exceeds
+    tail_rel_tol relative to the summed densities, with BudgetExceeded,
+    before allocating, when the box needs more terms, shells or modes than
+    the budgets allow, and with InvalidArgument where t^3 or L^3 is not a
+    normal double. Terms are summed in a fixed order, so results repeat
+    bit for bit. n1 and n2 are the two rows of one pass whose rows differ
+    only in the sign of mu, each summed by its own dot products, so
+    q_tilde_fv is exactly odd in mu.
     """
     t, mu = phase.t, phase.mu
     length, cutoff = box.box_length, box.mode_cutoff
@@ -469,9 +457,12 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     rest *= np.exp(-j_max / t * energy)
     weights = np.exp(-offset / t * np.arange(1, j_max + 1))
     counts, vol = shells[1:m_direct + 1], length ** 3
-    n1_fv, n2_fv = (float(np.dot(w, head)) + float(np.dot(counts, r)) / vol
-                    for w, r in zip(weights, rest))
-    tail = _tail_bound(phase, box)
+    heads = [float(np.dot(w, head)) for w in weights]
+    n1_fv, n2_fv = (h + float(np.dot(counts, r)) / vol
+                    for h, r in zip(heads, rest))
+    tail = (_tail_bound(phase, box) if cutoff * cutoff <= _DIRECT_SHELLS else
+            _cut_bound(phase, length, (j_max, m_direct, m_wind), weights,
+                       heads))
     if tail > tail_rel_tol * max(n1_fv + n2_fv, 1e-300):
         raise TailTooLarge(
             f"mode_sum at t = {t}, mu = {mu}, L = {length} with cutoff "
@@ -485,11 +476,17 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
 def condensate_mode(mu: float, t: float):
     """Occupations of the isolated k = 0 mode:
     n1_0 = 1/(e^{(1-mu)/t} - 1), n2_0 = 1/(e^{(1+mu)/t} - 1), and their
-    difference q0_occ. Diverges (macroscopic occupation) at |mu| = 1."""
+    difference q0_occ. Diverges (macroscopic occupation) at |mu| = 1;
+    InvalidArgument where an occupation, about t/(1 -+ mu), is past the
+    doubles."""
     mu = require_finite("mu", mu)
     t = require_temperature(t)
     if abs(mu) >= 1.0:
         raise DivergentCondensateMode(
             f"|mu| = {abs(mu)} >= 1: zero-mode occupation diverges")
     n1_0, n2_0 = _bose(np.array([(1.0 - mu) / t, (1.0 + mu) / t])).tolist()
+    if not max(n1_0, n2_0) < math.inf:
+        raise InvalidArgument(
+            f"condensate_mode at mu = {mu}, t = {t}: an occupation is not a "
+            f"finite double")
     return n1_0, n2_0, n1_0 - n2_0

@@ -145,12 +145,18 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
 
     The difference of the two curves integrates (with the 1/2pi^2 measure)
     to the thermal charge density. No 1/2pi^2 prefactor is applied to the
-    emitted curves.
+    emitted curves. Every row is at most t (E + 1) at k_max, since
+    k^2 n <= k^2 t/gap; InvalidArgument where that is not a finite double.
     """
     k_max = require_real("k_max", k_max)
     if not (k_max > 0.0 and k_max * k_max < math.inf):
         raise InvalidArgument(
             f"k_max must be > 0 with k_max^2 a finite double, got {k_max}")
+    if not phase.t * (math.sqrt(k_max * k_max + 1.0) + 1.0) < math.inf:
+        raise InvalidArgument(
+            f"momentum_profile at t = {phase.t}, mu = {phase.mu}, k_max = "
+            f"{k_max}: the rows reach t (sqrt(k_max^2 + 1) + 1), which is "
+            f"not a finite double")
     samples = require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
     with np.errstate(over="ignore"):  # as in charge_integrand

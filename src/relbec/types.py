@@ -148,9 +148,11 @@ class BoxSpec:
     """Periodic cubic box for the finite-volume mode sum.
 
     box_length is L*m; mode_cutoff is the largest integer mode index kept
-    (the sum runs over 0 < |n| <= mode_cutoff). Whether the cutoff is
-    adequate for a given phase point is checked by the mode sum itself,
-    which carries an analytic tail bound.
+    by a direct box, mode_cutoff <= 64, whose sum runs over
+    0 < |n| <= mode_cutoff. A larger cutoff makes a split box, summed over
+    every n != 0; its cutoff sets only the modes_used count. Whether the
+    cutoff is adequate for a given phase point is checked by the mode sum
+    itself, which carries an analytic tail bound.
     """
 
     box_length: float

@@ -151,7 +151,8 @@ def test_oracle_check_values(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--q", "0.1", "--t", "5")
     assert code == 0
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-    assert [int(r[1]) for r in rows] == [652, 1302, 2603]
+    # every box of the default ladder is split, cutoff 65
+    assert [int(r[1]) for r in rows] == [65, 65, 65]
     q_fv = [float(r[2]) for r in rows]
     assert q_fv == pytest.approx([9.9998945544280460e-02,
                                   9.9999868193037855e-02,
@@ -298,11 +299,12 @@ def test_negative_charge_in_exponent_form(capsys):
 
 
 def test_oracle_check_over_budget_is_an_error_record(capsys):
-    # at t = 100 the L = 1000 box needs a cutoff of ~2.6e5, past the budget
+    # at t = 1e4 the L = 1000 box needs J = 1e7 Boltzmann terms, past the
+    # budget
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "oracle-check", "--q", "0.1",
-                                 "--t", "100", "--box-lengths", "1000")
+                                 "--t", "1e4", "--box-lengths", "1000")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -360,6 +362,39 @@ def test_momentum_profile_rejects_k_max_without_finite_square(k_max):
     # k_max^2 = inf would give nan rows
     with pytest.raises(InvalidArgument, match="k_max must be"):
         momentum_profile(PhasePoint(1.0, 0.1), k_max, 3)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 1.0, -1.0])
+def test_momentum_profile_rejects_rows_past_the_doubles(mu):
+    # every row is at most t (E + 1) at k_max; at t = 1e200, k_max = 1e150
+    # that is ~1e350, where the rows were inf, or a warning at mu = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match=r"^momentum_profile at "
+                           r"t = 1e\+200, mu = .*, k_max = 1e\+150: "):
+            momentum_profile(PhasePoint(1e200, mu), 1e150, 3)
+
+
+def test_momentum_profile_is_finite_or_an_error_up_to_the_largest_double():
+    ts = np.append(10.0 ** np.linspace(-300.0, 308.0, 120),
+                   [5e-324, 1e-310, sys.float_info.max])
+    raised = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ts.tolist():
+            for mu in (0.0, 0.5, -0.5, 1.0, -1.0):
+                for k_max in (1e-3, 1.0, 1e3, 1e100, 1e150):
+                    try:
+                        prof = momentum_profile(PhasePoint(t, mu), k_max, 5)
+                    except InvalidArgument:
+                        raised += 1
+                        continue
+                    assert np.isfinite(prof.n1_of_k).all(), (t, mu, k_max)
+                    assert np.isfinite(prof.n2_of_k).all(), (t, mu, k_max)
+        # (1e103, 10) is past the EOS's range but keeps its finite rows
+        prof = momentum_profile(PhasePoint(1e103, 0.5), 10.0, 3)
+    assert 0 < raised < 0.2 * len(ts) * 25
+    assert np.isfinite(prof.n1_of_k).all() and prof.n1_of_k[-1] > 1e104
 
 
 @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])

@@ -1,13 +1,14 @@
 """Work counts as Tier-1 gates: EOS evaluations per inversion and per
 default sweep, kernel calls and nodes per EOS, kernel nodes per EOS at
-tight tolerances, and the oracle's terms, shells and square roots per
-suggested box.
+tight tolerances, and the oracle's tail-bound probes, terms, shells and
+square roots per suggested box.
 
 Timings drift with the machine and its load; these counts do not. They
 are taken through the names the benchmark's tracer wraps:
 solver.thermal_charge_density for EOS calls and
 quadrature._weighted_occupations for kernel calls; the oracle's through
-its plan, its Bessel evaluations and its modes_used count. Each count is
+its cutoff search's tail bound, its plan, its Bessel evaluations and its
+modes_used count. Each count is
 asserted to be at most its recorded value. A change that lowers a count
 lowers its bound here; one that raises a count says why.
 """
@@ -38,13 +39,16 @@ TIGHT_DRAWS = 500
 TIGHT_NODES = {1e-12: (158488, 692), 1e-13: (167358, 812)}
 
 # The benchmark's oracle boxes, each at its suggested cutoff, and summed
-# over them: J, direct shells and winding shells of the plans; Bessel
-# pairs, J (winding shells + 1); radicands of the modes_used count
+# over them: tail-bound probes of suggest_cutoff; J, direct shells and
+# winding shells of the plans; Bessel pairs, J (winding shells + 1);
+# radicands of the modes_used count. Every box is split: one probe at
+# cutoff 64, and 1102 radicands at cutoff 65
 ORACLE_BOXES = [(t, mu, length) for t in (0.5, 1.0, 5.0)
                 for mu in (-0.9, 0.0, 0.9) for length in (50.0, 100.0, 200.0)]
+ORACLE_PROBES = 27
 ORACLE_PLANS = (6825, 7449, 18)
 ORACLE_BESSEL_PAIRS = 8775
-ORACLE_RADICANDS = 2003753
+ORACLE_RADICANDS = 29754
 
 
 @pytest.fixture
@@ -158,9 +162,13 @@ def test_kernel_nodes_per_eos_at_tight_tolerance(monkeypatch, rel_tol):
 
 
 def test_oracle_work_per_suggested_box(monkeypatch):
-    plans, sizes = [], {"bessel": 0, "radicands": 0}
-    plan, k2e, floor_root_sum = (oracle._plan, oracle._k2e,
-                                 oracle._floor_root_sum)
+    plans, sizes = [], {"probes": 0, "bessel": 0, "radicands": 0}
+    tail_bound, plan, k2e, floor_root_sum = (
+        oracle._tail_bound, oracle._plan, oracle._k2e, oracle._floor_root_sum)
+
+    def counting_tail_bound(phase, box):
+        sizes["probes"] += 1
+        return tail_bound(phase, box)
 
     def counting_plan(phase, box):
         plans.append(plan(phase, box))
@@ -174,6 +182,7 @@ def test_oracle_work_per_suggested_box(monkeypatch):
         sizes["radicands"] += radicands.size
         return floor_root_sum(radicands)
 
+    monkeypatch.setattr(oracle, "_tail_bound", counting_tail_bound)
     monkeypatch.setattr(oracle, "_plan", counting_plan)
     monkeypatch.setattr(oracle, "_k2e", counting_k2e)
     monkeypatch.setattr(oracle, "_floor_root_sum", counting_floor_root_sum)
@@ -181,6 +190,8 @@ def test_oracle_work_per_suggested_box(monkeypatch):
         phase = PhasePoint(t, mu)
         oracle.mode_sum(phase, BoxSpec(length,
                                        oracle.suggest_cutoff(phase, length)))
+    # a split box's mode_sum makes no probe
+    assert sizes["probes"] <= ORACLE_PROBES
     assert len(plans) == len(ORACLE_BOXES)
     totals = [sum(p[i] for p in plans) for i in range(3)]
     assert all(n <= most for n, most in zip(totals, ORACLE_PLANS)), totals
