@@ -460,14 +460,18 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     heads = [float(np.dot(w, head)) for w in weights]
     n1_fv, n2_fv = (h + float(np.dot(counts, r)) / vol
                     for h, r in zip(heads, rest))
-    tail = (_tail_bound(phase, box) if cutoff * cutoff <= _DIRECT_SHELLS else
+    direct = cutoff * cutoff <= _DIRECT_SHELLS
+    tail = (_tail_bound(phase, box) if direct else
             _cut_bound(phase, length, (j_max, m_direct, m_wind), weights,
                        heads))
     if tail > tail_rel_tol * max(n1_fv + n2_fv, 1e-300):
+        # a split box sums every mode: its bound is the margins', which no
+        # cutoff moves
         raise TailTooLarge(
             f"mode_sum at t = {t}, mu = {mu}, L = {length} with cutoff "
             f"{cutoff}: tail bound {tail:.3e} above {tail_rel_tol:.1e} of the "
-            f"summed density {n1_fv + n2_fv:.3e}; raise mode_cutoff")
+            f"summed density {n1_fv + n2_fv:.3e}; "
+            + ("raise mode_cutoff" if direct else "raise tail_rel_tol"))
     return ModeSumResult(q_tilde_fv=n1_fv - n2_fv, n1_fv=n1_fv, n2_fv=n2_fv,
                          modes_used=_lattice_points(cutoff),
                          tail_bound=tail)

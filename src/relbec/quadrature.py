@@ -1,33 +1,50 @@
 """Semi-infinite quadrature for the charge-density integrand family.
 
 Strategy: a vector-valued, level-synchronous adaptive Gauss-Kronrod
-(G7/K15) scheme on [0, k_cut]. The integrand may return several
-components per node (thermal_charge_density integrates k^2 n1, k^2 n2 and
-k^2 (n1 - n2) together); every component must meet
+(G7/K15) scheme over v = sqrt(gap/t) in [0, V], where gap =
+sqrt(k^2 + 1) - 1 and the cutoff V = sqrt(50) is where the gap is 50 t.
+The integrand may return several components per node
+(thermal_charge_density integrates its three rows together); every
+component, its sum times the caller's scale, must meet
 rel_tol * |value| + 1e-14 on its own.
 
-The initial panels follow the physical scales of a Bose integrand with
-temperature s and dispersion sqrt(k^2 + 1). Below the thermal
-momentum p = sqrt(s (s + 2)), where the gap sqrt(k^2 + 1) - 1
-equals s, they shrink geometrically toward k = 0 down to 1e-12 p, which
-resolves the sqrt(2 (1 - |mu|))-wide peak as |mu| -> 1 at any t, and the
-mass scale k ~ 1 when t >> 1. Above p they grow in steps of gap/s, after
-the e^{-gap/s} Boltzmann tail, out to the fixed cutoff k_cut where the gap
-is 50 s. Each level sends all of its panels to the integrand in one call,
-keeps the panels within their share of the remaining error budget and
-bisects the rest; at the default tolerances the initial panels meet it at
-every (t, mu) in one call. The tail beyond k_cut is bounded in closed form
-from the integrand at k_cut (an incomplete Gamma of order 3); where that
-bound is not below the tolerance the pass raises NonConvergence.
+In v a Bose branch's exponent is v^2 + (1 -+ mu)/t, so the scales of the
+integrand sit at the same v at every (t, mu), and so does the level-0
+layout. Below v = 1, the thermal momentum, its panels shrink
+geometrically toward v = 0 down to 1e-12, which resolves the
+sqrt((1 - |mu|)/t)-wide peak as |mu| -> 1 and the mass scale
+v ~ 1/sqrt(t) when t >> 1. Above v = 1 they grow in steps of gap/t, after
+the e^{-v^2} Boltzmann tail, out to V. The 38 level-0 panels, their
+half-widths and their 571 nodes (570 Kronrod nodes and V) are module
+constants, built at import by the code that builds every refinement
+level, so a level-0 pass builds no layout. Each level sends all of its
+nodes to the integrand in one call, keeps the panels within their share
+of the remaining error budget and bisects the rest; at the default
+tolerances the level-0 panels meet it at every (t, mu) in one call.
+
+The tail beyond V is bounded in closed form. Past V an integrand's ratio
+to its value at V must be at most (v/V)^5 e^{-(v^2 - V^2)}; its tail is
+then at most |f(V)| (V^4 + 2 V^2 + 2)/(2 V^5) = 0.0736 |f(V)|, an
+incomplete Gamma of order 3. Where that bound is not below the tolerance
+the pass raises NonConvergence.
 
 Every level is the same pass, and its number of numpy calls does not grow
-with the number of panels: the nodes of all panels and k_cut go to the
+with the number of panels: the nodes of all panels and V go to the
 integrand in one buffer, each component's Kronrod sum K and Kronrod-minus-
 Gauss sum K - G come from one matrix product, a panel's error estimate is
 |K - G|, and the running totals, the tail bound and the tolerance test are
 one Python loop over the few components. The estimate asks nothing of the
-integrand's sign. At the default tolerances thermal_charge_density is one
-such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
+integrand's sign.
+
+thermal_charge_density integrates the kernel's rows in v: k^2 n dk/dv
+over sigma(t) = (t (t + 2))^{3/2}, which keeps every row below 2 v^5 at
+any t, with sigma multiplied back into the three sums. Since
+k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, g = v^2 t, those rows meet the
+tail contract, and the measure row is the only work that depends on t
+alone. The kernel shifts one exp and one expm1 row over -v^2 by the
+scalar (1 - |mu|)/t, corrected for its rounding
+(statistics._shift). At the default tolerances thermal_charge_density is
+one such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
 statistics._DEAD_X, and no pass above it, where every k^2 n of both
 branches underflows to 0.0.
 """
@@ -72,22 +89,28 @@ _WEIGHTS[:, 0] = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS[1::2, 1] = -np.concatenate([_WG[:-1], _WG[::-1]])
 _WEIGHTS[:, 1] += _WEIGHTS[:, 0]
 
-# Initial mesh below the thermal momentum p, relative to p: 12 panels
-# halving toward k = 0, then panels shrinking by 4 down to 1e-12. The
-# halving panels hold nearly all of the integral; any singularity near the
-# origin (the branch point of sqrt(k^2 + 1) at k = i, seen from k >> 1, or
-# the Bose pole at k = i sqrt(1 - mu^2)) leaves G7 an error well below
-# 1e-10 on them. Below 1e-12 p the integrand, at most 2t, adds less than
-# 1e-12 of the integral.
+# Level-0 edges below v = 1: 12 panels halving toward v = 0, then panels
+# shrinking by 4 down to 1e-12. The halving panels hold nearly all of the
+# integral; any singularity near the origin (the branch point of the
+# measure at v = i sqrt(2/t), seen from t >> 1, or the Bose pole at
+# v = i sqrt((1 - |mu|)/t)) leaves G7 an error well below 1e-10 on them.
+# Below 1e-12 the rows, at most ~v^2/(v^2 + (1 - |mu|)/t) <= 1 at t <= 1,
+# add less than 1e-12 of the integral.
 _BELOW = np.concatenate([[0.0], 2.0 ** -12 * 4.0 ** -np.arange(14, 0, -1.0),
                          2.0 ** -np.arange(12, -1, -1.0)])
-# Above p, edges at gap/s = _TAIL_U: panel widths grow from 1 by 1.3 each,
-# matching the e^{-gap/s} decay of the integrand, up to 43.6 below the
-# cutoff's 50.
-_TAIL_U = (1.0 + (1.3 ** np.arange(1, 11) - 1.0) / 0.3).tolist()
-# Cutoff where the gap is _CUT_EFOLDINGS * s: the Boltzmann tail beyond it
-# is below e^-50 of each density.
+# Above v = 1, edges at gap/t = _TAIL_U, v = sqrt(u): steps in gap/t grow
+# from 1 by 1.3 each, matching the e^{-v^2} decay of the integrand, up to
+# 43.6 below the cutoff's 50.
+_TAIL_U = 1.0 + (1.3 ** np.arange(1, 11) - 1.0) / 0.3
+# Cutoff V, where the gap is _CUT_EFOLDINGS t: the Boltzmann tail beyond
+# it is below e^-50 of each density.
 _CUT_EFOLDINGS = 50.0
+_V_CUT = math.sqrt(_CUT_EFOLDINGS)
+# The integral of (v/V)^5 e^{-(v^2 - V^2)} over [V, inf), (V^4 + 2 V^2 +
+# 2)/(2 V^5): |f(V)| times it bounds the tail of an integrand within that
+# envelope past V
+_TAIL_FACTOR = ((_CUT_EFOLDINGS + 2.0) * _CUT_EFOLDINGS + 2.0) / (
+    2.0 * _CUT_EFOLDINGS ** 2 * _V_CUT)
 # Absolute floor of every component's tolerance, rel_tol |value| + _ABS_TOL
 _ABS_TOL = 1e-14
 # Refinement gives up after this many bisection levels, or when a level
@@ -109,23 +132,29 @@ class QuadratureConfig:
                 f"rel_tol must be above 0 and below 1, got {self.rel_tol}")
 
 
-def _momentum(us: float) -> float:
-    """The momentum whose gap sqrt(k^2 + 1) - 1 equals us."""
-    return math.sqrt(us * (us + 2.0))
+def _layout(a: np.ndarray, b: np.ndarray):
+    """The half-widths h and midpoints mid of the panels [a, b], as one
+    (2, n) array, and their 15 n Kronrod nodes followed by _V_CUT, the
+    node of the tail bound, as one array."""
+    n = len(a)
+    half = np.empty((2, n))
+    h, mid = half
+    np.subtract(b, a, out=h)
+    np.add(a, b, out=mid)
+    half *= 0.5
+    nodes = np.empty(15 * n + 1)
+    np.matmul(half.T, _NODE_MAP, out=nodes[:-1].reshape(n, 15))
+    nodes[-1] = _V_CUT
+    return half, nodes
 
 
-def _initial_edges(k_cut: float, s: float) -> np.ndarray:
-    """The 39 panel edges on [0, k_cut], k_cut = _momentum(_CUT_EFOLDINGS
-    s), from the scales of a Bose integrand at temperature s: geometric
-    toward 0 below the thermal momentum, growing steps in gap/s above it."""
-    # the momenta whose gap is u s, with _momentum's float steps inline
-    tail = [math.sqrt(u * s * (u * s + 2.0)) for u in _TAIL_U]
-    nb = len(_BELOW)
-    edges = np.empty(nb + len(tail) + 1)
-    np.multiply(_BELOW, _momentum(s), out=edges[:nb])
-    edges[nb:-1] = tail
-    edges[-1] = k_cut
-    return edges
+# The level-0 panels at every (t, mu): 28 edges below v = 1, 10 above it
+# and V; 38 panels, 571 nodes. Read-only, since every pass shares them.
+_EDGES = np.concatenate([_BELOW, np.sqrt(_TAIL_U), [_V_CUT]])
+_LEVEL0_HALF, _LEVEL0_NODES = _layout(_EDGES[:-1], _EDGES[1:])
+for _array in (_EDGES, _LEVEL0_HALF, _LEVEL0_NODES):
+    _array.flags.writeable = False
+del _array
 
 
 def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -138,40 +167,20 @@ def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_factor(k_cut: float, s: float) -> float:
-    """l c of the closed-form bound |f(k_cut)| l c on |integral over
-    [k_cut, inf)| for integrands dominated by (k/k_cut)^2 e^{-(k - k_cut)/l}
-    times |f(k_cut)|, with l = s sqrt(k_cut^2 + 1)/k_cut the decay length
-    of e^{-sqrt(k^2+1)/s} at k_cut (at least s), r = l/k_cut and
-    c = 1 + 2 r + 2 r^2."""
-    ell = s * math.sqrt(k_cut * k_cut + 1.0) / k_cut
-    r = ell / k_cut
-    return ell * (1.0 + 2.0 * r + 2.0 * r * r)
-
-
-def _levels(f, config: QuadratureConfig, s: float):
-    """(value, error) of the integral of f over [0, inf), as lists of
-    floats, one per row of f's output; a row may change sign, and decays
-    at least like e^{-gap/s} beyond the fixed cutoff k_cut =
-    _momentum(_CUT_EFOLDINGS * s). NonConvergence where a tail bound is
+def _levels(f, config: QuadratureConfig, scale: float):
+    """(value, error) of scale times the integral of f over v in
+    [0, inf), as lists of floats, one per row of f's output; a row may
+    change sign, and past _V_CUT its ratio to its value at _V_CUT must be
+    at most (v/V)^5 e^{-(v^2 - V^2)}. NonConvergence where a tail bound is
     not below its tolerance, or the refinement budget runs out. The loop
     over the components runs on Python floats, which take the same IEEE
     steps as numpy's float64 arithmetic."""
-    k_cut = _momentum(_CUT_EFOLDINGS * s)
-    bound = _tail_factor(k_cut, s)
-    edges = _initial_edges(k_cut, s)
-    a, b = edges[:-1], edges[1:]
+    a, b = _EDGES[:-1], _EDGES[1:]
+    (h, mid), nodes = _LEVEL0_HALF, _LEVEL0_NODES
+    bound = _TAIL_FACTOR * scale
     done = done_err = None
     for level in range(_MAX_LEVELS + 1):
         n = len(a)
-        half = np.empty((2, n))
-        h, mid = half
-        np.subtract(b, a, out=h)
-        np.add(a, b, out=mid)
-        half *= 0.5
-        nodes = np.empty(15 * n + 1)
-        np.matmul(half.T, _NODE_MAP, out=nodes[:-1].reshape(n, 15))
-        nodes[-1] = k_cut
         y = np.asarray(f(nodes), dtype=float)
         rows = y.reshape(-1, len(nodes))
         panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), h)
@@ -183,9 +192,9 @@ def _levels(f, config: QuadratureConfig, s: float):
         converged = True
         for v, e, c, d, d_err in zip(sums, err_sums, rows[:, -1].tolist(),
                                      done, done_err):
-            v += d
+            v = v * scale + d
             c = abs(c) * bound
-            e = e + d_err + c
+            e = e * scale + d_err + c
             t = config.rel_tol * abs(v) + _ABS_TOL
             value.append(v)
             error.append(e)
@@ -194,18 +203,19 @@ def _levels(f, config: QuadratureConfig, s: float):
             converged &= e <= t
         if converged:
             return value, error
+        panels *= scale
         kron, err = panels
         limit = np.array([(t - d - c) / n
                           for t, d, c in zip(tol, done_err, tail)])
         over = (err > limit[:, None]).any(axis=0)
         if not (over.any() and all(c < t for c, t in zip(tail, tol))):
-            # a tail bound that is nan (0 * inf, where f(k_cut) = 0 and the
-            # tail factor overflows) also fails c < t
+            # a nan tail bound (f(V) nan, or 0 times an infinite factor)
+            # also fails c < t
             raise NonConvergence(
                 f"quadrature error above tolerance at level {level}, with a "
                 f"tail bound not below its tolerance or no panel left to "
-                f"refine: tail bounds {tail}, tolerances {tol} at k_cut = "
-                f"{k_cut}")
+                f"refine: tail bounds {tail}, tolerances {tol} past v = "
+                f"{_V_CUT}")
         keep = ~over
         done = [d + v for d, v in
                 zip(done, kron[:, keep].sum(axis=-1).tolist())]
@@ -216,6 +226,7 @@ def _levels(f, config: QuadratureConfig, s: float):
         b = np.concatenate([mid, b[over]])
         if level == _MAX_LEVELS or len(a) > _MAX_PANELS:
             break
+        (h, mid), nodes = _layout(a, b)
     raise NonConvergence(
         f"quadrature error {max(e - t for e, t in zip(error, tol)):.3e} "
         f"above tolerance with refinement budget exhausted ({len(a)} panels "
@@ -223,8 +234,8 @@ def _levels(f, config: QuadratureConfig, s: float):
 
 
 _MEASURE = 1.0 / (2.0 * math.pi ** 2)
-# Largest t at which one pass stays finite and free of overflow warnings,
-# which begin at t ~ 4.2e102
+# Largest t at which every sum of the pass is a finite double: the integral
+# of k^2 n1, 2 zeta(3) t^3 at high t, overflows from t ~ 4.2e102
 _MAX_T = 4e102
 
 
@@ -233,13 +244,14 @@ def thermal_charge_density(phase: PhasePoint,
                            ) -> ChargeDensities:
     """Thermal densities n1, n2 and q_tilde = n1 - n2 at a phase point.
 
-    One adaptive pass integrates k^2 n1, k^2 n2 and the cancellation-free
-    k^2 (n1 - n2) on shared nodes; each meets the tolerance on its own.
-    q_tilde is the integral of the direct difference, not n1 - n2, so it
-    keeps its relative precision where n1 and n2 nearly cancel (high t,
-    small mu). Where (1 - |mu|)/t exceeds _DEAD_X every k^2 n of both
-    branches is 0.0, and so are the three densities, without a pass.
-    Raises InvalidArgument above t = _MAX_T.
+    One adaptive pass integrates the rows k^2 n1, k^2 n2 and the
+    cancellation-free k^2 (n1 - n2) in v = sqrt(gap/t) on shared nodes;
+    each meets the tolerance on its own. q_tilde is the integral of the
+    direct difference, not n1 - n2, so it keeps its relative precision
+    where n1 and n2 nearly cancel (high t, small mu). Where (1 - |mu|)/t
+    exceeds _DEAD_X every k^2 n of both branches is 0.0, and so are the
+    three densities, without a pass. Raises InvalidArgument above
+    t = _MAX_T.
     """
     t = phase.t
     if t > _MAX_T:
@@ -249,6 +261,7 @@ def thermal_charge_density(phase: PhasePoint,
     if (1.0 - abs(phase.mu)) / t > _DEAD_X:
         return ChargeDensities(n1=0.0, n2=0.0, q_tilde=0.0)
     (i1, i2, iq), _ = _levels(
-        lambda k: _weighted_occupations(k, phase), config, t)
+        lambda v: _weighted_occupations(v, phase), config,
+        (t * (t + 2.0)) ** 1.5)
     return ChargeDensities(n1=_MEASURE * i1, n2=_MEASURE * i2,
                            q_tilde=_MEASURE * iq)

@@ -1,18 +1,26 @@
 """The Bose kernel: the dispersion gap, the Bose-Einstein occupation and
-the k^2-weighted occupations of both branches on arrays of momenta.
+the weighted occupations of both branches, on arrays of momenta k or of
+the EOS variable v = sqrt(gap/t).
 
 Particles carry energy omega = sqrt(k^2+1) - mu, antiparticles
 omega_bar = sqrt(k^2+1) + mu: the two branches share the gap
 sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
 through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
 accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
+In v the gap is v^2 t exactly, and a branch's exponent omega/t is
+v^2 + (1 -+ mu)/t: a scalar shift of one row -v^2 shared by both
+branches and every t.
 
 The occupation 1/(e^x - 1) is one formula at every x >= 0,
 e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
 overflow, so large x needs no clamp, and expm1 keeps full precision as
 x -> 0, so small x needs no series. The exponents of the two branches
-differ by the constant 2|mu|/t at every k, so the kernel makes its exp
-and expm1 passes over one branch and derives the other by a multiply.
+differ by the constant 2|mu|/t at every k, so the kernel makes one exp
+and one expm1 pass, over the near branch in k or over -v^2 in v, and
+forms both branches from them and a few scalars (_rows). A scalar shift
+a = p/t enters as the pair (e^{-a}, expm1(-a)), corrected for the
+rounding of a by an exact remainder in plain doubles (Dekker's
+two-product), so no node's exponent carries a rounding of a.
 """
 import math
 import sys
@@ -31,6 +39,16 @@ _TINY = 2.2250738585072014e-308
 _DEAD_X = 746.0
 # Largest momentum whose square is a finite double
 _MAX_K = math.sqrt(sys.float_info.max)
+# Dekker's splitter 2^27 + 1: with c = _SPLIT x, x_hi = c - (c - x) and
+# x_lo = x - x_hi are two halves of x whose products are exact doubles
+_SPLIT = 134217729.0
+# Largest t whose split _SPLIT t is finite. Above it (t > 1.3e300) the
+# shift a = p/t <= 2/t leaves e^{-a} = 1.0, and its residual is dropped.
+_SPLIT_MAX = sys.float_info.max / _SPLIT
+# Below this shift numerator the two-product's low parts could underflow;
+# _shift takes such a numerator scaled by _UP, which is exact
+_SMALL_P = 2.0 ** -800
+_UP = 2.0 ** 600
 
 
 def _gap(ksq):
@@ -53,6 +71,88 @@ def _bose(x: np.ndarray) -> np.ndarray:
                                           out=neg_x), out=out)
 
 
+def _shift(p: float, q: float, t: float):
+    """(e^{-a}, expm1(-a)) at the shift a = (p + q)/t, for an exact sum
+    p + q >= 0 with |q| at most half an ulp of p: the pair at the double
+    a0 = p/t, corrected to first order (e^{-r} = 1 - r) for the residual
+    r = (p + q)/t - a0. Without it every exponent shifted by a would
+    carry a's rounding, up to 1.1e-16 a: a relative error of the rows of
+    that size.
+
+    r is (p - a0 t + q)/t, where the remainder p - a0 t is the exact
+    (p - hi) - lo of the Dekker two-product a0 t = hi + lo, taken on p, q
+    and a0 scaled by 2^600 where p < _SMALL_P, so that no partial product
+    underflows; where q = 0 the residual is correctly rounded. Where
+    t >= _SPLIT_MAX, or e^{-a0} is 0.0, r is dropped.
+    """
+    a = p / t
+    e, m = math.exp(-a), math.expm1(-a)
+    if e and t < _SPLIT_MAX:
+        scale = 1.0
+        if p < _SMALL_P:
+            p, q, a, scale = p * _UP, q * _UP, a * _UP, 1.0 / _UP
+        hi = a * t
+        c = _SPLIT * a
+        a_hi = c - (c - a)
+        a_lo = a - a_hi
+        c = _SPLIT * t
+        t_hi = c - (c - t)
+        t_lo = t - t_hi
+        lo = a_hi * t_hi - hi + a_hi * t_lo + a_lo * t_hi + a_lo * t_lo
+        r = e * ((p - hi - lo + q) / t * scale)
+        e, m = e - r, m - r
+    return e, m
+
+
+def _rows(buf, near, e_a, m_a, shift_d, mu, under=None, limit=0.0):
+    """The three weighted rows, as buf[:3], from a (5, n) buffer holding
+    P = w e^{-y} e^{-a} in buf[2] and expm1(-y) in buf[3 + near], for
+    weights w >= 0 and the near branch's exponents x_> = y + a, where the
+    near branch is the one of the smaller gap (particles for mu >= 0);
+    (e_a, m_a) and shift_d = (e^{-d}, expm1(-d)) are _shift's pairs at a
+    and at d = 2|mu|/t.
+
+    Each row is w e^{-x}/(1 - e^{-x}) = P/D with D = (1 - e^{-x}) e^{a}:
+    D_> = -expm1(-y) e^{-a} - expm1(-a) for the near branch and
+    D_< = D_> + expm1(d) for the other, x_< = x_> + d; every term is >= 0,
+    so nothing cancels. Where expm1(d) overflows (d > 709.78), D_< e^{-d}
+    is 1.0 to the double and the n_< row is P e^{-d}.
+
+    At the nodes of the mask `under`, where x_> has underflowed, the near
+    row takes `limit`.
+
+    The difference row is formed without cancellation:
+    n_> - n_< = P (D_< - D_>)/(D_> D_<) = sign(mu) w n_> expm1(d)/D_<,
+    whose factors are finite where expm1(d) is; where it overflows the
+    row is sign(mu) w n_> itself, to the double. It keeps full relative
+    precision where n1 - n2 would cancel (high t, small mu) and never
+    overflows.
+    """
+    far = 1 - near
+    e_d, m_d = shift_d
+    ex = -m_d / e_d if e_d else math.inf  # expm1(d)
+    d_near = buf[3 + near]
+    np.multiply(d_near, -e_a, out=d_near)
+    if ex < math.inf:
+        np.add(d_near, ex - m_a, out=buf[3 + far])
+    d_near -= m_a
+    if under is not None:
+        d_near[under] = math.inf
+    if ex < math.inf:
+        np.divide(buf[2], buf[3:], out=buf[:2])
+    else:  # D_< e^{-d} = 1 - e^{-x_<} is 1.0: the n_< row is P e^{-d}
+        np.divide(buf[2], d_near, out=buf[near])
+        np.multiply(buf[2], e_d, out=buf[far])
+    if under is not None:
+        buf[near][under] = limit
+    if ex < math.inf:
+        diff = np.multiply(buf[near], math.copysign(ex, mu), out=buf[2])
+        diff /= buf[3 + far]
+    else:  # n_< is below e^{-709} n_>: n_> - n_< is n_> to the double
+        np.multiply(buf[near], math.copysign(1.0, mu), out=buf[2])
+    return buf[:3]
+
+
 def charge_integrand(k, phase: PhasePoint):
     """k^2 [n1(k) - n2(k)], the integrand of the thermal charge density.
 
@@ -71,73 +171,89 @@ def charge_integrand(k, phase: PhasePoint):
     # at a subnormal t an exponent (gap + 1 -+ mu)/t can overflow to inf,
     # whose occupation 0.0 is the exact limit
     with np.errstate(over="ignore"):
-        out = _weighted_occupations(ks, phase)[2]
+        out = _momentum_occupations(ks, phase)[2]
     return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
 
 
-def _weighted_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
+def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """Rows k^2 n1(k), k^2 n2(k) and k^2 [n1(k) - n2(k)] on an array of
     momenta whose squares are finite, as one (3, len(k)) array.
 
     The branch of the smaller gap, n_> (particles for mu >= 0), has the
     exponents x_> = (gap + 1 - |mu|)/t, built as their exact negation
-    ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)). The other
-    branch, n_<, has x_< = x_> + d, d = 2|mu|/t, so one exp and one expm1
-    pass give both: e^{-x_<} = e^{-x_>} e^{-d} and expm1(-x_<) =
-    expm1(-x_>) e^{-d} + expm1(-d), a sum of two terms <= 0 that cannot
-    cancel; e^{-d} and expm1(-d) are corrected for the rounding of d. Both
-    rows are then e^{-x}/expm1(-x), weighted by -k^2. Where x_< > 746 the
-    product e^{-x_<}, and so the n_< row, underflows to 0.0 by itself.
+    ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)); _rows, with no
+    shift (y = x_>), derives the other branch and the difference.
 
     Where x_> has underflowed, which happens only at mu = +-1 as k -> 0
     (the gap k^2/(E + 1) vanishes with k^2), k^2 n_> takes its limit
-    t(E + 1) = 2t and the n_< pair is (e^{-d}, expm1(-d)); that also
-    covers momenta whose k^2 underflows to 0 while the occupation is
-    infinite.
-
-    The difference row is formed without cancellation:
-    n_> - n_< = n_> (1 + n_<) (1 - e^{-d}), where 1 + n_< =
-    1/(1 - e^{-x_<}) is at most 1/(1 - e^{-1/t}) and comes from the
-    expm1 row already made. Every factor is finite at any (t, mu), so the
-    row keeps full relative precision where n1 - n2 would cancel (high t,
-    small mu) and never overflows.
+    t(E + 1) = 2t; that also covers momenta whose k^2 underflows to 0
+    while the occupation is infinite.
     """
     k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
-    near, far = (0, 1) if mu >= 0.0 else (1, 0)
-    # rows k^2 n1, k^2 n2, k^2 (n1 - n2) (-k^2 until then), expm1(-x_1)
-    # and expm1(-x_2) (-1 - sqrt(k^2 + 1) and -x_> until then)
+    near = 0 if mu >= 0.0 else 1
+    # rows k^2 n1, k^2 n2 (-1 - sqrt(k^2 + 1) and -x_> until then),
+    # k^2 e^{-x_>} (k^2 until then), and expm1(-x_>) in the near branch's
+    # row of the last two
     buf = np.empty((5,) + k.shape)
     ksq = np.multiply(k, k, out=buf[2])
-    m_near, m_far = buf[3 + near], buf[3 + far]
-    np.sqrt(np.add(ksq, 1.0, out=m_far), out=m_far)
-    neg_x = np.divide(ksq, np.subtract(-1.0, m_far, out=m_far), out=m_near)
+    root, neg_x = buf[1 - near], buf[near]
+    np.sqrt(np.add(ksq, 1.0, out=root), out=root)
+    np.divide(ksq, np.subtract(-1.0, root, out=root), out=neg_x)
     neg_x += abs(mu) - 1.0
     neg_x /= t
-    neg_ksq = np.negative(ksq, out=ksq)
     # x_> >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
     # underflows can n_> overflow; there it is 0 meanwhile, then 2t
     under = neg_x > -_TINY if (1.0 - abs(mu)) / t < _TINY else None
-    d = 2.0 * abs(mu) / t
-    e_d, m_d = math.exp(-d), math.expm1(-d)
-    if e_d:  # d's rounding error r from a long double quotient, if any
-        r = float(np.longdouble(2.0 * abs(mu)) / t - d)
-        e_d, m_d = e_d - e_d * r, m_d - e_d * r
-    n_near = np.exp(neg_x, out=buf[near])
-    np.expm1(neg_x, out=neg_x)
-    # (e^{-x_<}, expm1(-x_<)) from (e^{-x_>}, expm1(-x_>))
-    np.multiply(buf[near::3], e_d, out=buf[far::3])
-    m_far += m_d
-    if under is not None:
-        neg_x[under] = -math.inf
-    occ = np.divide(buf[:2], buf[3:], out=buf[:2])
-    occ *= neg_ksq
-    if under is not None:
-        n_near[under] = 2.0 * t
-    # sign(mu) n_> (1 - e^{-d})/(1 - e^{-x_<}), with 1 - e^{-d} = -expm1(-d)
-    diff = np.multiply(n_near, -math.copysign(m_d, mu), out=neg_ksq)
-    diff /= m_far
-    return buf[:3]
+    np.expm1(neg_x, out=buf[3 + near])
+    ksq *= np.exp(neg_x, out=neg_x)
+    return _rows(buf, near, 1.0, 0.0, _shift(2.0 * abs(mu), 0.0, t), mu,
+                 under, 2.0 * t)
+
+
+def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
+    """The EOS rows w n1, w n2 and w (n1 - n2) on an array of v > 0,
+    v = sqrt(gap/t), as one (3, len(v)) array; their integrals over v are
+    those of k^2 n1, k^2 n2 and k^2 (n1 - n2) over k, divided by
+    sigma(t) = (t (t + 2))^{3/2}.
+
+    With g = v^2 t the gap, k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, so
+    the weight is w = 2 v^2 (g + 1) sqrt(g + 2)/(t + 2)^{3/2}: about v^2
+    at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
+
+    A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
+    of the smaller gap: one exp and one expm1 pass over -v^2, and _shift's
+    corrected (e^{-a}, expm1(-a)), with 1 - |mu| taken exactly as a
+    two-term sum; _rows derives both branches and the difference. At
+    mu = +-1 the near exponent is v^2 alone, a normal double on every node
+    of the EOS pass (v >= 3.8e-15 there), so no limit is needed; v = 0 is
+    the pole of that branch and must not be passed.
+    """
+    t, mu = phase.t, phase.mu
+    m = abs(mu)
+    near = 0 if mu >= 0.0 else 1
+    p = 1.0 - m
+    e_a, m_a = _shift(p, 1.0 - p - m, t)
+    # w e^{-a} = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2 e^{-a}/
+    # (t + 2)^{3/2}: b from a cube root, since a fractional power of e^{-a}
+    # would carry the rounding of the exponent times a
+    b = float(np.cbrt(2.0 * e_a))
+    b *= b / (t + 2.0)
+    # rows w n1, w n2 (v^2 and sqrt(B + b), then e^{-v^2}, until then),
+    # w e^{-a} e^{-v^2}, and expm1(-v^2) in the near branch's row of the
+    # last two
+    buf = np.empty((5,) + v.shape)
+    y = np.multiply(v, v, out=buf[0])
+    w = np.multiply(y, b * t, out=buf[2])
+    w += b
+    root = np.add(w, b, out=buf[1])
+    np.sqrt(root, out=root)
+    w *= root
+    w *= y
+    neg_y = np.negative(y, out=y)
+    np.expm1(neg_y, out=buf[3 + near])
+    w *= np.exp(neg_y, out=neg_y)
+    return _rows(buf, near, e_a, m_a, _shift(2.0 * m, 0.0, t), mu)
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:
@@ -160,5 +276,5 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
     samples = require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
     with np.errstate(over="ignore"):  # as in charge_integrand
-        n1, n2, _ = _weighted_occupations(k, phase)
+        n1, n2, _ = _momentum_occupations(k, phase)
     return MomentumProfile(k_grid=k, n1_of_k=n1, n2_of_k=n2)

@@ -672,6 +672,17 @@ def test_mode_sum_tail_guard():
         mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8))
 
 
+def test_tail_guard_names_what_would_help():
+    # a direct box over its tolerance is mended by a larger cutoff; a
+    # split box sums every mode, and only a looser tail_rel_tol passes
+    with pytest.raises(TailTooLarge, match="; raise mode_cutoff$"):
+        mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8))
+    with pytest.raises(TailTooLarge, match="; raise tail_rel_tol$"):
+        mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 75), tail_rel_tol=1e-16)
+    assert mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 75),
+                    tail_rel_tol=1e-14).tail_bound > 0.0
+
+
 def test_suggested_cutoffs_pass_mode_sum_at_low_temperature():
     # the density scale is capped by a lower bound on the summed
     # densities, so the tail check of mode_sum never rejects the cutoff

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -88,17 +90,32 @@ def record_kernel_calls(monkeypatch):
     return calls
 
 
-# The level loop on closed-form integrands, with the panels and the
-# cutoff (~51) of temperature s = 1.
+def momentum_route(phase):
+    """charge_integrand, which takes momenta, as an integrand over
+    v = sqrt(gap/t): k^2 (n1 - n2) dk/dv at k = sqrt(g (g + 2)),
+    g = v^2 t, with dk/dv = 2 v t (g + 1)/k."""
+    t = phase.t
+
+    def f(v):
+        g = v * v * t
+        k = np.sqrt(g * (g + 2.0))
+        return charge_integrand(k, phase) * (2.0 * v * t * (g + 1.0) / k)
+
+    return f
+
+
+# The level loop on closed-form integrands in v, each within the tail
+# envelope (v/V)^5 e^{-(v^2 - V^2)} past V = sqrt(50), at scale 1.
 def test_gamma_three():
-    (val,), (err,) = quadrature._levels(lambda k: k * k * np.exp(-k),
+    # the integral of v^5 e^{-v^2} is Gamma(3)/2; its tail is the bound's
+    (val,), (err,) = quadrature._levels(lambda v: v ** 5 * np.exp(-v * v),
                                         QuadratureConfig(), 1.0)
-    assert val == pytest.approx(2.0, rel=1e-12)
+    assert val == pytest.approx(1.0, rel=1e-12)
     assert err < 1e-10
 
 
 def test_gaussian_half_line():
-    (val,), _ = quadrature._levels(lambda k: np.exp(-k * k),
+    (val,), _ = quadrature._levels(lambda v: np.exp(-v * v),
                                    QuadratureConfig(), 1.0)
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
@@ -106,10 +123,13 @@ def test_gaussian_half_line():
 def test_error_estimate_honest():
     # the returned error bounds the true one, up to the rounding of the
     # sum, at every tolerance and on integrands of either sign and none
-    integrands = [(lambda k: k * k * np.exp(-k), 2.0),
-                  (lambda k: np.exp(-k * k), math.sqrt(math.pi) / 2.0),
-                  (lambda k: (k * k - 4.0) * np.exp(-k), -2.0),
-                  (lambda k: (k - 1.0) * np.exp(-k), 0.0)]
+    root_pi = math.sqrt(math.pi)
+    integrands = [(lambda v: v ** 5 * np.exp(-v * v), 1.0),
+                  (lambda v: v ** 4 * np.exp(-v * v), 3.0 * root_pi / 8.0),
+                  (lambda v: np.exp(-v * v), root_pi / 2.0),
+                  (lambda v: (v * v - 2.0) * np.exp(-v * v),
+                   -3.0 * root_pi / 4.0),
+                  (lambda v: (v * v - 1.5) * v * v * np.exp(-v * v), 0.0)]
     for rel_tol in [1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13]:
         cfg = QuadratureConfig(rel_tol=rel_tol)
         for i, (f, exact) in enumerate(integrands):
@@ -118,20 +138,60 @@ def test_error_estimate_honest():
                 rel_tol, i, val, err)
 
 
+def test_tail_factor_is_the_envelope_integral():
+    # (V^4 + 2 V^2 + 2)/(2 V^5) at V^2 = 50, against the integral of the
+    # envelope (v/V)^5 e^{-(v^2 - V^2)} over [V, inf) at 30 digits
+    with mpmath.workdps(30):
+        big_v = mpmath.sqrt(50)
+        exact = mpmath.quad(lambda v: (v / big_v) ** 5
+                            * mpmath.exp(-(v * v - 50)), [big_v, mpmath.inf])
+    assert quadrature._V_CUT == math.sqrt(50.0)
+    assert quadrature._TAIL_FACTOR == pytest.approx(float(exact), rel=1e-15)
+    assert quadrature._TAIL_FACTOR == pytest.approx(0.0736, rel=1e-3)
+
+
+def test_tail_bound_is_honest_on_the_eos_rows():
+    # the kernel's rows integrated from V to 12 (where e^{-(v^2 - V^2)} is
+    # e^{-94}) stay within |row(V)| _TAIL_FACTOR, at seeded (t, mu) over
+    # the whole range and at |mu| = 1; at t >> 1 the measure is ~2 v^5
+    # and the occupation Boltzmann, so the bound is met to its rounding
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(quadrature._V_CUT, 12.0, 101)
+    half = (edges[1:] - edges[:-1]) / 2.0
+    v = ((edges[:-1] + edges[1:]) / 2.0 + np.outer(x, half)).T.ravel()
+    weights = (np.outer(half, w)).ravel()
+    rng = np.random.default_rng(3131)
+    ts = 10.0 ** rng.uniform(-12.0, math.log10(quadrature._MAX_T), 340)
+    mus = rng.uniform(-1.0, 1.0, 340)
+    mus[::8] = np.sign(mus[::8])
+    checked = 0
+    for t, mu in zip(ts.tolist(), mus.tolist()):
+        if (1.0 - abs(mu)) / t > statistics._DEAD_X:
+            continue
+        phase = PhasePoint(t, mu)
+        at_cut = statistics._weighted_occupations(
+            np.array([quadrature._V_CUT]), phase)[:, 0]
+        tails = statistics._weighted_occupations(v, phase) @ weights
+        bound = np.abs(at_cut) * quadrature._TAIL_FACTOR
+        assert (np.abs(tails) <= bound * (1.0 + 1e-12)).all(), (t, mu)
+        checked += 1
+    assert checked >= 300
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf, 1.0])
 def test_quadrature_config_validation(rel_tol):
     with pytest.raises(InvalidArgument, match="^rel_tol must be"):
         QuadratureConfig(rel_tol=rel_tol)
 
 
-@pytest.mark.parametrize("f", [lambda k: np.exp(-k * k),
-                               lambda k: k * k * np.exp(-k)],
+@pytest.mark.parametrize("f", [lambda v: np.exp(-60.0 * v * v),
+                               lambda v: v ** 5 * np.exp(-v * v)],
                          ids=["nan-bound", "inf-bound"])
 def test_nan_tail_bound_is_non_convergence(monkeypatch, f):
-    # an overflowed tail factor times f(k_cut) = 0 (e^-2600) is a nan
-    # bound, times f(k_cut) > 0 an inf one; neither is below its
-    # tolerance, so the first level raises
-    monkeypatch.setattr(quadrature, "_tail_factor", lambda k_cut, s: math.inf)
+    # an infinite tail factor times f(V) = 0 (e^-3000) is a nan bound,
+    # times f(V) > 0 an inf one; neither is below its tolerance, so the
+    # first level raises
+    monkeypatch.setattr(quadrature, "_TAIL_FACTOR", math.inf)
     calls = []
     with pytest.raises(NonConvergence, match="tail bound not below"):
         quadrature._levels(lambda k: calls.append(1) or f(k),
@@ -143,22 +203,40 @@ def test_non_convergence_on_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_LEVELS", 2)
     cfg = QuadratureConfig(rel_tol=1e-14)
 
-    def spike(k):
-        return np.exp(-k) / np.sqrt(np.abs(k - 2.345) + 1e-14)
+    def spike(v):
+        return np.exp(-v * v) / np.sqrt(np.abs(v - 2.345) + 1e-14)
 
     with pytest.raises(NonConvergence, match="budget exhausted"):
         quadrature._levels(spike, cfg, 1.0)
 
 
-def test_initial_edges_are_one_layout_at_every_temperature():
-    # 28 edges below the thermal momentum, 10 above it and the cutoff:
-    # 38 panels, 570 nodes, at every s the EOS takes
-    for s in np.logspace(-300.0, math.log10(4e102), 2001):
-        k_cut = quadrature._momentum(quadrature._CUT_EFOLDINGS * s)
-        edges = quadrature._initial_edges(k_cut, float(s))
-        assert len(edges) == 39, s
-        assert (np.diff(edges) > 0.0).all(), s
-        assert edges[-1] == k_cut, s
+def test_level0_nodes_are_one_array_at_every_phase_point(monkeypatch):
+    # 28 edges below v = 1, 10 above it and V: 38 panels of 15 nodes and
+    # V, built once; the kernel receives that very array at every (t, mu)
+    # that makes a pass, down to the subnormal t of |mu| = 1
+    edges = quadrature._EDGES
+    assert len(edges) == 39 and (np.diff(edges) > 0.0).all()
+    assert edges[0] == 0.0 and edges[-1] == quadrature._V_CUT
+    nodes = quadrature._LEVEL0_NODES
+    assert nodes.shape == (571,) and nodes[-1] == quadrature._V_CUT
+    assert (np.diff(nodes[:-1]) > 0.0).all() and nodes[0] > 3e-15
+    assert not nodes.flags.writeable
+    seen = []
+    kernel = quadrature._weighted_occupations
+
+    def recorder(v, phase):
+        seen.append(v)
+        return kernel(v, phase)
+
+    monkeypatch.setattr(quadrature, "_weighted_occupations", recorder)
+    rng = np.random.default_rng(1313)
+    ts = [5e-324, 1e-300, quadrature._MAX_T] + (10.0 ** rng.uniform(
+        -12.0, math.log10(quadrature._MAX_T), 300)).tolist()
+    for t in ts:
+        for mu in (1.0, -1.0, float(rng.uniform(-1.0, 1.0))):
+            seen.clear()
+            thermal_charge_density(PhasePoint(t, mu))
+            assert all(v is nodes for v in seen) and len(seen) <= 1, (t, mu)
 
 
 def test_kronrod_constants_are_double_roundings():
@@ -223,8 +301,8 @@ def test_gauss_kronrod_returns_kronrod_and_embedded_difference():
 
 
 def test_charge_difference_integral_reference():
-    phase = PhasePoint(1.0, 0.5)
-    (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
+    # charge_integrand (the momentum route) through the v pass
+    (val,), _ = quadrature._levels(momentum_route(PhasePoint(1.0, 0.5)),
                                    QuadratureConfig(), 1.0)
     assert val == pytest.approx(I_DIFF_REF, rel=1e-10)
 
@@ -253,8 +331,7 @@ def test_route_consistency(t, mu):
     cfg = QuadratureConfig()
     phase = PhasePoint(t, mu)
     d = thermal_charge_density(phase, cfg)
-    (val,), _ = quadrature._levels(lambda k: charge_integrand(k, phase),
-                                   cfg, t)
+    (val,), _ = quadrature._levels(momentum_route(phase), cfg, 1.0)
     diff = val / (2.0 * math.pi ** 2)
     assert abs(diff - d.q_tilde) <= 10.0 * cfg.rel_tol * (d.n1 + d.n2)
 
@@ -292,6 +369,29 @@ def test_condensation_point_density_nonrelativistic(log_t):
     expected = z * (t / (2.0 * math.pi)) ** 1.5 * series
     assert thermal_charge_density(PhasePoint(t, 1.0)).n1 == pytest.approx(
         expected, rel=1e-6)
+
+
+# 30-digit K2-series values at 40 (t, mu), t in [1e-3, 3], |mu| <= 0.95,
+# recorded by tests/record_eos_reference.py
+EOS_REFERENCE = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "eos_reference.json")
+    .read_text())
+
+
+def test_eos_matches_the_30_digit_reference():
+    # every component whose reference is a normal double, at the default
+    # tolerance, including low t, where the exponents' shift (1 -+ mu)/t
+    # is in the hundreds
+    checked = 0
+    for ref in EOS_REFERENCE:
+        d = thermal_charge_density(PhasePoint(ref["t"], ref["mu"]))
+        for name in ("n1", "n2", "q_tilde"):
+            exact = float(ref[name])
+            if abs(exact) >= statistics._TINY:
+                got = getattr(d, name)
+                assert abs(got - exact) <= 1e-13 * abs(exact), (ref, name)
+                checked += 1
+    assert len(EOS_REFERENCE) == 40 and checked >= 100
 
 
 @pytest.mark.parametrize("t,mu", [(0.5, 0.3), (1.0, 0.8), (2.0, 0.5),
@@ -396,13 +496,16 @@ SHORTCUT_MOMENTA = np.concatenate([[0.0, 5e-324, 1e-200, 1e-20],
 
 def shortcut_changes(points, full_pass):
     """The points whose EOS doubles, at two tolerances, or kernel rows (as
-    int64) change once full_pass() has turned the EOS's dead-branch skip
-    off."""
+    int64; on SHORTCUT_MOMENTA and on the EOS's level-0 nodes) change once
+    full_pass() has turned the EOS's dead-branch skip off."""
     def outputs(t, mu):
         phase = PhasePoint(t, mu)
         eos = [thermal_charge_density(phase, QuadratureConfig(rel_tol=tol))
                for tol in (1e-10, 1e-13)]
-        rows = statistics._weighted_occupations(SHORTCUT_MOMENTA, phase)
+        rows = np.concatenate([
+            statistics._momentum_occupations(SHORTCUT_MOMENTA, phase),
+            statistics._weighted_occupations(quadrature._LEVEL0_NODES,
+                                             phase)], axis=1)
         return ([(d.n1.hex(), d.n2.hex(), d.q_tilde.hex()) for d in eos],
                 rows.view(np.int64).tolist())
 
@@ -449,10 +552,10 @@ def test_dead_branch_shortcut_on_narrower_simd_loops(disabled):
     assert out.split("\n")[0] == "[]"
 
 
-@pytest.mark.parametrize("t,mu", [(19343.60940176208, 0.5928032952783189),
+@pytest.mark.parametrize("t,mu", [(0.33261043826842085, -0.9990346810866676),
                                   (0.7897165516066401, 0.9999999997426147)])
 def test_second_level_matches_quadpack(monkeypatch, t, mu):
-    # drawn from a seeded sweep: at rel_tol = 1e-12 some initial panels
+    # drawn from seeded sweeps: at rel_tol = 1e-12 some initial panels
     # are bisected, so the totals carry the converged panels across levels
     calls = record_kernel_calls(monkeypatch)
     d = thermal_charge_density(PhasePoint(t, mu),

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
                     momentum_profile, quadrature, statistics)
-from relbec.statistics import _TINY, _bose, _gap, _weighted_occupations
+from relbec.statistics import (_TINY, _bose, _gap, _momentum_occupations,
+                               _shift, _weighted_occupations)
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
@@ -205,42 +207,43 @@ def test_public_kernel_callers_at_subnormal_temperature(mu):
 
 @pytest.mark.parametrize("t", [1e-9, 1.0, 1e6])
 def test_weighted_occupations_gapless_underflow(t):
+    # the momentum front end, at momenta whose gap underflows
     k = np.array([0.0, 5e-324, 2.77e-295, 1e-155, 1e-3, 1.0, 30.0])
-    rows = _weighted_occupations(k, PhasePoint(t, 1.0))
+    rows = _momentum_occupations(k, PhasePoint(t, 1.0))
     assert rows.shape == (3, len(k))
     assert np.all(np.isfinite(rows))
     np.testing.assert_allclose(rows[0, :4], 2.0 * t, rtol=1e-12)
     np.testing.assert_allclose(rows[2], rows[0] - rows[1], rtol=1e-12,
                                atol=1e-300)
-    mirror = _weighted_occupations(k, PhasePoint(t, -1.0))
+    mirror = _momentum_occupations(k, PhasePoint(t, -1.0))
     np.testing.assert_array_equal(mirror[0], rows[1])
     np.testing.assert_array_equal(mirror[1], rows[0])
     np.testing.assert_array_equal(mirror[2], -rows[2])
 
 
-def eos_nodes(t):
-    """k = 0, the panel edges and the Kronrod nodes of the first level of
-    thermal_charge_density at temperature t."""
-    edges = quadrature._initial_edges(
-        quadrature._momentum(quadrature._CUT_EFOLDINGS * t), t)
-    half = np.stack([edges[1:] - edges[:-1], edges[1:] + edges[:-1]]) / 2.0
-    nodes = half.T @ quadrature._NODE_MAP
-    return np.concatenate([[0.0], edges, nodes.ravel()])
+def eos_nodes():
+    """The nodes of thermal_charge_density's level-0 pass in v, the same
+    at every (t, mu), and those of its panels bisected once."""
+    a, b = quadrature._EDGES[:-1], quadrature._EDGES[1:]
+    mid = (a + b) / 2.0
+    bisected = quadrature._layout(np.concatenate([a, mid]),
+                                  np.concatenate([mid, b]))[1]
+    return np.concatenate([quadrature._LEVEL0_NODES, bisected])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weighted_occupations_keep_one_sign():
     # the occupations are positive where |mu| <= 1, so the kernel's rows
-    # keep one sign on the pass's own nodes: k^2 n1, k^2 n2 >= 0 and
-    # k^2 (n1 - n2) of the sign of mu, at every t the EOS accepts
+    # keep one sign on the pass's own nodes: w n1, w n2 >= 0 and
+    # w (n1 - n2) of the sign of mu, at every t the EOS accepts
     rng = np.random.default_rng(1717)
     ts = [1e-12, quadrature._MAX_T] + (10.0 ** rng.uniform(
         -12.0, math.log10(quadrature._MAX_T), 2000)).tolist()
     fixed = [1.0, -1.0, 0.0, -0.0, 1.0 - 1e-16, -(1.0 - 1e-16)]
+    v = eos_nodes()
     for t in ts:
-        k = eos_nodes(t)
         for mu in fixed + rng.uniform(-1.0, 1.0, 6).tolist():
-            rows = _weighted_occupations(k, PhasePoint(t, mu))
+            rows = _weighted_occupations(v, PhasePoint(t, mu))
             assert np.isfinite(rows).all(), (t, mu)
             assert (rows[:2] >= 0.0).all(), (t, mu)
             assert (rows[2] * math.copysign(1.0, mu) >= 0.0).all(), (t, mu)
@@ -248,21 +251,29 @@ def test_weighted_occupations_keep_one_sign():
                 assert not rows[2].any(), t
 
 
-# Largest error of a kernel row against the exact k^2/(e^x - 1) where the
-# row is a normal double, in units of (1 + x_>) eps |exact|, x_> the
-# exponent of the smaller gap: 3.4 on 18000 samples of 6 seeds drawn as
-# below with numpy's AVX-512 loops, 3.0 on one seed with the AVX2 and
-# baseline ones.
-# The far branch, x_< = x_> + 2|mu|/t, is derived from the near one and
-# carries the rounding of x_>, not that of x_< (up to 600 of these units).
+# Largest error of a row of the EOS kernel against the exact w/(e^x - 1)
+# where the row is a normal double, in units of (1 + v^2) eps |exact|: 4.1
+# on 18000 samples of 6 seeds drawn as below with numpy's AVX-512 loops.
+# Both branches shift the one row -v^2 by a corrected scalar, so neither
+# carries the rounding of its exponent x = v^2 + (1 -+ mu)/t, only that
+# of v^2.
+V_ROW_ERROR = 6.0
+# The same for the momentum front end, in units of (1 + x_>) eps |exact|,
+# x_> the exponent of the smaller gap: 2.4 on the same samples. The far
+# branch, x_< = x_> + 2|mu|/t, is derived from the near one and carries
+# the rounding of x_>, not that of x_< (up to 600 of these units).
 ROW_ERROR = 4.0
 
 
-def test_weighted_occupations_match_mpmath():
-    # two thirds of the points at t in [1e-3, 1e-2] near |mu| = 1, where
-    # the far branch's exponent is 200 to 2000; the momenta are the EOS's
-    # own nodes. A subnormal row keeps too few bits for a relative bound.
+def assert_rows_match_mpmath(front):
+    """The rows of the EOS kernel (front "v"), or of the momentum front
+    end at the momenta of the same nodes (front "k"), against 40-digit
+    values at seeded (t, mu): two thirds of the points at t in
+    [1e-3, 1e-2] near |mu| = 1, where the far branch's exponent is 200 to
+    2000. A subnormal row keeps too few bits for a relative bound."""
     rng = np.random.default_rng(2121)
+    nodes = eos_nodes()
+    eps = np.finfo(float).eps
     far_checked = 0
     with mpmath.workdps(40):
         for i in range(150):
@@ -273,21 +284,90 @@ def test_weighted_occupations_match_mpmath():
             else:
                 t = float(10.0 ** rng.uniform(-3.0, 3.0))
                 mu = float(rng.uniform(-1.0, 1.0))
-            k = rng.choice(eos_nodes(t), 10, replace=False)
-            rows = _weighted_occupations(k, PhasePoint(t, mu))
+            v = rng.choice(nodes, 10, replace=False)
+            k = np.sqrt(v * v * t * (v * v * t + 2.0))
+            rows = (_weighted_occupations(v, PhasePoint(t, mu)) if front == "v"
+                    else _momentum_occupations(k, PhasePoint(t, mu)))
             far = 1 if mu >= 0.0 else 0
-            for kj, got in zip(k.tolist(), rows.T.tolist()):
-                ksq = mpmath.mpf(kj) ** 2
-                energy = mpmath.sqrt(ksq + 1)
-                x1, x2 = (energy - mu) / t, (energy + mu) / t
+            for vj, kj, got in zip(v.tolist(), k.tolist(), rows.T.tolist()):
+                if front == "v":
+                    ysq = mpmath.mpf(vj) ** 2
+                    g = ysq * t
+                    w = 2 * ysq * (g + 1) * mpmath.sqrt(g + 2) / (
+                        mpmath.mpf(t) + 2) ** 1.5
+                    x1, x2 = ysq + (1 - mpmath.mpf(mu)) / t, ysq + (
+                        1 + mpmath.mpf(mu)) / t
+                    bound = V_ROW_ERROR * (1 + ysq) * eps
+                else:
+                    w = mpmath.mpf(kj) ** 2
+                    energy = mpmath.sqrt(w + 1)
+                    x1, x2 = (energy - mu) / t, (energy + mu) / t
+                    bound = ROW_ERROR * (1 + min(x1, x2)) * eps
                 n1, n2 = 1 / mpmath.expm1(x1), 1 / mpmath.expm1(x2)
-                bound = ROW_ERROR * (1 + min(x1, x2)) * np.finfo(float).eps
-                exact = (ksq * n1, ksq * n2, ksq * (n1 - n2))
+                exact = (w * n1, w * n2, w * (n1 - n2))
                 for row, (g, e) in enumerate(zip(got, exact)):
                     if abs(e) >= _TINY:
-                        assert abs(g - e) <= bound * abs(e), (t, mu, kj, row)
+                        assert abs(g - e) <= bound * abs(e), (t, mu, vj, row)
                         far_checked += row == far and max(x1, x2) > 200
     assert far_checked > 500
+
+
+def test_weighted_occupations_match_mpmath():
+    assert_rows_match_mpmath("v")
+
+
+def test_momentum_occupations_match_mpmath():
+    assert_rows_match_mpmath("k")
+
+
+def shift_draws(n, seed):
+    """Seeded (p, q, t) of the shifts the kernel takes: 2|mu| with q = 0,
+    and 1 -+ |mu| as an exact two-term sum, at t = 10^U(-2, 3) and |mu|
+    uniform, within 10^U(-16, -1) of 1, or 10^U(-320, -1)."""
+    rng = np.random.default_rng(seed)
+    ts = 10.0 ** rng.uniform(-2.0, 3.0, n)
+    kinds = rng.integers(0, 3, n)
+    spread = rng.integers(0, 3, n)
+    mus = np.where(spread == 0, rng.uniform(0.0, 1.0, n),
+                   np.where(spread == 1, 1.0 - 10.0 ** rng.uniform(-16, -1, n),
+                            10.0 ** rng.uniform(-320.0, -1.0, n)))
+    for t, m, kind in zip(ts.tolist(), mus.tolist(), kinds.tolist()):
+        if kind == 0:
+            yield 2.0 * m, 0.0, t
+        elif kind == 1:
+            p = 1.0 - m
+            yield p, 1.0 - p - m, t
+        else:
+            p = 1.0 + m
+            yield p, 1.0 - p + m, t
+
+
+def test_shift_residual_is_the_exact_one():
+    # the corrected pair is the one from the exact rational residual
+    # (p + q)/t - p/t, rounded once, on every draw: the two-product's
+    # remainder is exact, down to numerators of 1e-320
+    checked = 0
+    for p, q, t in shift_draws(100_000, 1616):
+        a = p / t
+        e, m = math.exp(-a), math.expm1(-a)
+        if not e:
+            continue
+        r = e * float((Fraction(p) + Fraction(q)) / Fraction(t)
+                      - Fraction(a))
+        assert _shift(p, q, t) == (e - r, m - r), (p, q, t)
+        checked += 1
+    assert checked > 99_000
+
+
+def test_shift_past_the_split_drops_the_residual():
+    # t * (2^27 + 1) overflows past ~1.3e300, where e^{-a} is 1.0 to the
+    # double: the plain pair, without an overflow
+    for t in (statistics._SPLIT_MAX, 1e301, sys.float_info.max):
+        for p in (2.0, 1.0 - 0.3, 0.0):
+            assert _shift(p, 0.0, t) == (math.exp(-p / t), math.expm1(-p / t))
+    below = math.nextafter(statistics._SPLIT_MAX, 0.0)
+    assert math.isfinite(below * statistics._SPLIT)
+    assert all(math.isfinite(x) for x in _shift(2.0, 0.0, below))
 
 
 @settings(max_examples=200)
@@ -315,7 +395,7 @@ def test_charge_integrand_monotone_in_mu(k, t, mu):
 @example(k=9.866775989168195e-157, t=0.05, mu=0.25)
 def test_pointwise_ratio_bound(k, t, mu):
     # n2/n1 = occ(omega_bar)/occ(omega) <= e^{-2 mu / t}
-    n1, n2, _ = _weighted_occupations(np.array([k]), PhasePoint(t, mu))[:, 0]
+    n1, n2, _ = _momentum_occupations(np.array([k]), PhasePoint(t, mu))[:, 0]
     if n1 == 0.0:  # k^2 = 0: both rows vanish
         return
     if n2 < _TINY:
