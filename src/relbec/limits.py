@@ -75,6 +75,12 @@ class Dimension:
         object.__setattr__(self, "d", int(self.d))  # a Python int
 
 
+def _dimension(dim) -> Dimension:
+    """dim as a Dimension: a plain integer is checked as Dimension(dim)
+    checks it."""
+    return dim if isinstance(dim, Dimension) else Dimension(dim)
+
+
 def ur_densities(t: float, mu: float) -> ChargeDensities:
     """First-order-in-mu ultra-relativistic densities:
     n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3, taken as 2 b
@@ -103,8 +109,9 @@ def _power(evaluate) -> float:
 def _require_prefactor(operation: str, pref: float, dim: Dimension,
                        detail: str) -> None:
     """Raise UnsupportedDimension, naming d, unless the prefactor of a
-    d-dimensional formula is a positive finite double: past d ~ 150 its
-    Gammas and powers leave the double range."""
+    d-dimensional formula (for T_c, its (d-1)-th root) is a positive
+    finite double: past d ~ 150 the density of states' Gammas and powers
+    leave the double range, past d ~ 1.8e308 d itself does."""
     if not 0.0 < pref < math.inf:
         raise UnsupportedDimension(
             f"{operation} at {detail}, d = {dim.d}: the prefactor is {pref}, "
@@ -142,6 +149,7 @@ def density_of_states(eps: float, dim: Dimension) -> float:
     eps = require_finite("eps", eps)
     if eps < 1.0:
         raise InvalidArgument(f"energy below the mass gap: eps = {eps}")
+    dim = _dimension(dim)
     d = dim.d
     pref = _power(lambda: 2.0 * math.pi ** (d / 2.0)
                   / ((2.0 * math.pi) ** d * gamma_half(d / 2.0)))
@@ -154,26 +162,41 @@ def density_of_states(eps: float, dim: Dimension) -> float:
     return dos
 
 
+def _log_gamma_half(x: float) -> float:
+    """ln Gamma(x) at a positive integer or half-integer x: the log of
+    gamma_half where that is finite, math.lgamma past it."""
+    gamma = gamma_half(x)
+    return math.log(gamma) if gamma < math.inf else math.lgamma(x)
+
+
 def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     """UR critical temperature of the d-dimensional gas,
     [ (2 pi)^d Gamma(d/2) / (4 pi^{d/2} Gamma(d) zeta(d-1)) * q/m ]^{1/(d-1)}.
 
-    Reduces exactly to sqrt(3 q/m) at d = 3. UnsupportedDimension where
-    the prefactor is not a positive finite double (d >= 155),
-    InvalidArgument where T_c is not (pref q over- or underflows).
+    Exactly sqrt(3 q/m) at d = 3. Elsewhere the product of the
+    prefactor's root, taken from its log (so its Gammas and powers may
+    leave the double range, as they do from d ~ 155), and
+    (q/m)^{1/(d-1)}: a positive finite double at every q/m > 0.
+    UnsupportedDimension where d is past the doubles (d > 1.8e308).
     """
     q_over_m = require_positive("q", q_over_m)
+    dim = _dimension(dim)
     d = dim.d
-    pref = _power(lambda: (2.0 * math.pi) ** d * gamma_half(d / 2.0) / (
-        4.0 * math.pi ** (d / 2.0) * gamma_half(float(d)) * zeta_int(d - 1)))
-    _require_prefactor("ddim_critical_temperature", pref, dim,
+    if d == 3:  # where 3 q overflows, sqrt(4 x) = 2 sqrt(x) exactly
+        triple = 3.0 * q_over_m
+        return (math.sqrt(triple) if triple < math.inf
+                else 2.0 * math.sqrt(0.75 * q_over_m))
+    try:
+        root = math.exp(math.fsum([
+            d * math.log(2.0 * math.pi), _log_gamma_half(d / 2.0),
+            -math.log(4.0), -d / 2.0 * math.log(math.pi),
+            -_log_gamma_half(float(d)), -math.log(zeta_int(d - 1))])
+            / (d - 1))
+    except OverflowError:
+        root = math.inf
+    _require_prefactor("ddim_critical_temperature", root, dim,
                        f"q = {q_over_m}")
-    t_c = (pref * q_over_m) ** (1.0 / (d - 1))
-    if not 0.0 < t_c < math.inf:
-        raise InvalidArgument(
-            f"ddim_critical_temperature at q = {q_over_m}, d = {d}: T_c is "
-            f"{t_c}, not a positive finite double")
-    return t_c
+    return root * q_over_m ** (1.0 / (d - 1))
 
 
 def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
@@ -182,7 +205,7 @@ def ur_condensed_fraction(t: float, t_c: float, dim: Dimension) -> float:
     t = require_real("t", t)
     if not (0.0 <= t <= t_c):
         raise InvalidArgument(f"need 0 <= t <= t_c, got t = {t}, t_c = {t_c}")
-    return 1.0 - (t / t_c) ** (dim.d - 1)
+    return 1.0 - (t / t_c) ** (_dimension(dim).d - 1)
 
 
 def low_t_mu_asymptote(q0_occ: float, t: float) -> float:

@@ -434,8 +434,9 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     the budgets allow, and with InvalidArgument where t^3 or L^3 is not a
     normal double. Terms are summed in a fixed order, so results repeat
     bit for bit. n1 and n2 are the two rows of one pass whose rows differ
-    only in the sign of mu, each summed by its own dot products, so
-    q_tilde_fv is exactly odd in mu.
+    only in the sign of mu, summed by one numpy reduction in the same
+    order whatever the row or the BLAS kernel, so q_tilde_fv is exactly
+    odd in mu.
     """
     t, mu = phase.t, phase.mu
     length, cutoff = box.box_length, box.mode_cutoff
@@ -457,9 +458,13 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     rest *= np.exp(-j_max / t * energy)
     weights = np.exp(-offset / t * np.arange(1, j_max + 1))
     counts, vol = shells[1:m_direct + 1], length ** 3
-    heads = [float(np.dot(w, head)) for w in weights]
-    n1_fv, n2_fv = (h + float(np.dot(counts, r)) / vol
-                    for h, r in zip(heads, rest))
+    # each sum is one numpy reduction over both rows, whose order is the
+    # same for both, not a BLAS dot per row, whose order may follow the
+    # row's alignment
+    heads = np.add.reduce(weights * head, axis=-1).tolist()
+    rest *= counts
+    n1_fv, n2_fv = (h + r / vol for h, r in
+                    zip(heads, np.add.reduce(rest, axis=-1).tolist()))
     direct = cutoff * cutoff <= _DIRECT_SHELLS
     tail = (_tail_bound(phase, box) if direct else
             _cut_bound(phase, length, (j_max, m_direct, m_wind), weights,

@@ -17,10 +17,13 @@ v ~ 1/sqrt(t) when t >> 1. Above v = 1 they grow in steps of gap/t, after
 the e^{-v^2} Boltzmann tail, out to V. The 38 level-0 panels, their
 half-widths and their 571 nodes (570 Kronrod nodes and V) are module
 constants, built at import by the code that builds every refinement
-level, so a level-0 pass builds no layout. Each level sends all of its
-nodes to the integrand in one call, keeps the panels within their share
-of the remaining error budget and bisects the rest; at the default
-tolerances the level-0 panels meet it at every (t, mu) in one call.
+level, so a level-0 pass builds no layout. The nodes carry the kernel's
+rows of v alone, v^2, v^2 e^{-v^2} and expm1(-v^2), made once by libm
+(statistics._with_rows); a refined level's nodes get theirs from the
+same row function at each call. Each level sends all of its nodes to
+the integrand in one call, keeps the panels within their share of the
+remaining error budget and bisects the rest; at the default tolerances
+the level-0 panels meet it at every (t, mu) in one call.
 
 The tail beyond V is bounded in closed form. Past V an integrand's ratio
 to its value at V must be at most (v/V)^5 e^{-(v^2 - V^2)}; its tail is
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
-from .statistics import _DEAD_X, _weighted_occupations
+from .statistics import _DEAD_X, _weighted_occupations, _with_rows
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import charge_integrand  # noqa: F401
@@ -101,7 +104,9 @@ _BELOW = np.concatenate([[0.0], 2.0 ** -12 * 4.0 ** -np.arange(14, 0, -1.0),
 # Above v = 1, edges at gap/t = _TAIL_U, v = sqrt(u): steps in gap/t grow
 # from 1 by 1.3 each, matching the e^{-v^2} decay of the integrand, up to
 # 43.6 below the cutoff's 50.
-_TAIL_U = 1.0 + (1.3 ** np.arange(1, 11) - 1.0) / 0.3
+# Python floats, since numpy's power loop rounds otherwise on other SIMD
+# levels.
+_TAIL_U = np.array([1.0 + (1.3 ** i - 1.0) / 0.3 for i in range(1, 11)])
 # Cutoff V, where the gap is _CUT_EFOLDINGS t: the Boltzmann tail beyond
 # it is below e^-50 of each density.
 _CUT_EFOLDINGS = 50.0
@@ -149,10 +154,12 @@ def _layout(a: np.ndarray, b: np.ndarray):
 
 
 # The level-0 panels at every (t, mu): 28 edges below v = 1, 10 above it
-# and V; 38 panels, 571 nodes. Read-only, since every pass shares them.
+# and V; 38 panels, 571 nodes, which carry the kernel's rows of v alone
+# (statistics._Nodes). Read-only, since every pass shares them.
 _EDGES = np.concatenate([_BELOW, np.sqrt(_TAIL_U), [_V_CUT]])
 _LEVEL0_HALF, _LEVEL0_NODES = _layout(_EDGES[:-1], _EDGES[1:])
-for _array in (_EDGES, _LEVEL0_HALF, _LEVEL0_NODES):
+_LEVEL0_NODES = _with_rows(_LEVEL0_NODES)
+for _array in (_EDGES, _LEVEL0_HALF):
     _array.flags.writeable = False
 del _array
 
@@ -176,14 +183,14 @@ def _levels(f, config: QuadratureConfig, scale: float):
     over the components runs on Python floats, which take the same IEEE
     steps as numpy's float64 arithmetic."""
     a, b = _EDGES[:-1], _EDGES[1:]
-    (h, mid), nodes = _LEVEL0_HALF, _LEVEL0_NODES
+    half, nodes = _LEVEL0_HALF, _LEVEL0_NODES
     bound = _TAIL_FACTOR * scale
     done = done_err = None
     for level in range(_MAX_LEVELS + 1):
         n = len(a)
         y = np.asarray(f(nodes), dtype=float)
         rows = y.reshape(-1, len(nodes))
-        panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), h)
+        panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), half[0])
         sums, err_sums = np.add.reduce(panels, axis=-1).tolist()
         if done is None:
             done = done_err = [0.0] * len(sums)
@@ -221,12 +228,12 @@ def _levels(f, config: QuadratureConfig, scale: float):
                 zip(done, kron[:, keep].sum(axis=-1).tolist())]
         done_err = [d + v for d, v in
                     zip(done_err, err[:, keep].sum(axis=-1).tolist())]
-        mid = mid[over]
+        mid = half[1][over]
         a = np.concatenate([a[over], mid])
         b = np.concatenate([mid, b[over]])
         if level == _MAX_LEVELS or len(a) > _MAX_PANELS:
             break
-        (h, mid), nodes = _layout(a, b)
+        half, nodes = _layout(a, b)
     raise NonConvergence(
         f"quadrature error {max(e - t for e, t in zip(error, tol)):.3e} "
         f"above tolerance with refinement budget exhausted ({len(a)} panels "

@@ -15,12 +15,18 @@ The occupation 1/(e^x - 1) is one formula at every x >= 0,
 e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
 overflow, so large x needs no clamp, and expm1 keeps full precision as
 x -> 0, so small x needs no series. The exponents of the two branches
-differ by the constant 2|mu|/t at every k, so the kernel makes one exp
-and one expm1 pass, over the near branch in k or over -v^2 in v, and
+differ by the constant 2|mu|/t at every k, so the kernel takes one exp
+and one expm1 row, over the near branch in k or over -v^2 in v, and
 forms both branches from them and a few scalars (_rows). A scalar shift
 a = p/t enters as the pair (e^{-a}, expm1(-a)), corrected for the
 rounding of a by an exact remainder in plain doubles (Dekker's
 two-product), so no node's exponent carries a rounding of a.
+
+The EOS front end takes its rows v^2, v^2 e^{-v^2} and expm1(-v^2) from
+libm (math.exp, math.expm1) node by node, and its cube root from math.cbrt
+with one exactly corrected Newton step, so its rows are the same doubles
+at every SIMD level numpy dispatches. They depend on v alone: nodes that
+carry them (_Nodes, the EOS's level-0 layout) hand them to every call.
 """
 import math
 import sys
@@ -91,24 +97,51 @@ def _shift(p: float, q: float, t: float):
         scale = 1.0
         if p < _SMALL_P:
             p, q, a, scale = p * _UP, q * _UP, a * _UP, 1.0 / _UP
-        hi = a * t
-        c = _SPLIT * a
-        a_hi = c - (c - a)
-        a_lo = a - a_hi
-        c = _SPLIT * t
-        t_hi = c - (c - t)
-        t_lo = t - t_hi
-        lo = a_hi * t_hi - hi + a_hi * t_lo + a_lo * t_hi + a_lo * t_lo
+        hi, lo = _two_product(a, t)
         r = e * ((p - hi - lo + q) / t * scale)
         e, m = e - r, m - r
     return e, m
 
 
-def _rows(buf, near, e_a, m_a, shift_d, mu, under=None, limit=0.0):
+def _two_product(a: float, b: float):
+    """(hi, lo) with hi the double a b and hi + lo = a b exactly, by
+    Dekker's split of a and b by _SPLIT; for a, b and their halves'
+    products neither overflowing nor underflowing."""
+    hi = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+
+
+def _cbrt(x: float) -> float:
+    """The cube root of a double x in [0, 2]: libm's math.cbrt y, then one
+    Newton step y - (y^3 - x)/(3 y^2) whose residual is exact but for the
+    rounding of its smallest term: y^2 and y^2 y by _two_product, and
+    their high part minus x exactly by Sterbenz's lemma. So the result is
+    within ~0.5 ulp where libm's is within a few. x below _SMALL_P is
+    taken scaled by _UP = 2^600, so that no partial product underflows."""
+    scale = 1.0
+    if x < _SMALL_P:
+        x, scale = x * _UP, 2.0 ** -200
+    y = math.cbrt(x)
+    if not y:
+        return y
+    sq, sq_lo = _two_product(y, y)
+    cube, cube_lo = _two_product(sq, y)
+    residual = cube - x + (cube_lo + sq_lo * y)
+    return (y - residual / (3.0 * sq)) * scale
+
+
+def _rows(buf, near, m_y, e_a, m_a, shift_d, mu, under=None, limit=0.0):
     """The three weighted rows, as buf[:3], from a (5, n) buffer holding
-    P = w e^{-y} e^{-a} in buf[2] and expm1(-y) in buf[3 + near], for
-    weights w >= 0 and the near branch's exponents x_> = y + a, where the
-    near branch is the one of the smaller gap (particles for mu >= 0);
+    P = w e^{-y} e^{-a} in buf[2], and the row m_y = expm1(-y), which may
+    be buf[3 + near] itself, for weights w >= 0 and the near branch's
+    exponents x_> = y + a, where the near branch is the one of the
+    smaller gap (particles for mu >= 0);
     (e_a, m_a) and shift_d = (e^{-d}, expm1(-d)) are _shift's pairs at a
     and at d = 2|mu|/t.
 
@@ -131,8 +164,7 @@ def _rows(buf, near, e_a, m_a, shift_d, mu, under=None, limit=0.0):
     far = 1 - near
     e_d, m_d = shift_d
     ex = -m_d / e_d if e_d else math.inf  # expm1(d)
-    d_near = buf[3 + near]
-    np.multiply(d_near, -e_a, out=d_near)
+    d_near = np.multiply(m_y, -e_a, out=buf[3 + near])
     if ex < math.inf:
         np.add(d_near, ex - m_a, out=buf[3 + far])
     d_near -= m_a
@@ -205,10 +237,42 @@ def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     # x_> >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
     # underflows can n_> overflow; there it is 0 meanwhile, then 2t
     under = neg_x > -_TINY if (1.0 - abs(mu)) / t < _TINY else None
-    np.expm1(neg_x, out=buf[3 + near])
+    m_y = np.expm1(neg_x, out=buf[3 + near])
     ksq *= np.exp(neg_x, out=neg_x)
-    return _rows(buf, near, 1.0, 0.0, _shift(2.0 * abs(mu), 0.0, t), mu,
-                 under, 2.0 * t)
+    return _rows(buf, near, m_y, 1.0, 0.0, _shift(2.0 * abs(mu), 0.0, t),
+                 mu, under, 2.0 * t)
+
+
+def _v_rows(v: np.ndarray) -> np.ndarray:
+    """The rows v^2, v^2 e^{-v^2} and expm1(-v^2) of the EOS front end on
+    an array of v, as one (3, len(v)) array: e^{-v^2} and expm1(-v^2) by
+    libm's math.exp and math.expm1 node by node, the products by numpy,
+    correctly rounded on every loop, so that no row depends on numpy's
+    SIMD dispatch."""
+    rows = np.empty((3, len(v)))
+    y = np.multiply(v, v, out=rows[0])
+    neg_y = np.negative(y).tolist()
+    rows[1] = list(map(math.exp, neg_y))
+    rows[1] *= y
+    rows[2] = list(map(math.expm1, neg_y))
+    return rows
+
+
+class _Nodes(np.ndarray):
+    """A read-only array of EOS nodes v that carries its _v_rows(v), also
+    read-only, as .rows: the kernel takes them instead of making them. A
+    view or a result of arithmetic carries none (rows is None)."""
+
+    rows = None
+
+
+def _with_rows(v: np.ndarray) -> _Nodes:
+    """v, made read-only, as a _Nodes carrying its rows."""
+    rows = _v_rows(v)
+    v.flags.writeable = rows.flags.writeable = False
+    nodes = v.view(_Nodes)
+    nodes.rows = rows
+    return nodes
 
 
 def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
@@ -222,12 +286,13 @@ def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
     at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
 
     A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
-    of the smaller gap: one exp and one expm1 pass over -v^2, and _shift's
-    corrected (e^{-a}, expm1(-a)), with 1 - |mu| taken exactly as a
-    two-term sum; _rows derives both branches and the difference. At
-    mu = +-1 the near exponent is v^2 alone, a normal double on every node
-    of the EOS pass (v >= 3.8e-15 there), so no limit is needed; v = 0 is
-    the pole of that branch and must not be passed.
+    of the smaller gap: the rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows
+    (those v carries, if it is a _Nodes), and _shift's corrected (e^{-a},
+    expm1(-a)), with 1 - |mu| taken exactly as a two-term sum; _rows
+    derives both branches and the difference. At mu = +-1 the near
+    exponent is v^2 alone, a normal double on every node of the EOS pass
+    (v >= 3.8e-15 there), so no limit is needed; v = 0 is the pole of that
+    branch and must not be passed.
     """
     t, mu = phase.t, phase.mu
     m = abs(mu)
@@ -237,23 +302,20 @@ def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
     # w e^{-a} = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2 e^{-a}/
     # (t + 2)^{3/2}: b from a cube root, since a fractional power of e^{-a}
     # would carry the rounding of the exponent times a
-    b = float(np.cbrt(2.0 * e_a))
+    b = _cbrt(2.0 * e_a)
     b *= b / (t + 2.0)
-    # rows w n1, w n2 (v^2 and sqrt(B + b), then e^{-v^2}, until then),
-    # w e^{-a} e^{-v^2}, and expm1(-v^2) in the near branch's row of the
-    # last two
+    rows = getattr(v, "rows", None)
+    y, y_e, m_y = _v_rows(v) if rows is None else rows
+    # rows w n1, w n2 (sqrt(B + b) in the second until then),
+    # P = w e^{-a} e^{-v^2}, and the two branches' D (_rows)
     buf = np.empty((5,) + v.shape)
-    y = np.multiply(v, v, out=buf[0])
     w = np.multiply(y, b * t, out=buf[2])
     w += b
     root = np.add(w, b, out=buf[1])
     np.sqrt(root, out=root)
     w *= root
-    w *= y
-    neg_y = np.negative(y, out=y)
-    np.expm1(neg_y, out=buf[3 + near])
-    w *= np.exp(neg_y, out=neg_y)
-    return _rows(buf, near, e_a, m_a, _shift(2.0 * m, 0.0, t), mu)
+    w *= y_e
+    return _rows(buf, near, m_y, e_a, m_a, _shift(2.0 * m, 0.0, t), mu)
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:

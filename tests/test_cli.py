@@ -331,7 +331,7 @@ def test_oracle_check_over_budget_is_an_error_record(capsys):
     ["--tol-quad", "inf", "tc", "--q", "1"],
     ["--tol-quad", "1", "mu", "--q", "0.5", "--t", "2"],
     ["profile", "--q", "0.1", "--t", "1", "--k-max", "inf", "--samples", "3"],
-    ["ddim-tc", "--q-over-m", "1e308", "--dim", "3"],
+    ["ddim-tc", "--q-over-m", "0", "--dim", "3"],
     ["ratio-sweep", "--q", "1", "--points", "-1"],
     ["ratio-sweep", "--q", "1", "--t-min", "nan", "--points", "3"],
     ["ratio-sweep", "--q", "1", "--t-max", "nan"],
@@ -371,7 +371,17 @@ def test_ratio_sweep_names_a_non_finite_bound(capsys, option, value):
 
 
 @pytest.mark.parametrize("dim", ["171", "200", "400"])
-def test_ddim_tc_beyond_the_double_range_is_an_error_record(capsys, dim):
+def test_ddim_tc_past_the_gamma_range_is_a_row(capsys, dim):
+    # Gamma(d) overflows from d = 171; T_c does not
+    code, out, _ = run_cli(capsys, "--format", "json", "ddim-tc",
+                           "--q-over-m", "1", "--dim", dim)
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["dim"] == int(dim) and 0.0 < row["tc_over_m"] < 1.0
+
+
+def test_ddim_tc_beyond_the_double_range_is_an_error_record(capsys):
+    dim = str(10 ** 309)
     code, out, err = run_cli(capsys, "ddim-tc", "--q-over-m", "1",
                              "--dim", dim)
     assert code == 1
@@ -379,6 +389,14 @@ def test_ddim_tc_beyond_the_double_range_is_an_error_record(capsys, dim):
     record = json.loads(err)
     assert record["error"] == "UnsupportedDimension"
     assert f"d = {dim}" in record["message"]
+
+
+def test_ddim_tc_where_3q_overflows(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "ddim-tc",
+                           "--q-over-m", "1e308", "--dim", "3")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["tc_over_m"] == 2.0 * math.sqrt(0.75e308)
 
 
 def test_error_record_on_condensed_state(capsys):

@@ -159,19 +159,61 @@ def test_ddim_is_positive_and_finite_below_the_prefactor_range():
         assert 0.0 < ddim_critical_temperature(1.0, Dimension(d)) < math.inf
 
 
+def ddim_reference(q, d):
+    """T_c of the d-dimensional UR gas in 30-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pref = (2 * mpmath.pi) ** d * mpmath.gamma(mpmath.mpf(d) / 2) / (
+            4 * mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma(d)
+            * mpmath.zeta(d - 1))
+        return float((pref * mpmath.mpf(q)) ** (mpmath.mpf(1) / (d - 1)))
+
+
 @pytest.mark.parametrize("d", [155, 171, 200, 400])
-def test_ddim_prefactor_out_of_range_raises(d):
-    # the prefactor underflows to 0 (d = 155, 171), turns nan (200) or
-    # overflows (400) instead of giving 0, nan or an OverflowError
-    with pytest.raises(UnsupportedDimension, match=f"q = 1.0, d = {d}"):
-        ddim_critical_temperature(1.0, Dimension(d))
+def test_ddim_where_the_prefactor_leaves_the_doubles(d):
+    # the prefactor underflows to 0 (d = 155, 171), is inf over inf (200)
+    # or overflows (400); its root, and T_c, are ordinary doubles
+    assert ddim_critical_temperature(1.0, Dimension(d)) == pytest.approx(
+        ddim_reference(1.0, d), rel=1e-14)
 
 
-@pytest.mark.parametrize("q, d", [(1e308, 3), (1e-308, 100)])
-def test_ddim_result_out_of_range_raises(q, d):
-    with pytest.raises(InvalidArgument,
-                       match=re.escape(f"q = {q}, d = {d}: T_c is")):
-        ddim_critical_temperature(q, Dimension(d))
+@pytest.mark.parametrize("q, d", [(1e308, 3), (1e308, 4), (1e-308, 100),
+                                  (5e-324, 3), (5e-324, 4)])
+def test_ddim_at_the_ends_of_the_double_range(q, d):
+    # 3 q overflows at (1e308, 3), and pref q at (1e308, 4) or at the
+    # smallest q; T_c is a finite double at each
+    got = ddim_critical_temperature(q, Dimension(d))
+    if d == 3:  # sqrt(3 q), as 2 sqrt(3 q/4) where 3 q overflows
+        assert got == (math.sqrt(3.0 * q) if q < 1e300
+                       else 2.0 * math.sqrt(0.75 * q))
+    assert got == pytest.approx(ddim_reference(q, d), rel=1e-13)
+
+
+def test_ddim_past_the_double_dimensions_raises():
+    with pytest.raises(UnsupportedDimension, match="q = 2.0, d = 1"):
+        ddim_critical_temperature(2.0, Dimension(10 ** 309))
+
+
+def test_ddim_matches_the_30_digit_form():
+    # seeded (q, d) over the whole range of q and up to d = 2000
+    rng = np.random.default_rng(819)
+    for _ in range(200):
+        d = int(rng.integers(4, 2000))
+        q = 10.0 ** rng.uniform(-300.0, 300.0)
+        assert ddim_critical_temperature(q, Dimension(d)) == pytest.approx(
+            ddim_reference(q, d), rel=1e-13), (q, d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dim: ddim_critical_temperature(2.0, dim),
+    lambda dim: ur_condensed_fraction(0.5, 1.0, dim),
+    lambda dim: density_of_states(1.5, dim)],
+    ids=["ddim_critical_temperature", "ur_condensed_fraction",
+         "density_of_states"])
+def test_plain_int_dimension_is_a_dimension(call):
+    assert call(4) == call(Dimension(4))
+    with pytest.raises(UnsupportedDimension, match="got 2"):
+        call(2)
 
 
 def test_ur_critical_temperature_overflow_raises():

@@ -314,8 +314,9 @@ def per_sign_density(s, t, vol, head, gap, counts):
     energy = gap + (1.0 - s)
     rest = _bose(energy / t) * np.exp(-len(head) / t * energy)
     weights = np.exp(-(1.0 - s) / t * np.arange(1, len(head) + 1))
-    head_part = float(np.dot(weights, head))
-    return head_part + float(np.dot(counts, rest)) / vol, weights, head_part
+    head_part = float(np.add.reduce(weights * head))
+    return (head_part + float(np.add.reduce(counts * rest)) / vol, weights,
+            head_part)
 
 
 def per_sign_mode_sum(phase, box):

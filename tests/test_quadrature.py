@@ -239,6 +239,26 @@ def test_level0_nodes_are_one_array_at_every_phase_point(monkeypatch):
             assert all(v is nodes for v in seen) and len(seen) <= 1, (t, mu)
 
 
+def test_level0_rows_are_constants_of_the_row_function():
+    # the level-0 nodes carry v^2, v^2 e^{-v^2} and expm1(-v^2), made once
+    # at import by the row function every refined level calls, read-only
+    nodes = quadrature._LEVEL0_NODES
+    rows = nodes.rows
+    assert not rows.flags.writeable and not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        rows[1, 0] = 0.0
+    copy = np.array(nodes)
+    assert copy.flags.writeable and getattr(copy, "rows", None) is None
+    assert rows.tobytes() == statistics._v_rows(copy).tobytes()
+    # and the kernel gives the same rows from either
+    rng = np.random.default_rng(1818)
+    for t, mu in zip((10.0 ** rng.uniform(-12.0, 6.0, 50)).tolist(),
+                     rng.uniform(-1.0, 1.0, 50).tolist()):
+        phase = PhasePoint(t, mu)
+        assert (statistics._weighted_occupations(nodes, phase).tobytes()
+                == statistics._weighted_occupations(copy, phase).tobytes())
+
+
 def test_kronrod_constants_are_double_roundings():
     # G7/K15 from its definition at 40 digits: the Gauss nodes are the
     # roots of P7, its weights 2/((1 - x^2) P7'(x)^2); the 4 Kronrod nodes
@@ -558,9 +578,15 @@ def test_second_level_matches_quadpack(monkeypatch, t, mu):
     # drawn from seeded sweeps: at rel_tol = 1e-12 some initial panels
     # are bisected, so the totals carry the converged panels across levels
     calls = record_kernel_calls(monkeypatch)
+    # the refined levels' nodes carry no rows: each takes the row function
+    row_calls = []
+    row_function = statistics._v_rows
+    monkeypatch.setattr(statistics, "_v_rows",
+                        lambda v: row_calls.append(len(v)) or row_function(v))
     d = thermal_charge_density(PhasePoint(t, mu),
                                QuadratureConfig(rel_tol=1e-12))
     assert len(calls) >= 2 and calls[0] == 571
+    assert row_calls == calls[1:]
     assert d.n1 == pytest.approx(quad_density_reference(t, mu), rel=1e-11)
     assert d.n2 == pytest.approx(quad_density_reference(t, -mu), rel=1e-11)
     assert d.q_tilde == pytest.approx(quad_charge_reference(t, mu), rel=1e-11)

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
                     momentum_profile, quadrature, statistics)
-from relbec.statistics import (_TINY, _bose, _gap, _momentum_occupations,
-                               _shift, _weighted_occupations)
+from relbec.statistics import (_TINY, _bose, _cbrt, _gap,
+                               _momentum_occupations, _shift,
+                               _weighted_occupations)
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
@@ -368,6 +369,25 @@ def test_shift_past_the_split_drops_the_residual():
     below = math.nextafter(statistics._SPLIT_MAX, 0.0)
     assert math.isfinite(below * statistics._SPLIT)
     assert all(math.isfinite(x) for x in _shift(2.0, 0.0, below))
+
+
+def test_cbrt_is_within_half_an_ulp():
+    # the kernel's b^{3/2} = 2 e^{-a}/(t + 2)^{3/2} takes its cube root on
+    # [0, 2], down to the subnormals of e^{-a} near a = 745
+    rng = np.random.default_rng(1717)
+    xs = (rng.uniform(0.0, 2.0, 2000).tolist()
+          + (2.0 ** rng.uniform(-1074.0, 1.0, 2000)).tolist()
+          + [0.0, 5e-324, 2.0 ** -800, 2.0 ** -801, 1.0, 2.0])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in xs:
+            y = _cbrt(x)
+            if x == 0.0:
+                assert y == 0.0
+                continue
+            exact = mpmath.cbrt(mpmath.mpf(x))
+            worst = max(worst, float(abs(y - exact)) / math.ulp(y))
+    assert worst <= 0.5 + 1e-9
 
 
 @settings(max_examples=200)
