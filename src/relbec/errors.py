@@ -47,10 +47,10 @@ class DivergentCondensateMode(RelBecError):
 
 class TailTooLarge(RelBecError):
     """A mode sum's tail bound is above its tolerance: for a direct box the
-    modes beyond a too small cutoff, for a split box (cutoff above 64) the
+    modes beyond a too small cutoff, for the split box (cutoff 65) the
     modes past its fixed margins. The message gives the tail bound."""
 
 
 class BudgetExceeded(RelBecError):
-    """A finite-volume mode sum would need more Boltzmann terms, lattice
-    shells or modes than its fixed work budget allows."""
+    """A finite-volume mode sum would need more Boltzmann terms or lattice
+    shells than its fixed work budgets allow."""

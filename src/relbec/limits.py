@@ -120,15 +120,13 @@ def _require_prefactor(operation: str, pref: float, dim: Dimension,
 
 def ur_critical_temperature(q_over_m: float) -> float:
     """Ultra-relativistic critical temperature sqrt(3 q/m) (Kapusta form);
-    in fully scaled units T_c/m = sqrt(3 q/m^3). InvalidArgument where
-    3 q overflows."""
+    in fully scaled units T_c/m = sqrt(3 q/m^3), a finite double at every
+    q/m > 0."""
     q_over_m = require_positive("q", q_over_m)
-    t_c = math.sqrt(3.0 * q_over_m)
-    if t_c == math.inf:
-        raise InvalidArgument(
-            f"ur_critical_temperature at q = {q_over_m}: T_c is not a "
-            f"finite double")
-    return t_c
+    triple = 3.0 * q_over_m
+    # where 3 q overflows, sqrt(4 x) = 2 sqrt(x) exactly
+    return (math.sqrt(triple) if triple < math.inf
+            else 2.0 * math.sqrt(0.75 * q_over_m))
 
 
 def ur_density_ratio(t_c: float) -> float:
@@ -173,19 +171,17 @@ def ddim_critical_temperature(q_over_m: float, dim: Dimension) -> float:
     """UR critical temperature of the d-dimensional gas,
     [ (2 pi)^d Gamma(d/2) / (4 pi^{d/2} Gamma(d) zeta(d-1)) * q/m ]^{1/(d-1)}.
 
-    Exactly sqrt(3 q/m) at d = 3. Elsewhere the product of the
-    prefactor's root, taken from its log (so its Gammas and powers may
-    leave the double range, as they do from d ~ 155), and
+    At d = 3 ur_critical_temperature, sqrt(3 q/m). Elsewhere the product
+    of the prefactor's root, taken from its log (so its Gammas and powers
+    may leave the double range, as they do from d ~ 155), and
     (q/m)^{1/(d-1)}: a positive finite double at every q/m > 0.
     UnsupportedDimension where d is past the doubles (d > 1.8e308).
     """
     q_over_m = require_positive("q", q_over_m)
     dim = _dimension(dim)
     d = dim.d
-    if d == 3:  # where 3 q overflows, sqrt(4 x) = 2 sqrt(x) exactly
-        triple = 3.0 * q_over_m
-        return (math.sqrt(triple) if triple < math.inf
-                else 2.0 * math.sqrt(0.75 * q_over_m))
+    if d == 3:
+        return ur_critical_temperature(q_over_m)
     try:
         root = math.exp(math.fsum([
             d * math.log(2.0 * math.pi), _log_gamma_half(d / 2.0),

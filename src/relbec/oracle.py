@@ -5,8 +5,8 @@ mode.
 Modes live on k = (2 pi / L) n with integer vector n != 0. Degenerate
 modes are grouped by |n|^2, so a direct sum costs one occupation
 evaluation per lattice shell. Boxes with mode_cutoff <= 64 are summed
-directly, truncated at |n| <= mode_cutoff. Larger boxes are split boxes:
-they sum every n != 0, whatever their cutoff, by splitting the Bose
+directly, truncated at |n| <= mode_cutoff. Cutoff 65, the largest BoxSpec
+takes, makes the split box: it sums every n != 0 by splitting the Bose
 occupation into a Boltzmann head and a remainder,
 
     1/(e^x - 1) = sum_{j=1..J} e^{-j x} + e^{-J x}/(e^x - 1),
@@ -15,11 +15,10 @@ and summing the head over the whole lattice in its winding-number
 (Poisson) form, in which every term but the first few windings is
 negligible; the remainder dies out within a few hundred shells. Both
 charges share one remainder pass, weighted by one float64 table of shell
-degeneracies. A split box's work depends on t and L alone; its cutoff
-sets only the exact count of modes_used, taken over one of the ball's 48
-symmetric copies in O(mode_cutoff^2) time and O(mode_cutoff) memory
-(float32 square roots up to cutoff 4096, exactly). suggest_cutoff gives
-a split box cutoff 65, whose count takes 1102 square roots.
+degeneracies. A split box's work depends on t and L alone. modes_used
+counts 0 < |n| <= mode_cutoff without a pass of its own: a direct box
+adds up the degeneracies it weighs its shells with, and the split box
+takes the one count at cutoff 65.
 """
 import math
 import sys
@@ -33,12 +32,13 @@ from .errors import (BudgetExceeded, DivergentCondensateMode, InvalidArgument,
 from .limits import zeta_int
 from .quadrature import _MEASURE
 from .statistics import _bose, _gap
-from .types import (BoxSpec, PhasePoint, require_finite, require_real,
-                    require_temperature)
+from .types import (_SPLIT_CUTOFF, BoxSpec, PhasePoint, require_finite,
+                    require_real, require_temperature)
 
-# Boxes with mode_cutoff^2 up to this many shells are summed directly and
-# truncated at the cutoff; larger ones take the split sum over every n != 0.
-_DIRECT_SHELLS = 4096
+# Boxes with mode_cutoff^2 up to this many shells, cutoffs below the split
+# box's, are summed directly and truncated at the cutoff; the split box
+# takes the split sum over every n != 0.
+_DIRECT_SHELLS = (_SPLIT_CUTOFF - 1) ** 2
 # Boltzmann terms in the head per unit of t*L: J = floor(_SPLIT t L) keeps
 # beta = j/t <= _SPLIT L. There the n != 0 part of the lattice sum of
 # e^{-beta E_n} is not small next to the n = 0 term subtracted from it:
@@ -49,29 +49,17 @@ _SPLIT = 1.0
 _MARGIN = 40.0
 # Work budgets of one mode sum, checked before anything is allocated, each
 # ~0.15 s at its budget on 2 vCPUs: lattice shells with counted
-# degeneracies (r3), Boltzmann terms J * (winding shells + 1) (~0.14 us
-# each), and the mode cutoff, since counting modes_used takes
-# ~1.6e-10 c^2 s there in float64 (~2.4e-10 c^2 s just above 4096; the
-# float32 count below takes ~1.5-1.8e-10 c^2 s at c = 2600-4096).
+# degeneracies (r3), and Boltzmann terms J * (winding shells + 1) (~0.14 us
+# each).
 _MAX_SHELLS = 200_000
 _MAX_TERMS = 1 << 20
-_MAX_CUTOFF = 30_000
-# The modes_used count takes its square roots in rectangles of lattice
-# rows, one numpy call each rather than one per row: up to _COUNT_ROWS
-# rows and about _COUNT_CHUNK radicands (a 0.25 MB float32 or 0.5 MB
-# float64 buffer; 2^18 was no faster in float64). _BELOW masks the
-# entries x <= y of a rectangle whose columns start at its first row's
-# y + 1.
-_COUNT_CHUNK = 1 << 16
-_COUNT_ROWS = 64
-_BELOW = np.tri(_COUNT_ROWS, _COUNT_ROWS, -1, dtype=bool)
 
 
 @dataclass(frozen=True)
 class ModeSumResult:
     """Finite-volume densities with truncation diagnostics (see mode_sum);
-    modes_used counts 0 < |n| <= mode_cutoff, even where the sum does not
-    stop there."""
+    modes_used counts 0 < |n| <= mode_cutoff, also for the split box, whose
+    sum does not stop there: 1149650 at cutoff 65."""
 
     q_tilde_fv: float
     n1_fv: float
@@ -96,96 +84,6 @@ def _shell_counts(max_m: int) -> np.ndarray:
         for z in range(1, n_sq + 1):
             table[z * z:] += doubled[:max_m + 1 - z * z]
     return table
-
-
-def _floor_root_sum(radicands: np.ndarray) -> int:
-    """Sum of floor(sqrt(r)) over an array of integer radicands, r < 2^52
-    in float64 or r <= 2^24 in float32, computed in place. The correctly
-    rounded sqrt is exact under floor there (see _lattice_points), and the
-    sum is accumulated in float64, whose partial sums are exact integers
-    below 2^53; float32 ones would not be above 2^24."""
-    np.sqrt(radicands, out=radicands)
-    np.floor(radicands, out=radicands)
-    return int(radicands.sum(dtype=np.float64))
-
-
-def _lattice_points(cutoff: int) -> int:
-    """Integer vectors n with 0 < |n| <= cutoff, counted over one of the
-    48 copies of the ball under sign changes and permutations.
-
-    modes_used = 6 c + 12 Q + 8 (6 D + 3 E + F): 6 c vectors on the axes;
-    Q vectors (x, y) with x, y >= 1 in each quarter of the three
-    coordinate discs; and, with x, y, z >= 1, F patterns {a, a, a},
-    E patterns {a, a, b} with b != a and D vectors with x > y > z.
-
-    D is summed along the short axis z: each pair x > y >= 2 adds
-    min(y - 1, floor(sqrt(r))), r = c^2 - x^2 - y^2 (0 where r < 0).
-    Row y adds y - 1 for every x <= X_full(y) = isqrt(c^2 - y^2 -
-    (y - 1)^2) and 0 past X_end(y) = isqrt(c^2 - y^2 - 1), so only the
-    band in between takes square roots, about 0.055 c^2 of them. The
-    rows 2 <= y <= y_end, the last row with X_end(y) > y, are taken in
-    rectangles of up to _COUNT_ROWS rows and about _COUNT_CHUNK
-    radicands. Below y_cap, the first row with X_full(y) <= y, a
-    rectangle spans the band from its left end in its last row to its
-    right end in its first; with r clamped to [0, (y - 1)^2] every entry
-    adds its exact value, and the pairs left of it add y - 1 each,
-    summed in closed form. From y_cap on the band starts at x = y + 1, so
-    a rectangle starts at its first row's y + 1 and _BELOW zeroes its
-    entries x <= y; the others have r < (y - 1)^2 already.
-    Only the rectangles' corners take integer square roots: no array or
-    loop runs over the rows.
-
-    Up to c = 4096 the radicands are float32, half the bytes of float64,
-    and the count is still exact. Every radicand (c^2 - x^2, c^2 - 2 x^2,
-    c^2 - x^2 - y^2) and clamp bound (y - 1)^2 is then an integer of
-    magnitude <= c^2 <= 2^24, as are the squares, differences, minima and
-    maxima they come from, so float32 holds each exactly. For an integer
-    r < 2^24 with k = isqrt(r) <= 4095, (k + 1) - sqrt(r) > 1/(2 (k + 1))
-    >= 2^-13, which is at least half an ulp below k + 1 <= 2^12; so the
-    correctly rounded float32 sqrt(r) lies in [k, k + 1) and its floor is
-    k on every SIMD dispatch. Above 4096 that margin fails, and float64,
-    exact for r < 2^52, is kept.
-    """
-    c2 = cutoff * cutoff
-    dtype = np.float32 if c2 <= 1 << 24 else np.float64
-    sq = np.arange(cutoff + 1, dtype=dtype) ** 2
-    a = math.isqrt(c2 // 2)
-    f = math.isqrt(c2 // 3)
-    q = 2 * _floor_root_sum(c2 - sq[1:a + 1]) - a * a
-    e = _floor_root_sum(c2 - 2.0 * sq[1:a + 1]) - f
-    buf = np.empty(max(_COUNT_CHUNK, cutoff), dtype=dtype)
-    y_cap = math.isqrt(max(c2 - 2, 0) // 3) + 1
-    y_end = (math.isqrt(max(2 * c2 - 3, 0)) - 1) // 2
-    d = 0
-    y = 2
-    while y <= y_end:
-        cap = y >= y_cap
-        last = y_end if cap else y_cap - 1
-        k = min(_COUNT_ROWS, last + 1 - y)
-        x_end = math.isqrt(c2 - y * y - 1)
-        while True:
-            yl = y + k - 1
-            xs = y + 1 if cap else math.isqrt(c2 - yl * yl - (yl - 1) ** 2) + 1
-            w = x_end + 1 - xs
-            if k * w <= _COUNT_CHUNK or k == 1:
-                break
-            k = max(_COUNT_CHUNK // w, 1)
-        r = buf[:k * w].reshape(k, w)
-        np.subtract(c2 - sq[y:y + k, None], sq[xs:xs + w], out=r)
-        if cap:
-            r[:, :k][_BELOW[:k, :min(k, w)]] = 0.0
-        else:
-            np.minimum(r, sq[y - 1:yl, None], out=r)
-            # row y has xs - 1 - y pairs left of the rectangle, y - 1 each:
-            # sum u (xs - 2 - u) over u = y - 1 from lo to hi
-            lo, hi = y - 1, yl - 1
-            d += ((xs - 2) * (lo + hi) * k // 2
-                  - (hi * (hi + 1) * (2 * hi + 1)
-                     - (lo - 1) * lo * (2 * lo - 1)) // 6)
-        np.maximum(r, 0.0, out=r)
-        d += _floor_root_sum(r)
-        y += k
-    return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
 
 
 def _excess_factor(gap0: float, offset: float, t: float) -> float:
@@ -258,9 +156,8 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     times a scale of the summed densities: the UR estimate
     2 zeta(3) t^3/pi^2, capped at 9 times _density_floor. With the default
     tolerances the box then passes mode_sum's own check, whose 1e-4 is ten
-    times looser. Where no cutoff up to 64 reaches it, 65, the first
-    cutoff of a split box, which mode_sum sums over every n != 0 whatever
-    its cutoff.
+    times looser. Where no cutoff up to 64 reaches it, 65, the cutoff of
+    the split box, which mode_sum sums over every n != 0.
 
     The bound falls monotonically with the cutoff, so the search probes 64
     and then bisects: at most 7 bound evaluations.
@@ -278,9 +175,9 @@ def suggest_cutoff(phase: PhasePoint, box_length: float,
     def above(cutoff):
         return _tail_bound(phase, BoxSpec(box_length, cutoff)) > limit
 
-    lo, hi = 1, math.isqrt(_DIRECT_SHELLS)  # cutoffs 1 and 2 share a bound
+    lo, hi = 1, _SPLIT_CUTOFF - 1  # cutoffs 1 and 2 share a bound
     if above(hi):
-        return hi + 1
+        return _SPLIT_CUTOFF
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -316,8 +213,7 @@ def _require_tolerance(operation: str, phase: PhasePoint, length: float,
 
 
 def _plan(phase: PhasePoint, box: BoxSpec):
-    """(J, direct shells, winding shells) of one box, within the budgets;
-    for a split box they do not depend on its cutoff.
+    """(J, direct shells, winding shells) of one box, within the budgets.
 
     The remainder e^{-J x}/(e^x - 1) falls like e^{-(J + 1) gap/t}, so
     shells whose gap exceeds the first shell's by _MARGIN t/(J + 1) are
@@ -340,14 +236,13 @@ def _plan(phase: PhasePoint, box: BoxSpec):
                              gap * (gap + 2.0) * half * half))
     lw2 = (2.0 * j_max / t + _MARGIN) * _MARGIN if j_max else 0.0
     m_wind = math.floor(min(_MAX_SHELLS + 1.0, lw2 / length / length))
-    if (cutoff > _MAX_CUTOFF or max(m_direct, m_wind) > _MAX_SHELLS
+    if (max(m_direct, m_wind) > _MAX_SHELLS
             or j_max * (m_wind + 1) > _MAX_TERMS):
         raise BudgetExceeded(
             f"mode_sum at t = {t}, mu = {phase.mu}, L = {length} with "
             f"cutoff {cutoff}: needs J = {j_max}, {m_direct} direct and "
-            f"{m_wind} winding shells; the budgets are cutoff "
-            f"{_MAX_CUTOFF}, {_MAX_SHELLS} shells and {_MAX_TERMS} terms "
-            f"J * (winding shells + 1)")
+            f"{m_wind} winding shells; the budgets are {_MAX_SHELLS} shells "
+            f"and {_MAX_TERMS} terms J * (winding shells + 1)")
     return j_max, m_direct, m_wind
 
 
@@ -422,17 +317,19 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     """Finite-volume thermal densities by lattice mode summation.
 
     Boxes with mode_cutoff^2 <= _DIRECT_SHELLS return the Bose occupations
-    summed over 0 < |n| <= mode_cutoff, divided by L^3. Larger (split)
-    boxes return the sum over all n != 0 (the Boltzmann head by windings,
-    the remainder by shells): the same doubles at every cutoff above 64.
-    tail_bound bounds the distance from the returned n1 + n2 to the sum
-    over every n != 0, rounding aside: the modes past the cutoff
-    (_tail_bound) or past the two margins (_cut_bound). modes_used counts
-    0 < |n| <= mode_cutoff. Fails with TailTooLarge when the bound exceeds
-    tail_rel_tol relative to the summed densities, with BudgetExceeded,
-    before allocating, when the box needs more terms, shells or modes than
-    the budgets allow, and with InvalidArgument where t^3 or L^3 is not a
-    normal double. Terms are summed in a fixed order, so results repeat
+    summed over 0 < |n| <= mode_cutoff, divided by L^3. The split box,
+    cutoff 65, returns the sum over all n != 0 (the Boltzmann head by
+    windings, the remainder by shells). tail_bound bounds the distance
+    from the returned n1 + n2 to the sum over every n != 0, rounding
+    aside: the modes past the cutoff (_tail_bound) or past the two margins
+    (_cut_bound). modes_used counts 0 < |n| <= mode_cutoff: the sum of the
+    direct box's shell degeneracies, exact as each partial sum is an
+    integer below 2^53, or the split box's constant. Fails with
+    TailTooLarge when the bound exceeds tail_rel_tol relative to the
+    summed densities, with BudgetExceeded, before allocating, when the box
+    needs more terms or shells than the budgets allow, and with
+    InvalidArgument where t^3 or L^3 is not a normal double. Terms are
+    summed in a fixed order, so results repeat
     bit for bit. n1 and n2 are the two rows of one pass whose rows differ
     only in the sign of mu, summed by one numpy reduction in the same
     order whatever the row or the BLAS kernel, so q_tilde_fv is exactly
@@ -470,16 +367,17 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
             _cut_bound(phase, length, (j_max, m_direct, m_wind), weights,
                        heads))
     if tail > tail_rel_tol * max(n1_fv + n2_fv, 1e-300):
-        # a split box sums every mode: its bound is the margins', which no
+        # the split box sums every mode: its bound is the margins', which no
         # cutoff moves
         raise TailTooLarge(
             f"mode_sum at t = {t}, mu = {mu}, L = {length} with cutoff "
             f"{cutoff}: tail bound {tail:.3e} above {tail_rel_tol:.1e} of the "
             f"summed density {n1_fv + n2_fv:.3e}; "
             + ("raise mode_cutoff" if direct else "raise tail_rel_tol"))
+    # the lattice vectors 0 < |n| <= 65
+    modes = int(counts.sum()) if direct else 1_149_650
     return ModeSumResult(q_tilde_fv=n1_fv - n2_fv, n1_fv=n1_fv, n2_fv=n2_fv,
-                         modes_used=_lattice_points(cutoff),
-                         tail_bound=tail)
+                         modes_used=modes, tail_bound=tail)
 
 
 def condensate_mode(mu: float, t: float):

@@ -143,16 +143,22 @@ class MomentumProfile:
             raise InvalidArgument("profile arrays must share length")
 
 
+# The split box's cutoff and the largest mode_cutoff; cutoffs 1 to 64 make
+# direct boxes. The split sum covers every n != 0, so a larger cutoff would
+# sum the same doubles
+_SPLIT_CUTOFF = 65
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Periodic cubic box for the finite-volume mode sum.
 
-    box_length is L*m; mode_cutoff is the largest integer mode index kept
-    by a direct box, mode_cutoff <= 64, whose sum runs over
-    0 < |n| <= mode_cutoff. A larger cutoff makes a split box, summed over
-    every n != 0; its cutoff sets only the modes_used count. Whether the
-    cutoff is adequate for a given phase point is checked by the mode sum
-    itself, which carries an analytic tail bound.
+    box_length is L*m; mode_cutoff is an integer from 1 to 65. A cutoff up
+    to 64 makes a direct box, whose sum runs over 0 < |n| <= mode_cutoff;
+    65 makes the split box, summed over every n != 0. A larger cutoff
+    raises InvalidArgument here, before any work. Whether the cutoff is
+    adequate for a given phase point is checked by the mode sum itself,
+    which carries an analytic tail bound.
     """
 
     box_length: float
@@ -163,7 +169,8 @@ class BoxSpec:
         object.__setattr__(self, "box_length",
                            require_positive("box_length", self.box_length))
         if not (isinstance(self.mode_cutoff, numbers.Integral)
-                and self.mode_cutoff >= 1):
+                and 1 <= self.mode_cutoff <= _SPLIT_CUTOFF):
             raise InvalidArgument(
-                f"mode_cutoff must be an integer >= 1, got {self.mode_cutoff}")
+                f"mode_cutoff must be an integer from 1 to {_SPLIT_CUTOFF}, "
+                f"got {self.mode_cutoff}")
         object.__setattr__(self, "mode_cutoff", int(self.mode_cutoff))

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -216,10 +215,17 @@ def test_plain_int_dimension_is_a_dimension(call):
         call(2)
 
 
-def test_ur_critical_temperature_overflow_raises():
-    assert ur_critical_temperature(5.9e307) < math.inf
-    with pytest.raises(InvalidArgument, match=re.escape("q = 1e+308: T_c")):
-        ur_critical_temperature(1e308)
+def test_ur_critical_temperature_where_3q_overflows():
+    # 3 q overflows from q ~ 6e307, but sqrt(3 q) is a finite double; below
+    # it and above, T_c is the correctly rounded root, and the d = 3 T_c is
+    # the same function
+    mpmath = pytest.importorskip("mpmath")
+    for q in (5.9e307, 6e307, 1e308):
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt(3 * mpmath.mpf(q)))
+        assert ur_critical_temperature(q) == want
+        assert ddim_critical_temperature(q, Dimension(3)) == want
+    assert ur_critical_temperature(6e307) == 1.3416407864998738e154
 
 
 @pytest.mark.parametrize("d", [200, 400])

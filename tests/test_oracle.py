@@ -1,13 +1,13 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import kve
 
-from conftest import run_python
 from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     InvalidArgument, NonPositiveTemperature, PhasePoint,
                     TailTooLarge, condensate_mode, low_t_mu_asymptote,
@@ -15,10 +15,9 @@ from relbec import (BoxSpec, BudgetExceeded, DivergentCondensateMode,
                     thermal_charge_density)
 from relbec import oracle
 from relbec.limits import zeta_int
-from relbec.oracle import (_DIRECT_SHELLS, _MARGIN, _MAX_CUTOFF, _MAX_SHELLS,
+from relbec.oracle import (_DIRECT_SHELLS, _MARGIN, _MAX_SHELLS,
                            _boltzmann_head, _cut_bound, _density_floor, _k2e,
-                           _lattice_points, _lattice_tail, _plan,
-                           _shell_counts, _tail_bound)
+                           _lattice_tail, _plan, _shell_counts, _tail_bound)
 from relbec.statistics import _bose, _gap
 
 # 20-digit finite-volume reference (t=1, mu=0.5, L=20, |n| <= 15)
@@ -28,10 +27,13 @@ FV_N2_REF = 0.043976902989337
 
 def wedge_count(cutoff):
     """Lattice vectors 0 < |n| <= cutoff, counted over the 1/48 wedge with
-    one square root per pair y > z >= 1 of the points x > y > z: an
-    independent reference for _lattice_points, which projects along z.
+    one square root per pair y > z >= 1 of the points x > y > z: a
+    reference for modes_used and the shell table, independent of both.
 
-    modes = 6 c + 12 Q + 8 (6 D + 3 E + F) as there; D sums
+    modes = 6 c + 12 Q + 8 (6 D + 3 E + F): 6 c vectors on the axes; Q
+    vectors (x, y) with x, y >= 1 in each quarter of the three coordinate
+    discs; and, with x, y, z >= 1, F patterns {a, a, a}, E patterns
+    {a, a, b} with b != a and D vectors with x > y > z. D sums
     floor(sqrt(c^2 - y^2 - z^2)) - y over z < y <= isqrt((c^2 - z^2) // 2),
     in rectangles of rows z. Entries outside the wedge are raised to y^2,
     so each adds exactly y, and the rectangle's sum of y is subtracted in
@@ -65,20 +67,6 @@ def wedge_count(cutoff):
     return 6 * cutoff + 12 * q + 8 * (6 * d + 3 * e + f)
 
 
-def boundary_cutoffs(top):
-    """Cutoffs c <= top whose c^2/2 or c^2/3 lies within 1 of a perfect
-    square: where a, F and the rows of the band and the cap change."""
-    out = []
-    for c in range(1, top + 1):
-        for div in (2, 3):
-            s = math.isqrt(c * c // div)
-            if min(abs(c * c - div * s * s),
-                   abs(c * c - div * (s + 1) ** 2)) <= div:
-                out.append(c)
-                break
-    return out
-
-
 def brute_force_sum(phase, box):
     """Ungrouped triple-loop lattice sum; deliberately naive."""
     n = box.mode_cutoff
@@ -97,11 +85,11 @@ def brute_force_sum(phase, box):
     return s1 / vol, s2 / vol
 
 
-def explicit_shell_sum(phase, box):
-    """Bose occupations summed over every lattice vector 0 < |n| <= cutoff,
-    one x-slab at a time, without grouping into shells."""
-    c = box.mode_cutoff
-    dk = 2.0 * math.pi / box.box_length
+def explicit_shell_sum(phase, length, c):
+    """Bose occupations summed over every lattice vector 0 < |n| <= c in a
+    box of side length, one x-slab at a time, without grouping into
+    shells."""
+    dk = 2.0 * math.pi / length
     y, z = np.meshgrid(np.arange(-c, c + 1), np.arange(-c, c + 1))
     yz = (y * y + z * z).ravel()
     s1 = s2 = 0.0
@@ -112,8 +100,16 @@ def explicit_shell_sum(phase, box):
         gap = ksq / (np.sqrt(ksq + 1.0) + 1.0)
         s1 += np.sum(1.0 / np.expm1((gap + 1.0 - phase.mu) / phase.t))
         s2 += np.sum(1.0 / np.expm1((gap + 1.0 + phase.mu) / phase.t))
-    vol = box.box_length ** 3
+    vol = length ** 3
     return s1 / vol, s2 / vol
+
+
+def tail_bound_at(phase, length, radius):
+    """_tail_bound of the sum truncated at |n| <= radius, which may lie past
+    the largest mode_cutoff a BoxSpec takes: the bound reads only the
+    box's side and its cutoff."""
+    return _tail_bound(phase, SimpleNamespace(box_length=length,
+                                              mode_cutoff=radius))
 
 
 def head_by_modes(t, length, j_max):
@@ -135,14 +131,14 @@ def head_by_modes(t, length, j_max):
 def doubling_cutoff(phase, length, tol):
     """A cutoff search independent of suggest_cutoff's: double from 2 until
     the tail bound meets the limit, then bisect. None where the doubling
-    passes 10^7."""
+    passes 64, the largest cutoff of a direct box."""
     t = phase.t
     scale = min(2.0 * zeta_int(3) * t ** 3 / math.pi ** 2,
                 9.0 * _density_floor(phase, BoxSpec(length, 2)))
     lo, hi = 1, 2
     while _tail_bound(phase, BoxSpec(length, hi)) > tol * scale:
         lo, hi = hi, hi * 2
-        if hi > 10 ** 7:
+        if hi > 64:
             return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -206,8 +202,8 @@ def test_suggest_cutoff_is_the_smallest_cutoff_within_tolerance():
     for t, mu, length, tol in seeded + extreme:
         phase = PhasePoint(t, mu)
         reference = doubling_cutoff(phase, length, tol)
-        # past 64 every cutoff gives a split box, and 65 is the first
-        if reference is None or reference > 64:
+        # where no cutoff up to 64 will do, the split box's 65
+        if reference is None:
             reference = 65
         cutoff = suggest_cutoff(phase, length, tol)
         assert cutoff == reference
@@ -353,7 +349,7 @@ def test_mode_sum_matches_the_per_sign_formula_bit_for_bit():
         mu = ([1.0, -1.0, 0.0, -0.0][i % 4] if i % 2
               else rng.uniform(-1.0, 1.0))
         length = 10 ** rng.uniform(0.0, 2.5)
-        cutoff = int(rng.integers(65, 1200))
+        cutoff = 65
         if i % 3 == 0:
             cutoff = int(rng.integers(1, 65))
         elif i % 3 == 1:
@@ -372,7 +368,7 @@ def test_mode_sum_peak_allocation_near_the_shell_budget():
     # 182418 direct shells, within 10% of _MAX_SHELLS: the (2, m) rows of
     # both charges peak at ~9.5 doubles per shell, as the one-charge
     # passes did
-    phase, box = PhasePoint(1.0, 0.5), BoxSpec(9e4, 1000)
+    phase, box = PhasePoint(1.0, 0.5), BoxSpec(9e4, 65)
     _, m_direct, _ = _plan(phase, box)
     assert 0.9 * _MAX_SHELLS < m_direct <= _MAX_SHELLS
     tracemalloc.start()
@@ -385,36 +381,33 @@ def test_mode_sum_peak_allocation_near_the_shell_budget():
 
 
 def test_split_sum_within_tail_bound_of_truncated_sum():
-    # a box above the direct budget whose tail is not negligible: the split
-    # sum takes every mode, the explicit sum stops at the cutoff, and the
-    # cutoff's tail bound bounds the modes between
-    phase = PhasePoint(1.0, 0.5)
-    box = BoxSpec(20.0, 79)
-    assert box.mode_cutoff ** 2 > _DIRECT_SHELLS
-    res = mode_sum(phase, box)
-    truncated = explicit_shell_sum(phase, box)
+    # a box whose tail past |n| = 79 is not negligible: the split sum takes
+    # every mode, the explicit sum stops at 79, and the tail bound there
+    # bounds the modes between
+    phase, length = PhasePoint(1.0, 0.5), 20.0
+    res = mode_sum(phase, BoxSpec(length, 65))
+    truncated = explicit_shell_sum(phase, length, 79)
     for split, trunc in zip((res.n1_fv, res.n2_fv), truncated):
-        assert 0.0 < split - trunc <= _tail_bound(phase, box)
+        assert 0.0 < split - trunc <= tail_bound_at(phase, length, 79)
 
 
-@pytest.mark.parametrize("t, mu, length, cutoff", [
+@pytest.mark.parametrize("t, mu, length, radius", [
     (1.0, 1.0, 10.0, 75), (0.5, -1.0, 20.0, 75), (2.0, -0.4, 6.0, 89),
     (0.8, 0.95, 15.0, 90)])
-def test_split_sum_matches_explicit_shell_sum(t, mu, length, cutoff):
+def test_split_sum_matches_explicit_shell_sum(t, mu, length, radius):
     phase = PhasePoint(t, mu)
-    box = BoxSpec(length, cutoff)
-    assert cutoff ** 2 > _DIRECT_SHELLS
-    res = mode_sum(phase, box)
-    # the tail beyond the cutoff is below 1e-16 of the densities
-    assert _tail_bound(phase, box) <= 1e-16 * (res.n1_fv + res.n2_fv)
-    n1, n2 = explicit_shell_sum(phase, box)
+    res = mode_sum(phase, BoxSpec(length, 65))
+    # the tail beyond the radius is below 1e-16 of the densities
+    assert (tail_bound_at(phase, length, radius)
+            <= 1e-16 * (res.n1_fv + res.n2_fv))
+    n1, n2 = explicit_shell_sum(phase, length, radius)
     assert res.n1_fv == pytest.approx(n1, rel=1e-12)
     assert res.n2_fv == pytest.approx(n2, rel=1e-12)
     assert res.q_tilde_fv == res.n1_fv - res.n2_fv
 
 
 def test_split_sum_odd_in_mu():
-    box = BoxSpec(40.0, 300)
+    box = BoxSpec(40.0, 65)
     for mu in (0.37, 0.9, 1.0):
         plus = mode_sum(PhasePoint(2.0, mu), box)
         minus = mode_sum(PhasePoint(2.0, -mu), box)
@@ -434,16 +427,6 @@ def seeded_split_boxes(seed, count):
         if suggest_cutoff(phase, length) == 65:
             boxes.append((phase, length))
     return boxes
-
-
-def test_split_densities_do_not_depend_on_the_cutoff():
-    for phase, length in seeded_split_boxes(2626, 200):
-        got = set()
-        for cutoff in (65, 300, 3000):
-            res = mode_sum(phase, BoxSpec(length, cutoff))
-            got.add(tuple(v.hex() for v in (res.n1_fv, res.n2_fv,
-                                            res.q_tilde_fv, res.tail_bound)))
-        assert len(got) == 1, (phase, length)
 
 
 def test_split_tail_bound_bounds_what_the_margins_leave_out(monkeypatch):
@@ -506,77 +489,42 @@ def test_box_with_t_l_1e5_sums_within_the_budgets():
 
 
 def test_modes_used_matches_independent_count():
-    for cutoff in (65, 128, 300):
+    # one isqrt per lattice line along z, on both sides of the direct
+    # boxes' range
+    for cutoff in (1, 2, 7, 64, 65):
         c2 = cutoff * cutoff
         count = sum(2 * math.isqrt(c2 - x * x - y * y) + 1
                     for x in range(-cutoff, cutoff + 1)
                     for y in range(-cutoff, cutoff + 1)
                     if x * x + y * y <= c2) - 1
         res = mode_sum(PhasePoint(5.0, 0.3), BoxSpec(50.0, cutoff),
-                       tail_rel_tol=1e6)
+                       tail_rel_tol=math.inf)
         assert res.modes_used == count
-    # and against the shell degeneracies, on both sides of the budget
-    for cutoff in (1, 2, 7, 64, 65, 447):
-        assert _lattice_points(cutoff) == \
-            int(_shell_counts(cutoff * cutoff)[1:].sum())
 
 
 def test_lattice_points_matches_shell_counts_for_every_cutoff():
-    # one convolution up to 300^2, independent of the wedge count
-    enclosed = np.cumsum(_shell_counts(300 ** 2))
-    for cutoff in range(1, 301):
-        assert _lattice_points(cutoff) == enclosed[cutoff * cutoff] - 1
-
-
-@pytest.mark.parametrize("cutoff, count", [
-    (2606, 74133019436), (5210, 592381811972),
-    (16384, 18422493908316)])
-def test_lattice_points_large_cutoffs(cutoff, count):
-    assert _lattice_points(cutoff) == count
+    # the lattice points 0 < |n| <= c enclosed by the shell table, against
+    # modes_used of every box; the split box's is a constant
+    enclosed = np.cumsum(_shell_counts(65 ** 2))
+    assert enclosed[65 ** 2] - 1 == 1149650
+    for cutoff in range(1, 66):
+        res = mode_sum(PhasePoint(1.0, 0.5), BoxSpec(20.0, cutoff),
+                       tail_rel_tol=math.inf)
+        assert res.modes_used == enclosed[cutoff * cutoff] - 1, cutoff
 
 
 def test_lattice_points_matches_wedge_count_up_to_600():
+    # modes_used of every direct box and of the split box, and the shell
+    # table's enclosed counts out to |n| = 600, past the 447 of a table at
+    # the shell budget
+    for cutoff in range(1, 66):
+        res = mode_sum(PhasePoint(1.0, 0.5), BoxSpec(20.0, cutoff),
+                       tail_rel_tol=math.inf)
+        assert res.modes_used == wedge_count(cutoff), cutoff
+    assert wedge_count(65) == 1149650
+    enclosed = np.cumsum(_shell_counts(600 ** 2))
     for cutoff in range(1, 601):
-        assert _lattice_points(cutoff) == wedge_count(cutoff), cutoff
-
-
-def test_lattice_points_matches_wedge_count_up_to_the_budget():
-    boundary = [c for c in boundary_cutoffs(_MAX_CUTOFF) if c > 600]
-    # the Pell-like runs: c^2 - 2 s^2 = +-1, +-2 and c^2 - 3 s^2 = 1, -2, -3
-    assert {1393, 1970, 3363, 8119, 11482, 19601} <= set(boundary)
-    assert {989, 1351, 2340, 3691, 5042, 8733, 13775, 18817} <= set(boundary)
-    rng = np.random.default_rng(2606)
-    sample = rng.integers(601, _MAX_CUTOFF + 1, size=3).tolist()
-    # 4096 is the last cutoff counted in float32
-    for cutoff in boundary + sample + [4095, 4096, 4097, _MAX_CUTOFF]:
-        assert _lattice_points(cutoff) == wedge_count(cutoff), cutoff
-
-
-@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
-def test_lattice_points_on_narrower_simd_loops(disabled):
-    # the float32 square roots are correctly rounded on every dispatch, so
-    # the AVX2 and SSE loops give the same counts
-    features = pytest.importorskip(
-        "numpy._core._multiarray_umath").__cpu_features__
-    if not all(features.get(name) for name in disabled.split()):
-        pytest.skip(f"{disabled} is not dispatched on this machine")
-    code = ("from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-            "from relbec.oracle import _lattice_points\n"
-            "assert not f['X86_V4']\n"
-            "print([_lattice_points(c) for c in (1302, 2603, 4096)])")
-    out = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": disabled},
-                     check=True, capture_output=True, text=True).stdout
-    assert out.split("\n")[0] == "[9245307476, 73877279362, 287851423224]"
-
-
-def test_lattice_points_memory_does_not_grow_with_cutoff_squared():
-    tracemalloc.start()
-    try:
-        _lattice_points(1 << 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+        assert enclosed[cutoff * cutoff] - 1 == wedge_count(cutoff), cutoff
 
 
 def test_mode_sum_memory_at_criterion_7_box():
@@ -594,35 +542,33 @@ def test_mode_sum_memory_at_criterion_7_box():
 
 
 def test_mode_sum_runs_at_the_cutoff_budget():
+    # 65, the split box, is the largest cutoff
     phase = PhasePoint(5.0, 0.5)
-    assert suggest_cutoff(phase, 2300.0) <= _MAX_CUTOFF
-    res = mode_sum(phase, BoxSpec(2300.0, _MAX_CUTOFF))
-    ball = 4.0 * math.pi / 3.0 * _MAX_CUTOFF ** 3
-    assert abs(res.modes_used / ball - 1.0) < 1e-8
-    # one above the budget fails before anything is allocated
+    assert suggest_cutoff(phase, 2300.0) == 65
+    assert mode_sum(phase, BoxSpec(2300.0, 65)).modes_used == 1149650
+    # one above it fails before anything is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded, match=f"budgets are cutoff "
-                           f"{_MAX_CUTOFF},"):
-            mode_sum(phase, BoxSpec(2300.0, _MAX_CUTOFF + 1))
+        with pytest.raises(InvalidArgument, match="^mode_cutoff must be an "
+                           "integer from 1 to 65, got 66$"):
+            mode_sum(phase, BoxSpec(2300.0, 66))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("t, length, cutoff", [
-    (100.0, 1000.0, 260_152),  # cutoff above the mode-count budget
-    (1e4, 1000.0, 10_000),     # too many Boltzmann terms
-    (50.0, 0.05, 1000)])       # too many winding shells
-def test_mode_sum_over_budget_raises_before_allocating(t, length, cutoff):
+@pytest.mark.parametrize("t, length", [
+    (1e4, 1000.0),   # too many Boltzmann terms
+    (50.0, 0.05)])   # too many winding shells
+def test_mode_sum_over_budget_raises_before_allocating(t, length):
     # the error names its operation and its point
     match = "^" + re.escape(f"mode_sum at t = {t}, mu = 0.5, L = {length} "
-                            f"with cutoff {cutoff}: needs J = ")
+                            f"with cutoff 65: needs J = ")
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded, match=match):
-            mode_sum(PhasePoint(t, 0.5), BoxSpec(length, cutoff))
+            mode_sum(PhasePoint(t, 0.5), BoxSpec(length, 65))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -679,8 +625,8 @@ def test_tail_guard_names_what_would_help():
     with pytest.raises(TailTooLarge, match="; raise mode_cutoff$"):
         mode_sum(PhasePoint(1.0, 0.5), BoxSpec(50.0, 8))
     with pytest.raises(TailTooLarge, match="; raise tail_rel_tol$"):
-        mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 75), tail_rel_tol=1e-16)
-    assert mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 75),
+        mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 65), tail_rel_tol=1e-16)
+    assert mode_sum(PhasePoint(1.0, 1.0), BoxSpec(10.0, 65),
                     tail_rel_tol=1e-14).tail_bound > 0.0
 
 

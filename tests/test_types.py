@@ -71,10 +71,15 @@ def test_momentum_profile_rejects_unequal_lengths(lengths):
 
 def test_box_spec_validation():
     BoxSpec(10.0, 4)
+    assert BoxSpec(10.0, np.int64(65)).mode_cutoff == 65
     with pytest.raises(ValueError):
         BoxSpec(-1.0, 4)
     with pytest.raises(ValueError):
         BoxSpec(10.0, 0)
+    # 65 is the split box, the largest cutoff
+    with pytest.raises(InvalidArgument, match="^mode_cutoff must be an "
+                       "integer from 1 to 65, got 66$"):
+        BoxSpec(10.0, 66)
 
 
 def _phase(call):
@@ -103,7 +108,7 @@ ENTRY_POINTS = {
         k, PhasePoint(t, mu)), (1.5, 0.7, 0.5), (2, 1, 1)),
     "mode_sum": (_phase(lambda phase, length, cutoff, tol: relbec.mode_sum(
         phase, BoxSpec(length, cutoff), tol)),
-        (1.0, 0.3, 33.3, 200, 1e-4), (1, 0, 50, 200, 1)),
+        (1.0, 0.3, 33.3, 65, 1e-4), (1, 0, 50, 65, 1)),
     "suggest_cutoff": (_phase(relbec.suggest_cutoff),
                        (1.0, 0.3, 33.3, 1e-5), (1, 0, 50, 1)),
     "condensate_mode": (relbec.condensate_mode, (0.5, 1.0), (0, 2)),
