@@ -59,7 +59,9 @@ _MAX_TERMS = 1 << 20
 class ModeSumResult:
     """Finite-volume densities with truncation diagnostics (see mode_sum);
     modes_used counts 0 < |n| <= mode_cutoff, also for the split box, whose
-    sum does not stop there: 1149650 at cutoff 65."""
+    sum does not stop there: 1149650 at cutoff 65. A split box's
+    tail_bound bounds what its margins leave out, not the ~1 ulp rounding
+    of the returned doubles."""
 
     q_tilde_fv: float
     n1_fv: float
@@ -322,9 +324,10 @@ def mode_sum(phase: PhasePoint, box: BoxSpec,
     windings, the remainder by shells). tail_bound bounds the distance
     from the returned n1 + n2 to the sum over every n != 0, rounding
     aside: the modes past the cutoff (_tail_bound) or past the two margins
-    (_cut_bound). modes_used counts 0 < |n| <= mode_cutoff: the sum of the
-    direct box's shell degeneracies, exact as each partial sum is an
-    integer below 2^53, or the split box's constant. Fails with
+    (_cut_bound), which can be far below the split sum's ~1 ulp rounding.
+    modes_used counts 0 < |n| <= mode_cutoff: the sum of the direct box's
+    shell degeneracies, exact as each partial sum is an integer below
+    2^53, or the split box's constant. Fails with
     TailTooLarge when the bound exceeds tail_rel_tol relative to the
     summed densities, with BudgetExceeded, before allocating, when the box
     needs more terms or shells than the budgets allow, and with

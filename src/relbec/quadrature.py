@@ -3,10 +3,10 @@
 Strategy: a vector-valued, level-synchronous adaptive Gauss-Kronrod
 (G7/K15) scheme over v = sqrt(gap/t) in [0, V], where gap =
 sqrt(k^2 + 1) - 1 and the cutoff V = sqrt(50) is where the gap is 50 t.
-The integrand may return several components per node
+The integrand returns one or more rows and a scalar factor per row
 (thermal_charge_density integrates its three rows together); every
-component, its sum times the caller's scale, must meet
-rel_tol * |value| + 1e-14 on its own.
+component, its sum times the caller's scale and then its factor, must
+meet rel_tol * |value| + 1e-14 on its own.
 
 In v a Bose branch's exponent is v^2 + (1 -+ mu)/t, so the scales of the
 integrand sit at the same v at every (t, mu), and so does the level-0
@@ -45,11 +45,13 @@ any t, with sigma multiplied back into the three sums. Since
 k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, g = v^2 t, those rows meet the
 tail contract, and the measure row is the only work that depends on t
 alone. The kernel shifts one exp and one expm1 row over -v^2 by the
-scalar (1 - |mu|)/t, corrected for its rounding
-(statistics._shift). At the default tolerances thermal_charge_density is
-one such pass over 571 nodes at every (t, mu) with (1 - |mu|)/t at most
-statistics._DEAD_X, and no pass above it, where every k^2 n of both
-branches underflows to 0.0.
+scalar (1 - |mu|)/t, corrected for its rounding (statistics._shift), and
+returns the branch factors e^{-(1 -+ |mu|)/t} apart from its rows, which
+stay normal doubles where a density is subnormal; _levels multiplies
+them into the sums last, as it does sigma. At the default tolerances
+thermal_charge_density is one such pass over 571 nodes at every (t, mu)
+with (1 - |mu|)/t at most statistics._DEAD_X, and no pass above it, where
+every k^2 n of both branches underflows to 0.0.
 """
 import math
 from dataclasses import dataclass
@@ -175,21 +177,23 @@ def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _levels(f, config: QuadratureConfig, scale: float):
-    """(value, error) of scale times the integral of f over v in
-    [0, inf), as lists of floats, one per row of f's output; a row may
-    change sign, and past _V_CUT its ratio to its value at _V_CUT must be
-    at most (v/V)^5 e^{-(v^2 - V^2)}. NonConvergence where a tail bound is
-    not below its tolerance, or the refinement budget runs out. The loop
-    over the components runs on Python floats, which take the same IEEE
-    steps as numpy's float64 arithmetic."""
+    """(value, error) of the integrals over v in [0, inf) of the rows f
+    returns with their factors, each times scale, then times its factor
+    (the only rounding into a subnormal first-level value), as lists of
+    floats; the tolerance test is on these values. A row may change sign,
+    and past _V_CUT its ratio to its value at _V_CUT must be at most
+    (v/V)^5 e^{-(v^2 - V^2)}. NonConvergence where a tail bound is not
+    below its tolerance, or the refinement budget runs out. The loop over
+    the components runs on Python floats, which take the same IEEE steps
+    as numpy's float64 arithmetic."""
     a, b = _EDGES[:-1], _EDGES[1:]
     half, nodes = _LEVEL0_HALF, _LEVEL0_NODES
     bound = _TAIL_FACTOR * scale
     done = done_err = None
     for level in range(_MAX_LEVELS + 1):
         n = len(a)
-        y = np.asarray(f(nodes), dtype=float)
-        rows = y.reshape(-1, len(nodes))
+        y, factors = f(nodes)
+        rows = np.asarray(y, dtype=float).reshape(-1, len(nodes))
         panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), half[0])
         sums, err_sums = np.add.reduce(panels, axis=-1).tolist()
         if done is None:
@@ -197,11 +201,11 @@ def _levels(f, config: QuadratureConfig, scale: float):
         # one pass over the components: totals, tail bound, tolerance test
         value, error, tail, tol = [], [], [], []
         converged = True
-        for v, e, c, d, d_err in zip(sums, err_sums, rows[:, -1].tolist(),
-                                     done, done_err):
-            v = v * scale + d
-            c = abs(c) * bound
-            e = e * scale + d_err + c
+        for v, e, c, d, d_err, x in zip(sums, err_sums, rows[:, -1].tolist(),
+                                        done, done_err, factors):
+            v = v * scale * x + d
+            c = abs(c) * bound * x
+            e = e * scale * x + d_err + c
             t = config.rel_tol * abs(v) + _ABS_TOL
             value.append(v)
             error.append(e)
@@ -211,6 +215,7 @@ def _levels(f, config: QuadratureConfig, scale: float):
         if converged:
             return value, error
         panels *= scale
+        panels *= np.array(factors)[:, None]
         kron, err = panels
         limit = np.array([(t - d - c) / n
                           for t, d, c in zip(tol, done_err, tail)])

@@ -22,11 +22,12 @@ a = p/t enters as the pair (e^{-a}, expm1(-a)), corrected for the
 rounding of a by an exact remainder in plain doubles (Dekker's
 two-product), so no node's exponent carries a rounding of a.
 
-The EOS front end takes its rows v^2, v^2 e^{-v^2} and expm1(-v^2) from
-libm (math.exp, math.expm1) node by node, and its cube root from math.cbrt
-with one exactly corrected Newton step, so its rows are the same doubles
-at every SIMD level numpy dispatches. They depend on v alone: nodes that
-carry them (_Nodes, the EOS's level-0 layout) hand them to every call.
+The EOS front end returns the branch factors e^{-a} and e^{-(a + d)}
+apart from its rows, which so stay normal doubles. It takes its rows v^2,
+v^2 e^{-v^2} and expm1(-v^2) from libm (math.exp, math.expm1) node by
+node, so they are the same doubles at every SIMD level numpy dispatches.
+They depend on v alone: nodes that carry them (_Nodes, the EOS's level-0
+layout) hand them to every call.
 """
 import math
 import sys
@@ -43,6 +44,11 @@ _TINY = 2.2250738585072014e-308
 # it has k^2 n = 0.0 at every finite k^2, and the EOS skips a phase point
 # where both branches do.
 _DEAD_X = 746.0
+# 2^{2/3}, the double nearest it: the EOS weight's b is 2^{2/3}/(t + 2)
+_CBRT_4 = 1.5874010519681996
+# Below this factor e^{-x}, -expm1(-x) is 1.0 and e^{-x} D' (0 <= D' <= 1)
+# below half its ulp: _rows adds 0.0 instead, so no product is subnormal
+_FLUSH = 2.0 ** -60
 # Largest momentum whose square is a finite double
 _MAX_K = math.sqrt(sys.float_info.max)
 # Dekker's splitter 2^27 + 1: with c = _SPLIT x, x_hi = c - (c - x) and
@@ -117,71 +123,40 @@ def _two_product(a: float, b: float):
     return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
 
 
-def _cbrt(x: float) -> float:
-    """The cube root of a double x in [0, 2]: libm's math.cbrt y, then one
-    Newton step y - (y^3 - x)/(3 y^2) whose residual is exact but for the
-    rounding of its smallest term: y^2 and y^2 y by _two_product, and
-    their high part minus x exactly by Sterbenz's lemma. So the result is
-    within ~0.5 ulp where libm's is within a few. x below _SMALL_P is
-    taken scaled by _UP = 2^600, so that no partial product underflows."""
-    scale = 1.0
-    if x < _SMALL_P:
-        x, scale = x * _UP, 2.0 ** -200
-    y = math.cbrt(x)
-    if not y:
-        return y
-    sq, sq_lo = _two_product(y, y)
-    cube, cube_lo = _two_product(sq, y)
-    residual = cube - x + (cube_lo + sq_lo * y)
-    return (y - residual / (3.0 * sq)) * scale
-
-
 def _rows(buf, near, m_y, e_a, m_a, shift_d, mu, under=None, limit=0.0):
-    """The three weighted rows, as buf[:3], from a (5, n) buffer holding
-    P = w e^{-y} e^{-a} in buf[2], and the row m_y = expm1(-y), which may
-    be buf[3 + near] itself, for weights w >= 0 and the near branch's
+    """The three rows, as buf[:3], from a (5, n) buffer holding
+    P = w e^{-y} in buf[2], and the row m_y = expm1(-y), which may be
+    buf[3 + near] itself, for weights w >= 0 and the near branch's
     exponents x_> = y + a, where the near branch is the one of the
-    smaller gap (particles for mu >= 0);
+    smaller gap (particles for mu >= 0); the other has x_< = x_> + d.
     (e_a, m_a) and shift_d = (e^{-d}, expm1(-d)) are _shift's pairs at a
     and at d = 2|mu|/t.
 
-    Each row is w e^{-x}/(1 - e^{-x}) = P/D with D = (1 - e^{-x}) e^{a}:
-    D_> = -expm1(-y) e^{-a} - expm1(-a) for the near branch and
-    D_< = D_> + expm1(d) for the other, x_< = x_> + d; every term is >= 0,
-    so nothing cancels. Where expm1(d) overflows (d > 709.78), D_< e^{-d}
-    is 1.0 to the double and the n_< row is P e^{-d}.
+    A branch's row is its w n over its factor, e^{-a} or e^{-(a + d)}:
+    P/D, D = 1 - e^{-x}, with D_> = -expm1(-y) e^{-a} - expm1(-a) and
+    D_< = e^{-d} D_> - expm1(-d), sums of terms >= 0 at every d.
 
     At the nodes of the mask `under`, where x_> has underflowed, the near
     row takes `limit`.
 
-    The difference row is formed without cancellation:
-    n_> - n_< = P (D_< - D_>)/(D_> D_<) = sign(mu) w n_> expm1(d)/D_<,
-    whose factors are finite where expm1(d) is; where it overflows the
-    row is sign(mu) w n_> itself, to the double. It keeps full relative
-    precision where n1 - n2 would cancel (high t, small mu) and never
-    overflows.
+    The difference row, of factor e^{-a}, is formed without cancellation
+    as sign(mu) (P/D_>) (1 - e^{-d})/D_<: it keeps full relative precision
+    where n1 - n2 would cancel (high t, small mu) and never overflows.
     """
-    far = 1 - near
     e_d, m_d = shift_d
-    ex = -m_d / e_d if e_d else math.inf  # expm1(d)
-    d_near = np.multiply(m_y, -e_a, out=buf[3 + near])
-    if ex < math.inf:
-        np.add(d_near, ex - m_a, out=buf[3 + far])
+    d_near = np.multiply(m_y, -e_a if e_a > _FLUSH else 0.0,
+                         out=buf[3 + near])
     d_near -= m_a
+    d_far = np.multiply(d_near, e_d if e_d > _FLUSH else 0.0,
+                        out=buf[4 - near])
+    d_far -= m_d
     if under is not None:
         d_near[under] = math.inf
-    if ex < math.inf:
-        np.divide(buf[2], buf[3:], out=buf[:2])
-    else:  # D_< e^{-d} = 1 - e^{-x_<} is 1.0: the n_< row is P e^{-d}
-        np.divide(buf[2], d_near, out=buf[near])
-        np.multiply(buf[2], e_d, out=buf[far])
+    np.divide(buf[2], buf[3:], out=buf[:2])
     if under is not None:
         buf[near][under] = limit
-    if ex < math.inf:
-        diff = np.multiply(buf[near], math.copysign(ex, mu), out=buf[2])
-        diff /= buf[3 + far]
-    else:  # n_< is below e^{-709} n_>: n_> - n_< is n_> to the double
-        np.multiply(buf[near], math.copysign(1.0, mu), out=buf[2])
+    diff = np.multiply(buf[near], math.copysign(-m_d, mu), out=buf[2])
+    diff /= d_far
     return buf[:3]
 
 
@@ -214,7 +189,8 @@ def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     The branch of the smaller gap, n_> (particles for mu >= 0), has the
     exponents x_> = (gap + 1 - |mu|)/t, built as their exact negation
     ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)); _rows, with no
-    shift (y = x_>), derives the other branch and the difference.
+    shift (y = x_>), derives the other branch and the difference, and the
+    far row is multiplied by its factor e^{-d}.
 
     Where x_> has underflowed, which happens only at mu = +-1 as k -> 0
     (the gap k^2/(E + 1) vanishes with k^2), k^2 n_> takes its limit
@@ -239,8 +215,10 @@ def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     under = neg_x > -_TINY if (1.0 - abs(mu)) / t < _TINY else None
     m_y = np.expm1(neg_x, out=buf[3 + near])
     ksq *= np.exp(neg_x, out=neg_x)
-    return _rows(buf, near, m_y, 1.0, 0.0, _shift(2.0 * abs(mu), 0.0, t),
-                 mu, under, 2.0 * t)
+    shift_d = _shift(2.0 * abs(mu), 0.0, t)
+    rows = _rows(buf, near, m_y, 1.0, 0.0, shift_d, mu, under, 2.0 * t)
+    rows[1 - near] *= shift_d[0]
+    return rows
 
 
 def _v_rows(v: np.ndarray) -> np.ndarray:
@@ -275,39 +253,39 @@ def _with_rows(v: np.ndarray) -> _Nodes:
     return nodes
 
 
-def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
-    """The EOS rows w n1, w n2 and w (n1 - n2) on an array of v > 0,
-    v = sqrt(gap/t), as one (3, len(v)) array; their integrals over v are
-    those of k^2 n1, k^2 n2 and k^2 (n1 - n2) over k, divided by
-    sigma(t) = (t (t + 2))^{3/2}.
+def _weighted_occupations(v: np.ndarray, phase: PhasePoint):
+    """The EOS rows on an array of v > 0, v = sqrt(gap/t), as one
+    (3, len(v)) array, and their three factors: a row's integral over v
+    times its factor is that of k^2 n1, k^2 n2 or k^2 (n1 - n2) over k,
+    divided by sigma(t) = (t (t + 2))^{3/2}.
 
     With g = v^2 t the gap, k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, so
     the weight is w = 2 v^2 (g + 1) sqrt(g + 2)/(t + 2)^{3/2}: about v^2
     at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
 
     A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
-    of the smaller gap: the rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows
-    (those v carries, if it is a _Nodes), and _shift's corrected (e^{-a},
-    expm1(-a)), with 1 - |mu| taken exactly as a two-term sum; _rows
-    derives both branches and the difference. At mu = +-1 the near
-    exponent is v^2 alone, a normal double on every node of the EOS pass
-    (v >= 3.8e-15 there), so no limit is needed; v = 0 is the pole of that
-    branch and must not be passed.
+    of the smaller gap, and v^2 + a + d on the other, d = 2|mu|/t: the
+    rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows (those v carries, if it
+    is a _Nodes), and _shift's corrected (e^{-a}, expm1(-a)), with
+    1 - |mu| taken exactly as a two-term sum; _rows derives both branches
+    and the difference, rows that are normal doubles wherever the EOS
+    runs, while their factors, e^{-a} and e^{-a} e^{-d}, may be subnormal.
+    At mu = +-1 the near exponent is v^2 alone, a normal double on every
+    node of the EOS pass (v >= 3.8e-15 there), so no limit is needed;
+    v = 0 is the pole of that branch and must not be passed.
     """
     t, mu = phase.t, phase.mu
     m = abs(mu)
     near = 0 if mu >= 0.0 else 1
     p = 1.0 - m
     e_a, m_a = _shift(p, 1.0 - p - m, t)
-    # w e^{-a} = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2 e^{-a}/
-    # (t + 2)^{3/2}: b from a cube root, since a fractional power of e^{-a}
-    # would carry the rounding of the exponent times a
-    b = _cbrt(2.0 * e_a)
-    b *= b / (t + 2.0)
+    shift_d = _shift(2.0 * m, 0.0, t)
+    # w = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2/(t + 2)^{3/2}
+    b = _CBRT_4 / (t + 2.0)
     rows = getattr(v, "rows", None)
     y, y_e, m_y = _v_rows(v) if rows is None else rows
     # rows w n1, w n2 (sqrt(B + b) in the second until then),
-    # P = w e^{-a} e^{-v^2}, and the two branches' D (_rows)
+    # P = w e^{-v^2}, and the two branches' D (_rows)
     buf = np.empty((5,) + v.shape)
     w = np.multiply(y, b * t, out=buf[2])
     w += b
@@ -315,7 +293,9 @@ def _weighted_occupations(v: np.ndarray, phase: PhasePoint) -> np.ndarray:
     np.sqrt(root, out=root)
     w *= root
     w *= y_e
-    return _rows(buf, near, m_y, e_a, m_a, _shift(2.0 * m, 0.0, t), mu)
+    far = e_a * shift_d[0]
+    factors = (far, e_a, e_a) if near else (e_a, far, e_a)
+    return _rows(buf, near, m_y, e_a, m_a, shift_d, mu), factors
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:

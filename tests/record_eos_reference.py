@@ -22,10 +22,14 @@ import numpy as np
 OUT = pathlib.Path(__file__).parent / "golden" / "eos_reference.json"
 DIGITS = 30
 # Chosen points: low t, where the shift (1 -+ |mu|)/t is hundreds and its
-# rounding once moved every node's exponent; near |mu| = 0.95; mu = 0
+# rounding once moved every node's exponent; near |mu| = 0.95; mu = 0;
+# and the subnormal band, (1 - |mu|)/t from 690 to 713, where n1 or n2 is
+# a subnormal double (at (1e-3, 0.287) e^{-(1 - |mu|)/t} is itself one)
 CHOSEN = [(1e-3, 0.4), (1e-3, -0.6), (1.5e-3, 0.95), (2e-3, -0.5),
           (3e-3, 0.1), (5e-3, -0.95), (0.01, 0.5), (0.01, -0.01),
-          (0.03, 0.9), (0.1, 0.0), (1.0, 0.5), (3.0, -0.95)]
+          (0.03, 0.9), (0.1, 0.0), (1.0, 0.5), (3.0, -0.95),
+          (1e-3, 0.29), (1e-3, 0.3), (1e-3, 0.31), (1e-3, -0.295),
+          (1e-3, 0.287)]
 SEEDED = 28
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -104,20 +105,55 @@ def momentum_route(phase):
     return f
 
 
+def levels(f, config=QuadratureConfig(), factor=1.0):
+    """The level loop on one integrand f in v, at scale 1 and with the
+    given factor."""
+    return quadrature._levels(lambda v: (f(v), (factor,)), config, 1.0)
+
+
 # The level loop on closed-form integrands in v, each within the tail
 # envelope (v/V)^5 e^{-(v^2 - V^2)} past V = sqrt(50), at scale 1.
 def test_gamma_three():
     # the integral of v^5 e^{-v^2} is Gamma(3)/2; its tail is the bound's
-    (val,), (err,) = quadrature._levels(lambda v: v ** 5 * np.exp(-v * v),
-                                        QuadratureConfig(), 1.0)
+    (val,), (err,) = levels(lambda v: v ** 5 * np.exp(-v * v))
     assert val == pytest.approx(1.0, rel=1e-12)
     assert err < 1e-10
 
 
 def test_gaussian_half_line():
-    (val,), _ = quadrature._levels(lambda v: np.exp(-v * v),
-                                   QuadratureConfig(), 1.0)
+    (val,), _ = levels(lambda v: np.exp(-v * v))
     assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
+
+
+def test_factor_is_the_last_product():
+    # a value is the sum times scale, then times its factor: a subnormal
+    # value is the product of the normal sum and its factor, rounded once
+    def f(v):
+        return v ** 5 * np.exp(-v * v)
+
+    (one,), _ = levels(f)
+    for factor in (4.5e-309, 1e-315, 5e-324, 0.0):
+        (val,), (err,) = levels(f, factor=factor)
+        assert val == one * factor and err <= factor
+
+
+def test_tolerance_is_on_the_returned_values():
+    # _ABS_TOL bounds the returned value's error, after its factor: a
+    # spike the first level cannot meet at factor 1 is met there at a
+    # factor that takes its error below 1e-14
+    calls = []
+
+    def spike(v):
+        calls.append(1)
+        return np.exp(-v * v) / np.sqrt(np.abs(v - 2.345) + 1e-8)
+
+    cfg = QuadratureConfig(rel_tol=1e-13)
+    (big,), _ = levels(spike, cfg)
+    assert len(calls) > 1
+    calls.clear()
+    (small,), (err,) = levels(spike, cfg, factor=1e-20)
+    assert len(calls) == 1 and err <= quadrature._ABS_TOL
+    assert small == pytest.approx(big * 1e-20, rel=1e-6)
 
 
 def test_error_estimate_honest():
@@ -133,7 +169,7 @@ def test_error_estimate_honest():
     for rel_tol in [1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13]:
         cfg = QuadratureConfig(rel_tol=rel_tol)
         for i, (f, exact) in enumerate(integrands):
-            (val,), (err,) = quadrature._levels(f, cfg, 1.0)
+            (val,), (err,) = levels(f, cfg)
             assert abs(val - exact) <= err + 4e-16 * max(abs(exact), 1.0), (
                 rel_tol, i, val, err)
 
@@ -169,9 +205,10 @@ def test_tail_bound_is_honest_on_the_eos_rows():
         if (1.0 - abs(mu)) / t > statistics._DEAD_X:
             continue
         phase = PhasePoint(t, mu)
+        # a row's factor scales its tail and its bound alike
         at_cut = statistics._weighted_occupations(
-            np.array([quadrature._V_CUT]), phase)[:, 0]
-        tails = statistics._weighted_occupations(v, phase) @ weights
+            np.array([quadrature._V_CUT]), phase)[0][:, 0]
+        tails = statistics._weighted_occupations(v, phase)[0] @ weights
         bound = np.abs(at_cut) * quadrature._TAIL_FACTOR
         assert (np.abs(tails) <= bound * (1.0 + 1e-12)).all(), (t, mu)
         checked += 1
@@ -194,8 +231,7 @@ def test_nan_tail_bound_is_non_convergence(monkeypatch, f):
     monkeypatch.setattr(quadrature, "_TAIL_FACTOR", math.inf)
     calls = []
     with pytest.raises(NonConvergence, match="tail bound not below"):
-        quadrature._levels(lambda k: calls.append(1) or f(k),
-                           QuadratureConfig(), 1.0)
+        levels(lambda k: calls.append(1) or f(k))
     assert len(calls) == 1
 
 
@@ -207,7 +243,7 @@ def test_non_convergence_on_budget(monkeypatch):
         return np.exp(-v * v) / np.sqrt(np.abs(v - 2.345) + 1e-14)
 
     with pytest.raises(NonConvergence, match="budget exhausted"):
-        quadrature._levels(spike, cfg, 1.0)
+        levels(spike, cfg)
 
 
 def test_level0_nodes_are_one_array_at_every_phase_point(monkeypatch):
@@ -255,8 +291,11 @@ def test_level0_rows_are_constants_of_the_row_function():
     for t, mu in zip((10.0 ** rng.uniform(-12.0, 6.0, 50)).tolist(),
                      rng.uniform(-1.0, 1.0, 50).tolist()):
         phase = PhasePoint(t, mu)
-        assert (statistics._weighted_occupations(nodes, phase).tobytes()
-                == statistics._weighted_occupations(copy, phase).tobytes())
+        rows, factors = statistics._weighted_occupations(nodes, phase)
+        copy_rows, copy_factors = statistics._weighted_occupations(copy,
+                                                                    phase)
+        assert rows.tobytes() == copy_rows.tobytes()
+        assert factors == copy_factors
 
 
 def test_kronrod_constants_are_double_roundings():
@@ -322,8 +361,7 @@ def test_gauss_kronrod_returns_kronrod_and_embedded_difference():
 
 def test_charge_difference_integral_reference():
     # charge_integrand (the momentum route) through the v pass
-    (val,), _ = quadrature._levels(momentum_route(PhasePoint(1.0, 0.5)),
-                                   QuadratureConfig(), 1.0)
+    (val,), _ = levels(momentum_route(PhasePoint(1.0, 0.5)))
     assert val == pytest.approx(I_DIFF_REF, rel=1e-10)
 
 
@@ -351,7 +389,7 @@ def test_route_consistency(t, mu):
     cfg = QuadratureConfig()
     phase = PhasePoint(t, mu)
     d = thermal_charge_density(phase, cfg)
-    (val,), _ = quadrature._levels(momentum_route(phase), cfg, 1.0)
+    (val,), _ = levels(momentum_route(phase), cfg)
     diff = val / (2.0 * math.pi ** 2)
     assert abs(diff - d.q_tilde) <= 10.0 * cfg.rel_tol * (d.n1 + d.n2)
 
@@ -391,7 +429,7 @@ def test_condensation_point_density_nonrelativistic(log_t):
         expected, rel=1e-6)
 
 
-# 30-digit K2-series values at 40 (t, mu), t in [1e-3, 3], |mu| <= 0.95,
+# 30-digit K2-series values at 45 (t, mu), t in [1e-3, 3], |mu| <= 0.95,
 # recorded by tests/record_eos_reference.py
 EOS_REFERENCE = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "eos_reference.json")
@@ -399,19 +437,25 @@ EOS_REFERENCE = json.loads(
 
 
 def test_eos_matches_the_30_digit_reference():
-    # every component whose reference is a normal double, at the default
-    # tolerance, including low t, where the exponents' shift (1 -+ mu)/t
-    # is in the hundreds
-    checked = 0
+    # every component at the default tolerance, including low t, where the
+    # exponents' shift (1 -+ mu)/t is in the hundreds: within 1e-13
+    # relative where the reference is a normal double, and below that
+    # within 1e-13 of the smallest normal double, absolute; there every
+    # component is also within one subnormal spacing, 5e-324
+    normal = subnormal = 0
     for ref in EOS_REFERENCE:
         d = thermal_charge_density(PhasePoint(ref["t"], ref["mu"]))
         for name in ("n1", "n2", "q_tilde"):
-            exact = float(ref[name])
+            exact = Fraction(ref[name])
+            error = abs(Fraction(getattr(d, name)) - exact)
             if abs(exact) >= statistics._TINY:
-                got = getattr(d, name)
-                assert abs(got - exact) <= 1e-13 * abs(exact), (ref, name)
-                checked += 1
-    assert len(EOS_REFERENCE) == 40 and checked >= 100
+                assert error <= 1e-13 * abs(exact), (ref, name)
+                normal += 1
+            else:
+                assert error <= 1e-13 * statistics._TINY, (ref, name)
+                assert error <= 5e-324, (ref, name)
+                subnormal += exact != 0
+    assert len(EOS_REFERENCE) == 45 and normal >= 100 and subnormal >= 5
 
 
 @pytest.mark.parametrize("t,mu", [(0.5, 0.3), (1.0, 0.8), (2.0, 0.5),
@@ -516,18 +560,20 @@ SHORTCUT_MOMENTA = np.concatenate([[0.0, 5e-324, 1e-200, 1e-20],
 
 def shortcut_changes(points, full_pass):
     """The points whose EOS doubles, at two tolerances, or kernel rows (as
-    int64; on SHORTCUT_MOMENTA and on the EOS's level-0 nodes) change once
-    full_pass() has turned the EOS's dead-branch skip off."""
+    int64; on SHORTCUT_MOMENTA and on the EOS's level-0 nodes) and row
+    factors change once full_pass() has turned the EOS's dead-branch skip
+    off."""
     def outputs(t, mu):
         phase = PhasePoint(t, mu)
         eos = [thermal_charge_density(phase, QuadratureConfig(rel_tol=tol))
                for tol in (1e-10, 1e-13)]
+        rows, factors = statistics._weighted_occupations(
+            quadrature._LEVEL0_NODES, phase)
         rows = np.concatenate([
-            statistics._momentum_occupations(SHORTCUT_MOMENTA, phase),
-            statistics._weighted_occupations(quadrature._LEVEL0_NODES,
-                                             phase)], axis=1)
+            statistics._momentum_occupations(SHORTCUT_MOMENTA, phase), rows],
+            axis=1)
         return ([(d.n1.hex(), d.n2.hex(), d.q_tilde.hex()) for d in eos],
-                rows.view(np.int64).tolist())
+                rows.view(np.int64).tolist(), [x.hex() for x in factors])
 
     shortcut = [outputs(t, mu) for t, mu in points]
     full_pass()

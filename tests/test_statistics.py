@@ -11,9 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
                     momentum_profile, quadrature, statistics)
-from relbec.statistics import (_TINY, _bose, _cbrt, _gap,
-                               _momentum_occupations, _shift,
-                               _weighted_occupations)
+from relbec.statistics import (_TINY, _bose, _gap, _momentum_occupations,
+                               _shift, _weighted_occupations)
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
@@ -236,7 +235,8 @@ def eos_nodes():
 def test_weighted_occupations_keep_one_sign():
     # the occupations are positive where |mu| <= 1, so the kernel's rows
     # keep one sign on the pass's own nodes: w n1, w n2 >= 0 and
-    # w (n1 - n2) of the sign of mu, at every t the EOS accepts
+    # w (n1 - n2) of the sign of mu, at every t the EOS accepts; their
+    # factors are in [0, 1], the difference row's that of the near branch
     rng = np.random.default_rng(1717)
     ts = [1e-12, quadrature._MAX_T] + (10.0 ** rng.uniform(
         -12.0, math.log10(quadrature._MAX_T), 2000)).tolist()
@@ -244,41 +244,58 @@ def test_weighted_occupations_keep_one_sign():
     v = eos_nodes()
     for t in ts:
         for mu in fixed + rng.uniform(-1.0, 1.0, 6).tolist():
-            rows = _weighted_occupations(v, PhasePoint(t, mu))
+            rows, factors = _weighted_occupations(v, PhasePoint(t, mu))
             assert np.isfinite(rows).all(), (t, mu)
             assert (rows[:2] >= 0.0).all(), (t, mu)
             assert (rows[2] * math.copysign(1.0, mu) >= 0.0).all(), (t, mu)
+            assert len(factors) == 3 and all(0.0 <= x <= 1.0 for x in factors)
+            near = 0 if mu >= 0.0 else 1
+            assert factors[2] == factors[near] >= factors[1 - near], (t, mu)
             if mu == 0.0:
                 assert not rows[2].any(), t
 
 
-# Largest error of a row of the EOS kernel against the exact w/(e^x - 1)
-# where the row is a normal double, in units of (1 + v^2) eps |exact|: 4.1
-# on 18000 samples of 6 seeds drawn as below with numpy's AVX-512 loops.
-# Both branches shift the one row -v^2 by a corrected scalar, so neither
-# carries the rounding of its exponent x = v^2 + (1 -+ mu)/t, only that
-# of v^2.
+# Largest error of a row of the EOS kernel against the exact factor-free
+# row w e^{-v^2}/(1 - e^{-x}) (and the difference row's), in units of
+# (1 + v^2) eps |exact|: 3.5 on 32400 samples of 6 seeds drawn as below
+# (4.1 on the earlier draws, with the factors in the rows), with numpy's
+# AVX-512 loops. Both branches shift the one row -v^2 by a
+# corrected scalar, so neither carries the rounding of its exponent
+# x = v^2 + (1 -+ mu)/t, only that of v^2.
 V_ROW_ERROR = 6.0
 # The same for the momentum front end, in units of (1 + x_>) eps |exact|,
 # x_> the exponent of the smaller gap: 2.4 on the same samples. The far
 # branch, x_< = x_> + 2|mu|/t, is derived from the near one and carries
 # the rounding of x_>, not that of x_< (up to 600 of these units).
 ROW_ERROR = 4.0
+# Largest error of the EOS kernel's factors e^{-a} and e^{-a} e^{-d}
+# against the exact ones, in units of eps |exact|, plus one subnormal
+# spacing: 1.15 on the same draws, and within one spacing where subnormal
+FACTOR_ERROR = 3.0
 
 
 def assert_rows_match_mpmath(front):
     """The rows of the EOS kernel (front "v"), or of the momentum front
     end at the momenta of the same nodes (front "k"), against 40-digit
-    values at seeded (t, mu): two thirds of the points at t in
+    values at seeded (t, mu): of the first 150 points two thirds at t in
     [1e-3, 1e-2] near |mu| = 1, where the far branch's exponent is 200 to
-    2000. A subnormal row keeps too few bits for a relative bound."""
+    2000, and 30 more with (1 - |mu|)/t in [600, 746], where e^{-a} is
+    tiny or subnormal. The EOS rows leave their factors out: every one is
+    a normal double, held to the bound at every node, and the factors are
+    checked on their own. The momentum rows carry them, and a subnormal
+    row keeps too few bits for a relative bound."""
     rng = np.random.default_rng(2121)
     nodes = eos_nodes()
     eps = np.finfo(float).eps
-    far_checked = 0
+    far_checked = band_checked = 0
+    floor = 0.0 if front == "v" else _TINY
     with mpmath.workdps(40):
-        for i in range(150):
-            if i % 3:
+        for i in range(180):
+            if i >= 150:
+                t = float(10.0 ** rng.uniform(-4.0, -2.9))
+                mu = float(rng.choice([-1.0, 1.0])
+                           * (1.0 - rng.uniform(600.0, 746.0) * t))
+            elif i % 3:
                 t = float(10.0 ** rng.uniform(-3.0, -2.0))
                 mu = float(rng.choice([-1.0, 1.0])
                            * (1.0 - 10.0 ** rng.uniform(-8.0, -1.0)))
@@ -287,30 +304,45 @@ def assert_rows_match_mpmath(front):
                 mu = float(rng.uniform(-1.0, 1.0))
             v = rng.choice(nodes, 10, replace=False)
             k = np.sqrt(v * v * t * (v * v * t + 2.0))
-            rows = (_weighted_occupations(v, PhasePoint(t, mu)) if front == "v"
-                    else _momentum_occupations(k, PhasePoint(t, mu)))
+            a = (1 - abs(mpmath.mpf(mu))) / t
+            d = 2 * abs(mpmath.mpf(mu)) / t
+            if front == "v":
+                rows, factors = _weighted_occupations(v, PhasePoint(t, mu))
+                exact = [mpmath.exp(-a), mpmath.exp(-a - d), mpmath.exp(-a)]
+                if mu < 0.0:
+                    exact[:2] = exact[1::-1]
+                for got, e in zip(factors, exact):
+                    assert abs(got - e) <= FACTOR_ERROR * eps * e + 5e-324, (
+                        t, mu)
+            else:
+                rows = _momentum_occupations(k, PhasePoint(t, mu))
             far = 1 if mu >= 0.0 else 0
             for vj, kj, got in zip(v.tolist(), k.tolist(), rows.T.tolist()):
                 if front == "v":
                     ysq = mpmath.mpf(vj) ** 2
                     g = ysq * t
-                    w = 2 * ysq * (g + 1) * mpmath.sqrt(g + 2) / (
-                        mpmath.mpf(t) + 2) ** 1.5
+                    p = 2 * ysq * (g + 1) * mpmath.sqrt(g + 2) / (
+                        mpmath.mpf(t) + 2) ** 1.5 * mpmath.exp(-ysq)
                     x1, x2 = ysq + (1 - mpmath.mpf(mu)) / t, ysq + (
                         1 + mpmath.mpf(mu)) / t
+                    d1, d2 = -mpmath.expm1(-x1), -mpmath.expm1(-x2)
+                    exact = (p / d1, p / d2, mpmath.sign(mu) * p
+                             * -mpmath.expm1(-d) / (d1 * d2))
                     bound = V_ROW_ERROR * (1 + ysq) * eps
                 else:
                     w = mpmath.mpf(kj) ** 2
                     energy = mpmath.sqrt(w + 1)
                     x1, x2 = (energy - mu) / t, (energy + mu) / t
                     bound = ROW_ERROR * (1 + min(x1, x2)) * eps
-                n1, n2 = 1 / mpmath.expm1(x1), 1 / mpmath.expm1(x2)
-                exact = (w * n1, w * n2, w * (n1 - n2))
+                    n1, n2 = 1 / mpmath.expm1(x1), 1 / mpmath.expm1(x2)
+                    exact = (w * n1, w * n2, w * (n1 - n2))
                 for row, (g, e) in enumerate(zip(got, exact)):
-                    if abs(e) >= _TINY:
+                    if abs(e) >= floor:
                         assert abs(g - e) <= bound * abs(e), (t, mu, vj, row)
                         far_checked += row == far and max(x1, x2) > 200
+                        band_checked += i >= 150
     assert far_checked > 500
+    assert band_checked > (800 if front == "v" else 0)
 
 
 def test_weighted_occupations_match_mpmath():
@@ -371,23 +403,12 @@ def test_shift_past_the_split_drops_the_residual():
     assert all(math.isfinite(x) for x in _shift(2.0, 0.0, below))
 
 
-def test_cbrt_is_within_half_an_ulp():
-    # the kernel's b^{3/2} = 2 e^{-a}/(t + 2)^{3/2} takes its cube root on
-    # [0, 2], down to the subnormals of e^{-a} near a = 745
-    rng = np.random.default_rng(1717)
-    xs = (rng.uniform(0.0, 2.0, 2000).tolist()
-          + (2.0 ** rng.uniform(-1074.0, 1.0, 2000)).tolist()
-          + [0.0, 5e-324, 2.0 ** -800, 2.0 ** -801, 1.0, 2.0])
-    worst = 0.0
+def test_cube_root_of_four_is_the_nearest_double():
+    # b = 2^{2/3}/(t + 2) of the EOS weight
     with mpmath.workdps(40):
-        for x in xs:
-            y = _cbrt(x)
-            if x == 0.0:
-                assert y == 0.0
-                continue
-            exact = mpmath.cbrt(mpmath.mpf(x))
-            worst = max(worst, float(abs(y - exact)) / math.ulp(y))
-    assert worst <= 0.5 + 1e-9
+        exact = mpmath.cbrt(4)
+        assert statistics._CBRT_4 == float(exact)
+        assert abs(statistics._CBRT_4 - exact) <= math.ulp(1.5) / 2
 
 
 @settings(max_examples=200)
