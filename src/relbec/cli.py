@@ -64,8 +64,10 @@ def _emit(columns, rows, fmt, out_path):
 
 
 def __getattr__(name):
-    # mode_sum and suggest_cutoff stay names of this module, but the oracle
-    # (the one user of scipy) is loaded on first use (PEP 562)
+    # mode_sum and suggest_cutoff stay names of this module only for the
+    # lookups of bench/tracing.py (BOUNDARIES); _cmd_oracle_check imports
+    # them from .oracle. The oracle, the one user of scipy, is loaded on
+    # first use (PEP 562)
     if name in ("mode_sum", "suggest_cutoff"):
         from . import oracle
         return getattr(oracle, name)

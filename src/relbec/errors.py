@@ -38,7 +38,7 @@ class UnsupportedDimension(RelBecError):
 
 class AsymptoteOutOfRange(RelBecError):
     """Low-temperature asymptotic formula evaluated outside its validity
-    region (non-positive denominator)."""
+    region (non-positive denominator) or past the doubles."""
 
 
 class DivergentCondensateMode(RelBecError):

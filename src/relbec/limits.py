@@ -9,7 +9,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import AsymptoteOutOfRange, InvalidArgument, UnsupportedDimension
+from .errors import (AsymptoteOutOfRange, InvalidArgument, UnphysicalMu,
+                     UnsupportedDimension)
 from .types import (ChargeDensities, require_finite, require_positive,
                     require_real, require_temperature)
 
@@ -84,10 +85,14 @@ def _dimension(dim) -> Dimension:
 def ur_densities(t: float, mu: float) -> ChargeDensities:
     """First-order-in-mu ultra-relativistic densities:
     n1,2 = zeta(3) t^3/pi^2 +- mu t^2/6, q_tilde = mu t^2/3, taken as 2 b
-    rather than n1 - n2, which cancels at high t. InvalidArgument where t^3
-    overflows (t above ~5.6e102)."""
+    rather than n1 - n2, which cancels at high t. UnphysicalMu where
+    |mu| > 1, as PhasePoint; InvalidArgument where t^3 overflows (t above
+    ~5.6e102)."""
     t = require_temperature(t)
     mu = require_finite("mu", mu)
+    if not abs(mu) <= 1.0:
+        raise UnphysicalMu(
+            f"ur_densities at t = {t}: |mu| <= 1 required, got mu = {mu}")
     cube = _power(lambda: t ** 3)
     if cube == math.inf:
         raise InvalidArgument(
@@ -208,13 +213,18 @@ def low_t_mu_asymptote(q0_occ: float, t: float) -> float:
     """T -> 0 chemical potential at fixed condensate occupation:
     mu ~ 1 - t ln((q0+1)/q0) in scaled units. Where 1/q0 overflows
     (q0 below ~5.6e-309) the log is taken as -ln q0, its value to within
-    q0."""
+    q0. AsymptoteOutOfRange where t ln((q0+1)/q0) overflows."""
     q0_occ = require_positive("condensate occupation", q0_occ)
     t = require_temperature(t)
     inverse = 1.0 / q0_occ
     log_ratio = (math.log1p(inverse) if inverse < math.inf
                  else -math.log(q0_occ))
-    return 1.0 - t * log_ratio
+    shift = t * log_ratio
+    if shift == math.inf:
+        raise AsymptoteOutOfRange(
+            f"low_t_mu_asymptote at t = {t}, q0 = {q0_occ}: "
+            f"t ln((q0 + 1)/q0) is not a finite double")
+    return 1.0 - shift
 
 
 def low_t_condensate_antiparticles(q0_occ: float, t: float) -> float:

@@ -104,6 +104,8 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     using 1/(e^x - 1) <= c e^{-x} with c = 1/(1 - e^{-x_min}). The two
     exponentials are taken as one, e^{(+-mu - k0)/t}, since each alone
     leaves the double range once t < ~1e-3; past e^709 the bound is inf.
+    Where that exponential underflows to 0 its term is 0, also where the
+    envelope, through (k0/t)^2, has overflowed.
     """
     t, mu = phase.t, phase.mu
     dk = 2.0 * math.pi / box.box_length
@@ -115,8 +117,9 @@ def _tail_bound(phase: PhasePoint, box: BoxSpec) -> float:
     for sgn in (+1.0, -1.0):
         c = _excess_factor(gap0, 1.0 - sgn * mu, t)
         exponent = (sgn * mu - k0) / t
-        total += _MEASURE * c * envelope * (
-            math.exp(exponent) if exponent < 709.0 else math.inf)
+        decay = math.exp(exponent) if exponent < 709.0 else math.inf
+        if decay:  # a zero factor makes a zero term, also against inf
+            total += _MEASURE * c * envelope * decay
     return total
 
 
@@ -232,7 +235,7 @@ def _plan(phase: PhasePoint, box: BoxSpec):
         return 0, max_m, 0
     j_max = math.floor(min(_SPLIT * t * length, _MAX_TERMS + 1.0))
     k1 = 2.0 * math.pi / length
-    gap = _gap(k1 * k1) + _MARGIN * t / (j_max + 1)
+    gap = float(_gap(k1 * k1)) + _MARGIN * t / (j_max + 1)
     half = length / (2.0 * math.pi)
     m_direct = math.ceil(min(_MAX_SHELLS + 1.0,
                              gap * (gap + 2.0) * half * half))

@@ -1,4 +1,5 @@
-"""Semi-infinite quadrature for the charge-density integrand family.
+"""Semi-infinite quadrature for the charge-density integrand family, and
+the EOS front end of the Bose kernel, in v = sqrt(gap/t).
 
 Strategy: a vector-valued, level-synchronous adaptive Gauss-Kronrod
 (G7/K15) scheme over v = sqrt(gap/t) in [0, V], where gap =
@@ -8,22 +9,20 @@ The integrand returns one or more rows and a scalar factor per row
 component, its sum times the caller's scale and then its factor, must
 meet rel_tol * |value| + 1e-14 on its own.
 
-In v a Bose branch's exponent is v^2 + (1 -+ mu)/t, so the scales of the
-integrand sit at the same v at every (t, mu), and so does the level-0
-layout. Below v = 1, the thermal momentum, its panels shrink
-geometrically toward v = 0 down to 1e-12, which resolves the
-sqrt((1 - |mu|)/t)-wide peak as |mu| -> 1 and the mass scale
-v ~ 1/sqrt(t) when t >> 1. Above v = 1 they grow in steps of gap/t, after
-the e^{-v^2} Boltzmann tail, out to V. The 38 level-0 panels, their
+In v the gap is v^2 t exactly, and a Bose branch's exponent is
+v^2 + (1 -+ mu)/t: a scalar shift of one row -v^2 shared by both branches
+and every t. So the scales of the integrand sit at the same v at every
+(t, mu), and so does the level-0 layout. Below v = 1, the thermal
+momentum, its panels shrink geometrically toward v = 0 down to 1e-12,
+which resolves the sqrt((1 - |mu|)/t)-wide peak as |mu| -> 1 and the mass
+scale v ~ 1/sqrt(t) when t >> 1. Above v = 1 they grow in steps of gap/t,
+after the e^{-v^2} Boltzmann tail, out to V. The 38 level-0 panels, their
 half-widths and their 571 nodes (570 Kronrod nodes and V) are module
 constants, built at import by the code that builds every refinement
-level, so a level-0 pass builds no layout. The nodes carry the kernel's
-rows of v alone, v^2, v^2 e^{-v^2} and expm1(-v^2), made once by libm
-(statistics._with_rows); a refined level's nodes get theirs from the
-same row function at each call. Each level sends all of its nodes to
-the integrand in one call, keeps the panels within their share of the
-remaining error budget and bisects the rest; at the default tolerances
-the level-0 panels meet it at every (t, mu) in one call.
+level, so a level-0 pass builds no layout. Each level sends all of its
+nodes to the integrand in one call, keeps the panels within their share
+of the remaining error budget and bisects the rest; at the default
+tolerances the level-0 panels meet it at every (t, mu) in one call.
 
 The tail beyond V is bounded in closed form. Past V an integrand's ratio
 to its value at V must be at most (v/V)^5 e^{-(v^2 - V^2)}; its tail is
@@ -39,19 +38,25 @@ Gauss sum K - G come from one matrix product, a panel's error estimate is
 one Python loop over the few components. The estimate asks nothing of the
 integrand's sign.
 
-thermal_charge_density integrates the kernel's rows in v: k^2 n dk/dv
-over sigma(t) = (t (t + 2))^{3/2}, which keeps every row below 2 v^5 at
-any t, with sigma multiplied back into the three sums. Since
-k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, g = v^2 t, those rows meet the
-tail contract, and the measure row is the only work that depends on t
-alone. The kernel shifts one exp and one expm1 row over -v^2 by the
-scalar (1 - |mu|)/t, corrected for its rounding (statistics._shift), and
-returns the branch factors e^{-(1 -+ |mu|)/t} apart from its rows, which
-stay normal doubles where a density is subnormal; _levels multiplies
-them into the sums last, as it does sigma. At the default tolerances
-thermal_charge_density is one such pass over 571 nodes at every (t, mu)
-with (1 - |mu|)/t at most statistics._DEAD_X, and no pass above it, where
-every k^2 n of both branches underflows to 0.0.
+thermal_charge_density integrates the EOS kernel's rows in v
+(_weighted_occupations): k^2 n dk/dv over sigma(t) = (t (t + 2))^{3/2},
+which keeps every row below 2 v^5 at any t, with sigma multiplied back
+into the three sums. Since k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv,
+g = v^2 t, those rows meet the tail contract, and the measure row is the
+only work that depends on t alone. The kernel's rows of v alone, v^2,
+v^2 e^{-v^2} and expm1(-v^2), come from libm (math.exp, math.expm1) node
+by node, so they are the same doubles at every SIMD level numpy
+dispatches (_v_rows). Those of the level-0 nodes are made once, at
+import (_LEVEL0_ROWS), and the kernel takes them when it is handed
+_LEVEL0_NODES itself; a refined level's nodes get theirs from the same
+row function at each call. The kernel shifts one exp and one expm1 row
+over -v^2 by the scalar (1 - |mu|)/t, corrected for its rounding
+(statistics._shift), and returns the branch factors e^{-(1 -+ |mu|)/t}
+apart from its rows, which stay normal doubles where a density is
+subnormal; _levels multiplies them into the sums last, as it does sigma.
+At the default tolerances thermal_charge_density is one such pass over
+571 nodes at every (t, mu) with (1 - |mu|)/t at most _DEAD_X, and no pass
+above it, where every k^2 n of both branches underflows to 0.0.
 """
 import math
 from dataclasses import dataclass
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NonConvergence
-from .statistics import _DEAD_X, _weighted_occupations, _with_rows
+from .statistics import _rows, _shift
 # charge_integrand is looked up here as well by bench/tracing.py, which
 # counts kernel calls at this module's boundary.
 from .statistics import charge_integrand  # noqa: F401
@@ -124,6 +129,13 @@ _ABS_TOL = 1e-14
 # would hold more panels than _MAX_PANELS.
 _MAX_LEVELS = 60
 _MAX_PANELS = 4000
+# Above this exponent np.exp(-x) is 0.0 and np.expm1(-x) is -1.0 (e^-746 is
+# below half the smallest subnormal): a branch whose exponents all exceed
+# it has k^2 n = 0.0 at every finite k^2, and the EOS skips a phase point
+# where both branches do.
+_DEAD_X = 746.0
+# 2^{2/3}, the double nearest it: the EOS weight's b is 2^{2/3}/(t + 2)
+_CBRT_4 = 1.5874010519681996
 
 
 @dataclass(frozen=True)
@@ -155,15 +167,74 @@ def _layout(a: np.ndarray, b: np.ndarray):
     return half, nodes
 
 
+def _v_rows(v: np.ndarray) -> np.ndarray:
+    """The rows v^2, v^2 e^{-v^2} and expm1(-v^2) of the EOS front end on
+    an array of v, as one (3, len(v)) array: e^{-v^2} and expm1(-v^2) by
+    libm's math.exp and math.expm1 node by node, the products by numpy,
+    correctly rounded on every loop, so that no row depends on numpy's
+    SIMD dispatch."""
+    rows = np.empty((3, len(v)))
+    y = np.multiply(v, v, out=rows[0])
+    neg_y = np.negative(y).tolist()
+    rows[1] = list(map(math.exp, neg_y))
+    rows[1] *= y
+    rows[2] = list(map(math.expm1, neg_y))
+    return rows
+
+
 # The level-0 panels at every (t, mu): 28 edges below v = 1, 10 above it
-# and V; 38 panels, 571 nodes, which carry the kernel's rows of v alone
-# (statistics._Nodes). Read-only, since every pass shares them.
+# and V; 38 panels, 571 nodes, and the kernel's rows of v alone on them.
+# Read-only, since every pass shares them.
 _EDGES = np.concatenate([_BELOW, np.sqrt(_TAIL_U), [_V_CUT]])
 _LEVEL0_HALF, _LEVEL0_NODES = _layout(_EDGES[:-1], _EDGES[1:])
-_LEVEL0_NODES = _with_rows(_LEVEL0_NODES)
-for _array in (_EDGES, _LEVEL0_HALF):
+_LEVEL0_ROWS = _v_rows(_LEVEL0_NODES)
+for _array in (_EDGES, _LEVEL0_HALF, _LEVEL0_NODES, _LEVEL0_ROWS):
     _array.flags.writeable = False
 del _array
+
+
+def _weighted_occupations(v: np.ndarray, phase: PhasePoint):
+    """The EOS rows on an array of v > 0, v = sqrt(gap/t), as one
+    (3, len(v)) array, and their three factors: a row's integral over v
+    times its factor is that of k^2 n1, k^2 n2 or k^2 (n1 - n2) over k,
+    divided by sigma(t) = (t (t + 2))^{3/2}.
+
+    With g = v^2 t the gap, k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, so
+    the weight is w = 2 v^2 (g + 1) sqrt(g + 2)/(t + 2)^{3/2}: about v^2
+    at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
+
+    A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
+    of the smaller gap, and v^2 + a + d on the other, d = 2|mu|/t: the
+    rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows (_LEVEL0_ROWS where v is
+    _LEVEL0_NODES itself), and _shift's corrected (e^{-a}, expm1(-a)), with
+    1 - |mu| taken exactly as a two-term sum; _rows derives both branches
+    and the difference, rows that are normal doubles wherever the EOS
+    runs, while their factors, e^{-a} and e^{-a} e^{-d}, may be subnormal.
+    At mu = +-1 the near exponent is v^2 alone, a normal double on every
+    node of the EOS pass (v >= 3.8e-15 there), so no limit is needed;
+    v = 0 is the pole of that branch and must not be passed.
+    """
+    t, mu = phase.t, phase.mu
+    m = abs(mu)
+    near = 0 if mu >= 0.0 else 1
+    p = 1.0 - m
+    e_a, m_a = _shift(p, 1.0 - p - m, t)
+    shift_d = _shift(2.0 * m, 0.0, t)
+    # w = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2/(t + 2)^{3/2}
+    b = _CBRT_4 / (t + 2.0)
+    y, y_e, m_y = _LEVEL0_ROWS if v is _LEVEL0_NODES else _v_rows(v)
+    # rows w n1, w n2 (sqrt(B + b) in the second until then),
+    # P = w e^{-v^2}, and the two branches' D (_rows)
+    buf = np.empty((5,) + v.shape)
+    w = np.multiply(y, b * t, out=buf[2])
+    w += b
+    root = np.add(w, b, out=buf[1])
+    np.sqrt(root, out=root)
+    w *= root
+    w *= y_e
+    far = e_a * shift_d[0]
+    factors = (far, e_a, e_a) if near else (e_a, far, e_a)
+    return _rows(buf, near, m_y, e_a, m_a, shift_d, mu), factors
 
 
 def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -1,33 +1,24 @@
-"""The Bose kernel: the dispersion gap, the Bose-Einstein occupation and
-the weighted occupations of both branches, on arrays of momenta k or of
-the EOS variable v = sqrt(gap/t).
+"""The Bose kernel: the dispersion gap, the Bose-Einstein occupation, the
+branch arithmetic that both front ends share, and the momentum front end,
+the weighted occupations of both branches on an array of momenta k. The
+EOS front end, on v = sqrt(gap/t), is quadrature's.
 
 Particles carry energy omega = sqrt(k^2+1) - mu, antiparticles
 omega_bar = sqrt(k^2+1) + mu: the two branches share the gap
 sqrt(k^2+1) - 1 and differ only in the sign of mu. The gap is evaluated
 through the cancellation-free form k^2/(sqrt(k^2+1) + 1), which stays
 accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
-In v the gap is v^2 t exactly, and a branch's exponent omega/t is
-v^2 + (1 -+ mu)/t: a scalar shift of one row -v^2 shared by both
-branches and every t.
 
 The occupation 1/(e^x - 1) is one formula at every x >= 0,
 e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
 overflow, so large x needs no clamp, and expm1 keeps full precision as
 x -> 0, so small x needs no series. The exponents of the two branches
-differ by the constant 2|mu|/t at every k, so the kernel takes one exp
-and one expm1 row, over the near branch in k or over -v^2 in v, and
-forms both branches from them and a few scalars (_rows). A scalar shift
-a = p/t enters as the pair (e^{-a}, expm1(-a)), corrected for the
-rounding of a by an exact remainder in plain doubles (Dekker's
-two-product), so no node's exponent carries a rounding of a.
-
-The EOS front end returns the branch factors e^{-a} and e^{-(a + d)}
-apart from its rows, which so stay normal doubles. It takes its rows v^2,
-v^2 e^{-v^2} and expm1(-v^2) from libm (math.exp, math.expm1) node by
-node, so they are the same doubles at every SIMD level numpy dispatches.
-They depend on v alone: nodes that carry them (_Nodes, the EOS's level-0
-layout) hand them to every call.
+differ by the constant 2|mu|/t at every k, so a front end takes one exp
+and one expm1 row, over the near branch, and forms both branches from
+them and a few scalars (_rows). A scalar shift a = p/t enters as the pair
+(e^{-a}, expm1(-a)), corrected for the rounding of a by an exact
+remainder in plain doubles (Dekker's two-product), so no node's exponent
+carries a rounding of a.
 """
 import math
 import sys
@@ -39,13 +30,6 @@ from .types import MomentumProfile, PhasePoint, require_count, require_real
 
 # Smallest normal double: an exponent below it means the gap has underflowed.
 _TINY = 2.2250738585072014e-308
-# Above this exponent np.exp(-x) is 0.0 and np.expm1(-x) is -1.0 (e^-746 is
-# below half the smallest subnormal): a branch whose exponents all exceed
-# it has k^2 n = 0.0 at every finite k^2, and the EOS skips a phase point
-# where both branches do.
-_DEAD_X = 746.0
-# 2^{2/3}, the double nearest it: the EOS weight's b is 2^{2/3}/(t + 2)
-_CBRT_4 = 1.5874010519681996
 # Below this factor e^{-x}, -expm1(-x) is 1.0 and e^{-x} D' (0 <= D' <= 1)
 # below half its ulp: _rows adds 0.0 instead, so no product is subnormal
 _FLUSH = 2.0 ** -60
@@ -167,7 +151,7 @@ def charge_integrand(k, phase: PhasePoint):
     mu = +-1 the particle branch has the finite limit k^2 n -> 2t as
     k -> 0, so the integrand tends to +-2t rather than 0*inf. Raises
     InvalidArgument where k^2 is not a finite double (|k| above ~1.34e154,
-    inf or nan).
+    inf or nan), or where |mu| < 1 and (1 - |mu|)/t is subnormal.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     squarable = np.abs(ks) <= _MAX_K
@@ -192,13 +176,21 @@ def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     shift (y = x_>), derives the other branch and the difference, and the
     far row is multiplied by its factor e^{-d}.
 
-    Where x_> has underflowed, which happens only at mu = +-1 as k -> 0
-    (the gap k^2/(E + 1) vanishes with k^2), k^2 n_> takes its limit
-    t(E + 1) = 2t; that also covers momenta whose k^2 underflows to 0
-    while the occupation is infinite.
+    At mu = +-1, where x_> underflows as k -> 0 (the gap k^2/(E + 1)
+    vanishes with k^2), k^2 n_> takes its limit t(E + 1) = 2t; that also
+    covers momenta whose k^2 underflows to 0 while the occupation is
+    infinite. Raises InvalidArgument where |mu| < 1 but (1 - |mu|)/t is
+    below the smallest normal double: there n_> overflows near k = 0,
+    where k^2 n_> tends to 0, not to 2t.
     """
     k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
+    edge = abs(mu) == 1.0
+    if not edge and (1.0 - abs(mu)) / t < _TINY:
+        raise InvalidArgument(
+            f"momentum occupations at t = {t}, mu = {mu}: (1 - |mu|)/t is "
+            f"below the smallest normal double, where n overflows near "
+            f"k = 0; only |mu| = 1 has the limit k^2 n -> 2t there")
     near = 0 if mu >= 0.0 else 1
     # rows k^2 n1, k^2 n2 (-1 - sqrt(k^2 + 1) and -x_> until then),
     # k^2 e^{-x_>} (k^2 until then), and expm1(-x_>) in the near branch's
@@ -210,92 +202,15 @@ def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     np.divide(ksq, np.subtract(-1.0, root, out=root), out=neg_x)
     neg_x += abs(mu) - 1.0
     neg_x /= t
-    # x_> >= (1 - |mu|)/t, since the gap is >= 0: only where that bound
-    # underflows can n_> overflow; there it is 0 meanwhile, then 2t
-    under = neg_x > -_TINY if (1.0 - abs(mu)) / t < _TINY else None
+    # x_> >= (1 - |mu|)/t, since the gap is >= 0: only at |mu| = 1 can n_>
+    # overflow; there it is 0 meanwhile, then 2t
+    under = neg_x > -_TINY if edge else None
     m_y = np.expm1(neg_x, out=buf[3 + near])
     ksq *= np.exp(neg_x, out=neg_x)
     shift_d = _shift(2.0 * abs(mu), 0.0, t)
     rows = _rows(buf, near, m_y, 1.0, 0.0, shift_d, mu, under, 2.0 * t)
     rows[1 - near] *= shift_d[0]
     return rows
-
-
-def _v_rows(v: np.ndarray) -> np.ndarray:
-    """The rows v^2, v^2 e^{-v^2} and expm1(-v^2) of the EOS front end on
-    an array of v, as one (3, len(v)) array: e^{-v^2} and expm1(-v^2) by
-    libm's math.exp and math.expm1 node by node, the products by numpy,
-    correctly rounded on every loop, so that no row depends on numpy's
-    SIMD dispatch."""
-    rows = np.empty((3, len(v)))
-    y = np.multiply(v, v, out=rows[0])
-    neg_y = np.negative(y).tolist()
-    rows[1] = list(map(math.exp, neg_y))
-    rows[1] *= y
-    rows[2] = list(map(math.expm1, neg_y))
-    return rows
-
-
-class _Nodes(np.ndarray):
-    """A read-only array of EOS nodes v that carries its _v_rows(v), also
-    read-only, as .rows: the kernel takes them instead of making them. A
-    view or a result of arithmetic carries none (rows is None)."""
-
-    rows = None
-
-
-def _with_rows(v: np.ndarray) -> _Nodes:
-    """v, made read-only, as a _Nodes carrying its rows."""
-    rows = _v_rows(v)
-    v.flags.writeable = rows.flags.writeable = False
-    nodes = v.view(_Nodes)
-    nodes.rows = rows
-    return nodes
-
-
-def _weighted_occupations(v: np.ndarray, phase: PhasePoint):
-    """The EOS rows on an array of v > 0, v = sqrt(gap/t), as one
-    (3, len(v)) array, and their three factors: a row's integral over v
-    times its factor is that of k^2 n1, k^2 n2 or k^2 (n1 - n2) over k,
-    divided by sigma(t) = (t (t + 2))^{3/2}.
-
-    With g = v^2 t the gap, k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, so
-    the weight is w = 2 v^2 (g + 1) sqrt(g + 2)/(t + 2)^{3/2}: about v^2
-    at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
-
-    A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
-    of the smaller gap, and v^2 + a + d on the other, d = 2|mu|/t: the
-    rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows (those v carries, if it
-    is a _Nodes), and _shift's corrected (e^{-a}, expm1(-a)), with
-    1 - |mu| taken exactly as a two-term sum; _rows derives both branches
-    and the difference, rows that are normal doubles wherever the EOS
-    runs, while their factors, e^{-a} and e^{-a} e^{-d}, may be subnormal.
-    At mu = +-1 the near exponent is v^2 alone, a normal double on every
-    node of the EOS pass (v >= 3.8e-15 there), so no limit is needed;
-    v = 0 is the pole of that branch and must not be passed.
-    """
-    t, mu = phase.t, phase.mu
-    m = abs(mu)
-    near = 0 if mu >= 0.0 else 1
-    p = 1.0 - m
-    e_a, m_a = _shift(p, 1.0 - p - m, t)
-    shift_d = _shift(2.0 * m, 0.0, t)
-    # w = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2/(t + 2)^{3/2}
-    b = _CBRT_4 / (t + 2.0)
-    rows = getattr(v, "rows", None)
-    y, y_e, m_y = _v_rows(v) if rows is None else rows
-    # rows w n1, w n2 (sqrt(B + b) in the second until then),
-    # P = w e^{-v^2}, and the two branches' D (_rows)
-    buf = np.empty((5,) + v.shape)
-    w = np.multiply(y, b * t, out=buf[2])
-    w += b
-    root = np.add(w, b, out=buf[1])
-    np.sqrt(root, out=root)
-    w *= root
-    w *= y_e
-    far = e_a * shift_d[0]
-    factors = (far, e_a, e_a) if near else (e_a, far, e_a)
-    return _rows(buf, near, m_y, e_a, m_a, shift_d, mu), factors
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:

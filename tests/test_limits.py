@@ -5,8 +5,9 @@ import pytest
 
 from conftest import run_python
 from relbec import (AsymptoteOutOfRange, Dimension, InvalidArgument,
-                    NonPositiveTemperature, UnsupportedDimension,
-                    ddim_critical_temperature, density_of_states, gamma_half,
+                    NonPositiveTemperature, UnphysicalMu,
+                    UnsupportedDimension, ddim_critical_temperature,
+                    density_of_states, gamma_half,
                     low_t_condensate_antiparticles, low_t_mu_asymptote,
                     ur_condensed_fraction, ur_critical_temperature,
                     ur_densities, ur_density_ratio, zeta_int)
@@ -301,6 +302,23 @@ NON_FINITE_CALLS = {
         lambda: low_t_condensate_antiparticles(1.0, math.nan),
         lambda: low_t_condensate_antiparticles(math.inf, 0.1)],
 }
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ur_densities(1e102, 1.7e308), UnphysicalMu,
+     r"^ur_densities at t = 1e\+102: \|mu\| <= 1 required"),
+    (lambda: ur_densities(1.0, -1.5), UnphysicalMu,
+     r"^ur_densities at t = 1\.0: \|mu\| <= 1 required"),
+    (lambda: low_t_mu_asymptote(5e-324, 1.7e308), AsymptoteOutOfRange,
+     r"^low_t_mu_asymptote at t = 1\.7e\+308, q0 = 5e-324: "),
+], ids=["ur_densities-huge-mu", "ur_densities-mu-below-minus-one",
+        "low_t_mu_asymptote-overflow"])
+def test_closed_forms_raise_instead_of_a_non_finite_value(call, error,
+                                                          match):
+    # n1 = inf, n2 = -inf at mu = 1.7e308, and mu = -inf where
+    # t ln((q0 + 1)/q0) overflows, unless raised
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))

@@ -283,6 +283,14 @@ def test_zero_and_infinite_tail_tolerance_are_accepted():
     assert mode_sum(phase, BoxSpec(50.0, 8), math.inf).tail_bound > 0.0
 
 
+def test_tail_bound_is_zero_where_its_exponential_underflows():
+    # at t = L = 1e-100 (k0/t)^2 overflows the envelope to inf while
+    # e^{(+-mu - k0)/t} is 0.0: each term is 0, not inf times 0
+    res = mode_sum(PhasePoint(1e-100, 0.3), BoxSpec(1e-100, 8))
+    assert res.tail_bound == 0.0
+    assert (res.n1_fv, res.n2_fv, res.q_tilde_fv) == (0.0, 0.0, 0.0)
+
+
 def test_shell_counts_small():
     counts = _shell_counts(9)
     # r3(0..9) = 1, 6, 12, 8, 6, 24, 24, 0, 12, 30
@@ -560,7 +568,8 @@ def test_mode_sum_runs_at_the_cutoff_budget():
 
 @pytest.mark.parametrize("t, length", [
     (1e4, 1000.0),   # too many Boltzmann terms
-    (50.0, 0.05)])   # too many winding shells
+    (50.0, 0.05),    # too many winding shells
+    (1e100, 1e100)])  # the direct shells' count saturates, not overflows
 def test_mode_sum_over_budget_raises_before_allocating(t, length):
     # the error names its operation and its point
     match = "^" + re.escape(f"mode_sum at t = {t}, mu = 0.5, L = {length} "

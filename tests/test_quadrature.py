@@ -202,13 +202,13 @@ def test_tail_bound_is_honest_on_the_eos_rows():
     mus[::8] = np.sign(mus[::8])
     checked = 0
     for t, mu in zip(ts.tolist(), mus.tolist()):
-        if (1.0 - abs(mu)) / t > statistics._DEAD_X:
+        if (1.0 - abs(mu)) / t > quadrature._DEAD_X:
             continue
         phase = PhasePoint(t, mu)
         # a row's factor scales its tail and its bound alike
-        at_cut = statistics._weighted_occupations(
+        at_cut = quadrature._weighted_occupations(
             np.array([quadrature._V_CUT]), phase)[0][:, 0]
-        tails = statistics._weighted_occupations(v, phase)[0] @ weights
+        tails = quadrature._weighted_occupations(v, phase)[0] @ weights
         bound = np.abs(at_cut) * quadrature._TAIL_FACTOR
         assert (np.abs(tails) <= bound * (1.0 + 1e-12)).all(), (t, mu)
         checked += 1
@@ -275,25 +275,34 @@ def test_level0_nodes_are_one_array_at_every_phase_point(monkeypatch):
             assert all(v is nodes for v in seen) and len(seen) <= 1, (t, mu)
 
 
-def test_level0_rows_are_constants_of_the_row_function():
-    # the level-0 nodes carry v^2, v^2 e^{-v^2} and expm1(-v^2), made once
-    # at import by the row function every refined level calls, read-only
-    nodes = quadrature._LEVEL0_NODES
-    rows = nodes.rows
+def test_level0_rows_are_constants_of_the_row_function(monkeypatch):
+    # the level-0 rows v^2, v^2 e^{-v^2} and expm1(-v^2) are made once at
+    # import by the row function every refined level calls, read-only like
+    # the nodes; the kernel takes them only when handed the nodes themselves
+    nodes, rows = quadrature._LEVEL0_NODES, quadrature._LEVEL0_ROWS
     assert not rows.flags.writeable and not nodes.flags.writeable
     with pytest.raises(ValueError):
         rows[1, 0] = 0.0
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
     copy = np.array(nodes)
-    assert copy.flags.writeable and getattr(copy, "rows", None) is None
-    assert rows.tobytes() == statistics._v_rows(copy).tobytes()
+    assert copy.flags.writeable and copy.tobytes() == nodes.tobytes()
+    assert rows.tobytes() == quadrature._v_rows(copy).tobytes()
+    row_calls = []
+    row_function = quadrature._v_rows
+    monkeypatch.setattr(quadrature, "_v_rows",
+                        lambda v: row_calls.append(v) or row_function(v))
     # and the kernel gives the same rows from either
     rng = np.random.default_rng(1818)
     for t, mu in zip((10.0 ** rng.uniform(-12.0, 6.0, 50)).tolist(),
                      rng.uniform(-1.0, 1.0, 50).tolist()):
         phase = PhasePoint(t, mu)
-        rows, factors = statistics._weighted_occupations(nodes, phase)
-        copy_rows, copy_factors = statistics._weighted_occupations(copy,
+        row_calls.clear()
+        rows, factors = quadrature._weighted_occupations(nodes, phase)
+        assert row_calls == []
+        copy_rows, copy_factors = quadrature._weighted_occupations(copy,
                                                                     phase)
+        assert len(row_calls) == 1 and row_calls[0] is copy
         assert rows.tobytes() == copy_rows.tobytes()
         assert factors == copy_factors
 
@@ -527,7 +536,7 @@ def test_one_kernel_call_of_571_nodes_per_eos(monkeypatch):
     for t, mu in points:
         calls.clear()
         thermal_charge_density(PhasePoint(t, mu))
-        both_dead = (1.0 - abs(mu)) / t > statistics._DEAD_X
+        both_dead = (1.0 - abs(mu)) / t > quadrature._DEAD_X
         assert calls == ([] if both_dead else [571]), (t, mu)
 
 
@@ -542,7 +551,7 @@ def dead_branch_points(n=2000, seed=1919):
         mu = (fixed[i // 4 % len(fixed)] if i % 4 == 0
               else float(rng.uniform(-1.0, 1.0)))
         bound = 1.0 - abs(mu) if i % 2 and abs(mu) < 1.0 else 1.0 + abs(mu)
-        t = bound / statistics._DEAD_X
+        t = bound / quadrature._DEAD_X
         if i % 3:
             t /= float(rng.uniform(0.9, 1.1))
         else:
@@ -567,7 +576,7 @@ def shortcut_changes(points, full_pass):
         phase = PhasePoint(t, mu)
         eos = [thermal_charge_density(phase, QuadratureConfig(rel_tol=tol))
                for tol in (1e-10, 1e-13)]
-        rows, factors = statistics._weighted_occupations(
+        rows, factors = quadrature._weighted_occupations(
             quadrature._LEVEL0_NODES, phase)
         rows = np.concatenate([
             statistics._momentum_occupations(SHORTCUT_MOMENTA, phase), rows],
@@ -586,8 +595,8 @@ def test_dead_branch_shortcut_matches_the_full_pass(monkeypatch):
     # exceeds it the kernel's far row underflows to 0.0 by itself, with no
     # skip: those points and the live ones are the controls
     points = dead_branch_points()
-    both = sum((1.0 - abs(mu)) / t > statistics._DEAD_X for t, mu in points)
-    one = sum((1.0 + abs(mu)) / t > statistics._DEAD_X
+    both = sum((1.0 - abs(mu)) / t > quadrature._DEAD_X for t, mu in points)
+    one = sum((1.0 + abs(mu)) / t > quadrature._DEAD_X
               for t, mu in points) - both
     assert min(both, one, len(points) - both - one) > 300
 
@@ -624,10 +633,11 @@ def test_second_level_matches_quadpack(monkeypatch, t, mu):
     # drawn from seeded sweeps: at rel_tol = 1e-12 some initial panels
     # are bisected, so the totals carry the converged panels across levels
     calls = record_kernel_calls(monkeypatch)
-    # the refined levels' nodes carry no rows: each takes the row function
+    # the refined levels' nodes are not the level-0 array: each takes the
+    # row function
     row_calls = []
-    row_function = statistics._v_rows
-    monkeypatch.setattr(statistics, "_v_rows",
+    row_function = quadrature._v_rows
+    monkeypatch.setattr(quadrature, "_v_rows",
                         lambda v: row_calls.append(len(v)) or row_function(v))
     d = thermal_charge_density(PhasePoint(t, mu),
                                QuadratureConfig(rel_tol=1e-12))

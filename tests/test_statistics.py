@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from relbec import (InvalidArgument, PhasePoint, charge_integrand,
                     momentum_profile, quadrature, statistics)
-from relbec.statistics import (_TINY, _bose, _gap, _momentum_occupations,
-                               _shift, _weighted_occupations)
+from relbec.quadrature import _weighted_occupations
+from relbec.statistics import _TINY, _bose, _gap, _momentum_occupations, _shift
 
 # high-precision scalar evaluation of k^2 [n1(k) - n2(k)] at
 # k = 1, t = 1, mu = 0.5 (frozen from a 30-digit evaluation)
@@ -407,8 +407,8 @@ def test_cube_root_of_four_is_the_nearest_double():
     # b = 2^{2/3}/(t + 2) of the EOS weight
     with mpmath.workdps(40):
         exact = mpmath.cbrt(4)
-        assert statistics._CBRT_4 == float(exact)
-        assert abs(statistics._CBRT_4 - exact) <= math.ulp(1.5) / 2
+        assert quadrature._CBRT_4 == float(exact)
+        assert abs(quadrature._CBRT_4 - exact) <= math.ulp(1.5) / 2
 
 
 @settings(max_examples=200)
@@ -497,14 +497,20 @@ def test_momentum_profile_rejects_rows_past_the_doubles(mu):
 
 
 def test_momentum_profile_is_finite_or_an_error_up_to_the_largest_double():
+    # below |mu| = 1 every row is 0.0 at k = 0: the 2t limit of |mu| = 1
+    # must not reach |mu| = 1 - 2^-53, where (1 - |mu|)/t is subnormal
+    # from t ~ 5e291
     ts = np.append(10.0 ** np.linspace(-300.0, 308.0, 120),
                    [5e-324, 1e-310, sys.float_info.max])
+    below = 1.0 - 2.0 ** -53
+    mus = (0.0, 0.5, -0.5, 1.0, -1.0, below, -below)
+    k_maxes = (1e-3, 1.0, 1e3, 1e100, 1e150)
     raised = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in ts.tolist():
-            for mu in (0.0, 0.5, -0.5, 1.0, -1.0):
-                for k_max in (1e-3, 1.0, 1e3, 1e100, 1e150):
+            for mu in mus:
+                for k_max in k_maxes:
                     try:
                         prof = momentum_profile(PhasePoint(t, mu), k_max, 5)
                     except InvalidArgument:
@@ -512,10 +518,27 @@ def test_momentum_profile_is_finite_or_an_error_up_to_the_largest_double():
                         continue
                     assert np.isfinite(prof.n1_of_k).all(), (t, mu, k_max)
                     assert np.isfinite(prof.n2_of_k).all(), (t, mu, k_max)
+                    if abs(mu) < 1.0:
+                        assert prof.n1_of_k[0] == prof.n2_of_k[0] == 0.0, (
+                            t, mu, k_max)
         # (1e103, 10) is past the EOS's range but keeps its finite rows
         prof = momentum_profile(PhasePoint(1e103, 0.5), 10.0, 3)
-    assert 0 < raised < 0.2 * len(ts) * 25
+    assert 0 < raised < 0.2 * len(ts) * len(mus) * len(k_maxes)
     assert np.isfinite(prof.n1_of_k).all() and prof.n1_of_k[-1] > 1e104
+
+
+@pytest.mark.parametrize("call", [
+    lambda: charge_integrand(0.0, PhasePoint(1.7e308, 0.5)),
+    lambda: charge_integrand(1e-20, PhasePoint(1e300, 1.0 - 2.0 ** -53)),
+    lambda: momentum_profile(PhasePoint(1e300, -(1.0 - 2.0 ** -53)), 1.0, 3),
+], ids=["charge_integrand-half", "charge_integrand-below-one",
+        "momentum_profile-below-minus-one"])
+def test_subnormal_shift_below_the_condensation_point_raises(call):
+    # (1 - |mu|)/t subnormal at |mu| < 1: n overflows near k = 0, where
+    # k^2 n tends to 0, and the 2t limit of |mu| = 1 does not hold
+    with pytest.raises(InvalidArgument, match=r"^momentum occupations at "
+                       r"t = 1(\.7)?e\+30\d, mu = -?0\.\d+: "):
+        call()
 
 
 @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from relbec import cli, oracle, quadrature, solver, statistics
+from relbec import cli, oracle, quadrature, solver
 from relbec.types import BoxSpec, PhasePoint
 
 # q bands of the inversion counts, with 20 seeded draws each; solve_mu
@@ -84,7 +84,7 @@ def dead_eos(calls):
     each of those none."""
     dead = 0
     for phase, nodes in calls:
-        both_dead = (1.0 - abs(phase.mu)) / phase.t > statistics._DEAD_X
+        both_dead = (1.0 - abs(phase.mu)) / phase.t > quadrature._DEAD_X
         assert nodes == ([] if both_dead else [NODES_PER_EOS]), phase
         dead += both_dead
     return dead
