@@ -49,11 +49,10 @@ by node, so they are the same doubles at every SIMD level numpy
 dispatches (_v_rows). Those of the level-0 nodes are made once, at
 import (_LEVEL0_ROWS), and the kernel takes them when it is handed
 _LEVEL0_NODES itself; a refined level's nodes get theirs from the same
-row function at each call. The kernel shifts one exp and one expm1 row
-over -v^2 by the scalar (1 - |mu|)/t, corrected for its rounding
-(statistics._shift), and returns the branch factors e^{-(1 -+ |mu|)/t}
-apart from its rows, which stay normal doubles where a density is
-subnormal; _levels multiplies them into the sums last, as it does sigma.
+row function at each call. The kernel returns its rows apart from their
+branch factors (statistics._rows), so the rows stay normal doubles where
+a density is subnormal; _levels multiplies the factors into the sums
+last, as it does sigma.
 At the default tolerances thermal_charge_density is one such pass over
 571 nodes at every (t, mu) with (1 - |mu|)/t at most _DEAD_X, and no pass
 above it, where every k^2 n of both branches underflows to 0.0.
@@ -195,31 +194,26 @@ del _array
 
 def _weighted_occupations(v: np.ndarray, phase: PhasePoint):
     """The EOS rows on an array of v > 0, v = sqrt(gap/t), as one
-    (3, len(v)) array, and their three factors: a row's integral over v
-    times its factor is that of k^2 n1, k^2 n2 or k^2 (n1 - n2) over k,
-    divided by sigma(t) = (t (t + 2))^{3/2}.
+    (3, len(v)) array, and their three factors (statistics._rows): a row's
+    integral over v times its factor is that of k^2 n1, k^2 n2 or
+    k^2 (n1 - n2) over k, divided by sigma(t) = (t (t + 2))^{3/2}.
 
     With g = v^2 t the gap, k^2 dk = 2 v t (g + 1) sqrt(g (g + 2)) dv, so
     the weight is w = 2 v^2 (g + 1) sqrt(g + 2)/(t + 2)^{3/2}: about v^2
     at t << 1 and 2 v^5 at t >> 1, finite wherever the EOS runs.
 
-    A branch's exponent is v^2 + a, with a = (1 - |mu|)/t on the branch
-    of the smaller gap, and v^2 + a + d on the other, d = 2|mu|/t: the
-    rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows (_LEVEL0_ROWS where v is
-    _LEVEL0_NODES itself), and _shift's corrected (e^{-a}, expm1(-a)), with
-    1 - |mu| taken exactly as a two-term sum; _rows derives both branches
-    and the difference, rows that are normal doubles wherever the EOS
-    runs, while their factors, e^{-a} and e^{-a} e^{-d}, may be subnormal.
+    The near branch's exponent is v^2 + a, a = (1 - |mu|)/t: _rows takes
+    the rows v^2 e^{-v^2} and expm1(-v^2) of _v_rows (_LEVEL0_ROWS where v
+    is _LEVEL0_NODES itself) and _shift's corrected (e^{-a}, expm1(-a)),
+    with 1 - |mu| taken exactly as a two-term sum. The rows are normal
+    doubles wherever the EOS runs; their factors may be subnormal.
     At mu = +-1 the near exponent is v^2 alone, a normal double on every
     node of the EOS pass (v >= 3.8e-15 there), so no limit is needed;
     v = 0 is the pole of that branch and must not be passed.
     """
-    t, mu = phase.t, phase.mu
-    m = abs(mu)
-    near = 0 if mu >= 0.0 else 1
+    t, m = phase.t, abs(phase.mu)
     p = 1.0 - m
     e_a, m_a = _shift(p, 1.0 - p - m, t)
-    shift_d = _shift(2.0 * m, 0.0, t)
     # w = v^2 B sqrt(B + b), B = b (g + 1), b^{3/2} = 2/(t + 2)^{3/2}
     b = _CBRT_4 / (t + 2.0)
     y, y_e, m_y = _LEVEL0_ROWS if v is _LEVEL0_NODES else _v_rows(v)
@@ -232,9 +226,7 @@ def _weighted_occupations(v: np.ndarray, phase: PhasePoint):
     np.sqrt(root, out=root)
     w *= root
     w *= y_e
-    far = e_a * shift_d[0]
-    factors = (far, e_a, e_a) if near else (e_a, far, e_a)
-    return _rows(buf, near, m_y, e_a, m_a, shift_d, mu), factors
+    return _rows(buf, m_y, e_a, m_a, phase)
 
 
 def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -249,9 +241,10 @@ def _gauss_kronrod(y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _levels(f, config: QuadratureConfig, scale: float):
     """(value, error) of the integrals over v in [0, inf) of the rows f
-    returns with their factors, each times scale, then times its factor
-    (the only rounding into a subnormal first-level value), as lists of
-    floats; the tolerance test is on these values. A row may change sign,
+    returns, a (component, node) float array, with their factors, each
+    times scale, then times its factor (the only rounding into a
+    subnormal first-level value), as lists of floats; the tolerance test
+    is on these values. A row may change sign,
     and past _V_CUT its ratio to its value at _V_CUT must be at most
     (v/V)^5 e^{-(v^2 - V^2)}. NonConvergence where a tail bound is not
     below its tolerance, or the refinement budget runs out. The loop over
@@ -263,8 +256,7 @@ def _levels(f, config: QuadratureConfig, scale: float):
     done = done_err = None
     for level in range(_MAX_LEVELS + 1):
         n = len(a)
-        y, factors = f(nodes)
-        rows = np.asarray(y, dtype=float).reshape(-1, len(nodes))
+        rows, factors = f(nodes)
         panels = _gauss_kronrod(rows[:, :-1].reshape(-1, n, 15), half[0])
         sums, err_sums = np.add.reduce(panels, axis=-1).tolist()
         if done is None:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (AboveCritical, BelowCritical, InvalidArgument,
                      NonConvergence)
 from .limits import _ZETA_3_2
-from .quadrature import QuadratureConfig, thermal_charge_density
+from .quadrature import _MAX_T, QuadratureConfig, thermal_charge_density
 from .types import (ChargeDensities, CriticalPoint, PhasePoint,
                     require_count, require_finite, require_positive,
                     require_real, require_temperature)
@@ -23,6 +23,9 @@ from .types import (ChargeDensities, CriticalPoint, PhasePoint,
 _MIN_RTOL = 4.0 * np.finfo(float).eps
 # Evaluations of the EOS one Brent search may take
 _MAX_ITERS = 200
+# q_tilde(_MAX_T, 1), the UR t^2/3 at t = _MAX_T (the EOS gives 1 ulp
+# more): no T_c within the EOS's range reaches it
+_MAX_Q = _MAX_T ** 2 / 3.0
 
 
 @dataclass(frozen=True)
@@ -184,16 +187,21 @@ def solve_mu(q: float, t: float,
 
 
 def _tc_bracket(q: float):
-    """Bracket on T_c(q > 0): half the smaller and twice the larger of the
-    NR 2 pi (q/zeta(3/2))^(2/3) and UR sqrt(3 q) closed forms."""
+    """Bracket on T_c(0 < q < _MAX_Q): half the smaller and twice the
+    larger of the NR 2 pi (q/zeta(3/2))^(2/3) and UR sqrt(3 q) closed
+    forms, the top capped at the EOS's largest t, _MAX_T."""
     t_nr = 2.0 * math.pi * (q / _ZETA_3_2) ** (2.0 / 3.0)
     t_ur = math.sqrt(3.0 * q)
-    return 0.5 * min(t_nr, t_ur), 2.0 * max(t_nr, t_ur)
+    return 0.5 * min(t_nr, t_ur), min(2.0 * max(t_nr, t_ur), _MAX_T)
 
 
 def _critical_point(q: float, config: SolverConfig):
-    """(T_c, densities at (T_c, 1)) for finite q > 0."""
+    """(T_c, densities at (T_c, 1)) for finite q > 0, below _MAX_Q."""
     operation = f"critical_temperature at q = {q}"
+    if q >= _MAX_Q:
+        raise InvalidArgument(
+            f"{operation}: q must be below q_tilde({_MAX_T:.3g}, 1) = "
+            f"{_MAX_Q:.4g}, the largest thermal charge the EOS reaches")
     lo, hi = _tc_bracket(q)
     ends = {t: thermal_charge_density(PhasePoint(t, 1.0), config.quad)
             for t in (lo, hi)}
@@ -212,7 +220,8 @@ def critical_temperature(q: float,
 
     q = 0 is the degenerate no-condensation case, defined as T_c = 0.
     The bracket is _tc_bracket's closed form; should it miss the root,
-    NonConvergence names q.
+    NonConvergence names q. InvalidArgument from q = _MAX_Q ~ 5.33e204,
+    q_tilde at the EOS's largest t.
     """
     q = require_finite("q", q)
     if q < 0.0:

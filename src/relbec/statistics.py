@@ -1,7 +1,7 @@
 """The Bose kernel: the dispersion gap, the Bose-Einstein occupation, the
-branch arithmetic that both front ends share, and the momentum front end,
-the weighted occupations of both branches on an array of momenta k. The
-EOS front end, on v = sqrt(gap/t), is quadrature's.
+branch arithmetic that both front ends share (_shift, _rows), and the
+momentum front end, the weighted occupations of both branches on an array
+of momenta k. The EOS front end, on v = sqrt(gap/t), is quadrature's.
 
 Particles carry energy omega = sqrt(k^2+1) - mu, antiparticles
 omega_bar = sqrt(k^2+1) + mu: the two branches share the gap
@@ -12,13 +12,7 @@ accurate as k -> 0, so omega = (1 - mu) + gap stays accurate as mu -> 1.
 The occupation 1/(e^x - 1) is one formula at every x >= 0,
 e^{-x}/(1 - e^{-x}) with the denominator -expm1(-x): neither factor can
 overflow, so large x needs no clamp, and expm1 keeps full precision as
-x -> 0, so small x needs no series. The exponents of the two branches
-differ by the constant 2|mu|/t at every k, so a front end takes one exp
-and one expm1 row, over the near branch, and forms both branches from
-them and a few scalars (_rows). A scalar shift a = p/t enters as the pair
-(e^{-a}, expm1(-a)), corrected for the rounding of a by an exact
-remainder in plain doubles (Dekker's two-product), so no node's exponent
-carries a rounding of a.
+x -> 0, so small x needs no series.
 """
 import math
 import sys
@@ -107,27 +101,30 @@ def _two_product(a: float, b: float):
     return hi, a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
 
 
-def _rows(buf, near, m_y, e_a, m_a, shift_d, mu, under=None, limit=0.0):
-    """The three rows, as buf[:3], from a (5, n) buffer holding
-    P = w e^{-y} in buf[2], and the row m_y = expm1(-y), which may be
-    buf[3 + near] itself, for weights w >= 0 and the near branch's
-    exponents x_> = y + a, where the near branch is the one of the
-    smaller gap (particles for mu >= 0); the other has x_< = x_> + d.
-    (e_a, m_a) and shift_d = (e^{-d}, expm1(-d)) are _shift's pairs at a
-    and at d = 2|mu|/t.
+def _rows(buf, m_y, e_a, m_a, phase: PhasePoint, under=None, limit=0.0):
+    """The rows w n1, w n2 and w (n1 - n2) of a front end, each over its
+    factor, as buf[:3], and the three factors in the same order.
 
-    A branch's row is its w n over its factor, e^{-a} or e^{-(a + d)}:
-    P/D, D = 1 - e^{-x}, with D_> = -expm1(-y) e^{-a} - expm1(-a) and
-    D_< = e^{-d} D_> - expm1(-d), sums of terms >= 0 at every d.
+    The near branch, of the smaller gap (particles for mu >= 0), has the
+    exponents x_> = y + a and the far one x_< = x_> + d, d = 2|mu|/t. A
+    front end hands over a (5, n) buffer holding P = w e^{-y} in buf[2],
+    for weights w >= 0, the row m_y = expm1(-y), which may be a row of
+    buf[3:], and _shift's pair (e_a, m_a) = (e^{-a}, expm1(-a)); _rows
+    makes d's pair (e_d, m_d). The factors are e_a for the near row and
+    the difference and e_a e_d for the far row: (e_a, e_a e_d, e_a) for
+    mu >= 0, (e_a e_d, e_a, e_a) otherwise.
 
-    At the nodes of the mask `under`, where x_> has underflowed, the near
-    row takes `limit`.
-
-    The difference row, of factor e^{-a}, is formed without cancellation
-    as sign(mu) (P/D_>) (1 - e^{-d})/D_<: it keeps full relative precision
+    A branch's row is P/D, D = 1 - e^{-x} over its factor: D_> =
+    -expm1(-y) e^{-a} - expm1(-a) and D_< = e^{-d} D_> - expm1(-d), sums
+    of terms >= 0 at every d, left in buf[3:] (D_> in buf[3 + near]). At
+    the nodes of the mask `under`, where x_> has underflowed, the near row
+    takes `limit`. The difference row is formed without cancellation as
+    sign(mu) (P/D_>) (1 - e^{-d})/D_<: it keeps full relative precision
     where n1 - n2 would cancel (high t, small mu) and never overflows.
     """
-    e_d, m_d = shift_d
+    mu = phase.mu
+    near = 0 if mu >= 0.0 else 1
+    e_d, m_d = _shift(2.0 * abs(mu), 0.0, phase.t)
     d_near = np.multiply(m_y, -e_a if e_a > _FLUSH else 0.0,
                          out=buf[3 + near])
     d_near -= m_a
@@ -141,7 +138,26 @@ def _rows(buf, near, m_y, e_a, m_a, shift_d, mu, under=None, limit=0.0):
         buf[near][under] = limit
     diff = np.multiply(buf[near], math.copysign(-m_d, mu), out=buf[2])
     diff /= d_far
-    return buf[:3]
+    far = e_a * e_d
+    return buf[:3], (far, e_a, e_a) if near else (e_a, far, e_a)
+
+
+def _require_rows(operation: str, phase: PhasePoint, name: str, k: float):
+    """InvalidArgument, naming the operation and k as `name`, where the
+    momentum front end has no rows of doubles up to momentum k: where
+    |mu| < 1 but (1 - |mu|)/t is subnormal, n_> overflows near k = 0,
+    where k^2 n_> tends to 0, not to 2t; and where t (sqrt(k^2 + 1) + 1),
+    which bounds every row (k^2 n <= k^2 t/gap), is not a finite double."""
+    t, mu = phase.t, phase.mu
+    if abs(mu) != 1.0 and (1.0 - abs(mu)) / t < _TINY:
+        raise InvalidArgument(
+            f"momentum occupations at t = {t}, mu = {mu}: (1 - |mu|)/t is "
+            f"below the smallest normal double, where n overflows near "
+            f"k = 0; only |mu| = 1 has the limit k^2 n -> 2t there")
+    if not t * (math.sqrt(k * k + 1.0) + 1.0) < math.inf:
+        raise InvalidArgument(
+            f"{operation} at t = {t}, mu = {mu}, {name} = {k}: the rows "
+            f"reach t (sqrt({name}^2 + 1) + 1), not a finite double")
 
 
 def charge_integrand(k, phase: PhasePoint):
@@ -151,66 +167,53 @@ def charge_integrand(k, phase: PhasePoint):
     mu = +-1 the particle branch has the finite limit k^2 n -> 2t as
     k -> 0, so the integrand tends to +-2t rather than 0*inf. Raises
     InvalidArgument where k^2 is not a finite double (|k| above ~1.34e154,
-    inf or nan), or where |mu| < 1 and (1 - |mu|)/t is subnormal.
+    inf or nan), and as _require_rows does at the largest |k|.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    squarable = np.abs(ks) <= _MAX_K
-    if not squarable.all():
+    size = np.abs(ks)
+    top = float(size.max(initial=0.0))  # nan where some k is nan
+    if not top <= _MAX_K:
         raise InvalidArgument(
             f"charge_integrand: k^2 must be a finite double, got k = "
-            f"{ks[~squarable][0]}")
-    # at a subnormal t an exponent (gap + 1 -+ mu)/t can overflow to inf,
-    # whose occupation 0.0 is the exact limit
-    with np.errstate(over="ignore"):
-        out = _momentum_occupations(ks, phase)[2]
+            f"{ks[~(size <= _MAX_K)][0]}")
+    _require_rows("charge_integrand", phase, "k", top)
+    out = _momentum_occupations(ks, phase)[2]
     return out.reshape(np.shape(k)) if np.ndim(k) else float(out[0])
 
 
 def _momentum_occupations(k: np.ndarray, phase: PhasePoint) -> np.ndarray:
     """Rows k^2 n1(k), k^2 n2(k) and k^2 [n1(k) - n2(k)] on an array of
-    momenta whose squares are finite, as one (3, len(k)) array.
+    momenta where _require_rows passes, as one (3, len(k)) array.
 
-    The branch of the smaller gap, n_> (particles for mu >= 0), has the
-    exponents x_> = (gap + 1 - |mu|)/t, built as their exact negation
-    ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)); _rows, with no
-    shift (y = x_>), derives the other branch and the difference, and the
-    far row is multiplied by its factor e^{-d}.
+    The near branch's exponents x_> = (gap + 1 - |mu|)/t are built as their
+    exact negation ((|mu| - 1) - gap)/t, -gap = k^2/(-1 - sqrt(k^2 + 1)),
+    and go to _rows unshifted (y = x_>, a = 0), whose factors are then
+    multiplied into the rows.
 
     At mu = +-1, where x_> underflows as k -> 0 (the gap k^2/(E + 1)
     vanishes with k^2), k^2 n_> takes its limit t(E + 1) = 2t; that also
     covers momenta whose k^2 underflows to 0 while the occupation is
-    infinite. Raises InvalidArgument where |mu| < 1 but (1 - |mu|)/t is
-    below the smallest normal double: there n_> overflows near k = 0,
-    where k^2 n_> tends to 0, not to 2t.
+    infinite.
     """
-    k = np.asarray(k, dtype=float)
     t, mu = phase.t, phase.mu
-    edge = abs(mu) == 1.0
-    if not edge and (1.0 - abs(mu)) / t < _TINY:
-        raise InvalidArgument(
-            f"momentum occupations at t = {t}, mu = {mu}: (1 - |mu|)/t is "
-            f"below the smallest normal double, where n overflows near "
-            f"k = 0; only |mu| = 1 has the limit k^2 n -> 2t there")
-    near = 0 if mu >= 0.0 else 1
-    # rows k^2 n1, k^2 n2 (-1 - sqrt(k^2 + 1) and -x_> until then),
-    # k^2 e^{-x_>} (k^2 until then), and expm1(-x_>) in the near branch's
-    # row of the last two
+    # rows k^2 n1 (-x_> until then), k^2 n2 (-1 - sqrt(k^2 + 1) until
+    # then), k^2 e^{-x_>} (k^2 until then) and expm1(-x_>) in the fourth
     buf = np.empty((5,) + k.shape)
     ksq = np.multiply(k, k, out=buf[2])
-    root, neg_x = buf[1 - near], buf[near]
-    np.sqrt(np.add(ksq, 1.0, out=root), out=root)
-    np.divide(ksq, np.subtract(-1.0, root, out=root), out=neg_x)
+    root = np.sqrt(np.add(ksq, 1.0, out=buf[1]), out=buf[1])
+    neg_x = np.divide(ksq, np.subtract(-1.0, root, out=root), out=buf[0])
     neg_x += abs(mu) - 1.0
-    neg_x /= t
+    # at a subnormal t an exponent can overflow to -inf, whose
+    # occupation 0.0 is the exact limit
+    with np.errstate(over="ignore"):
+        neg_x /= t
     # x_> >= (1 - |mu|)/t, since the gap is >= 0: only at |mu| = 1 can n_>
     # overflow; there it is 0 meanwhile, then 2t
-    under = neg_x > -_TINY if edge else None
-    m_y = np.expm1(neg_x, out=buf[3 + near])
+    under = neg_x > -_TINY if abs(mu) == 1.0 else None
+    m_y = np.expm1(neg_x, out=buf[3])
     ksq *= np.exp(neg_x, out=neg_x)
-    shift_d = _shift(2.0 * abs(mu), 0.0, t)
-    rows = _rows(buf, near, m_y, 1.0, 0.0, shift_d, mu, under, 2.0 * t)
-    rows[1 - near] *= shift_d[0]
-    return rows
+    rows, factors = _rows(buf, m_y, 1.0, 0.0, phase, under, 2.0 * t)
+    return np.multiply(rows, np.array(factors)[:, None], out=rows)
 
 
 def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumProfile:
@@ -218,20 +221,14 @@ def momentum_profile(phase: PhasePoint, k_max: float, samples: int) -> MomentumP
 
     The difference of the two curves integrates (with the 1/2pi^2 measure)
     to the thermal charge density. No 1/2pi^2 prefactor is applied to the
-    emitted curves. Every row is at most t (E + 1) at k_max, since
-    k^2 n <= k^2 t/gap; InvalidArgument where that is not a finite double.
+    emitted curves. InvalidArgument as _require_rows raises it at k_max.
     """
     k_max = require_real("k_max", k_max)
     if not (k_max > 0.0 and k_max * k_max < math.inf):
         raise InvalidArgument(
             f"k_max must be > 0 with k_max^2 a finite double, got {k_max}")
-    if not phase.t * (math.sqrt(k_max * k_max + 1.0) + 1.0) < math.inf:
-        raise InvalidArgument(
-            f"momentum_profile at t = {phase.t}, mu = {phase.mu}, k_max = "
-            f"{k_max}: the rows reach t (sqrt(k_max^2 + 1) + 1), which is "
-            f"not a finite double")
+    _require_rows("momentum_profile", phase, "k_max", k_max)
     samples = require_count("samples", samples, 2)
     k = np.linspace(0.0, k_max, samples)
-    with np.errstate(over="ignore"):  # as in charge_integrand
-        n1, n2, _ = _momentum_occupations(k, phase)
+    n1, n2, _ = _momentum_occupations(k, phase)
     return MomentumProfile(k_grid=k, n1_of_k=n1, n2_of_k=n2)

@@ -108,7 +108,7 @@ def momentum_route(phase):
 def levels(f, config=QuadratureConfig(), factor=1.0):
     """The level loop on one integrand f in v, at scale 1 and with the
     given factor."""
-    return quadrature._levels(lambda v: (f(v), (factor,)), config, 1.0)
+    return quadrature._levels(lambda v: (f(v)[None], (factor,)), config, 1.0)
 
 
 # The level loop on closed-form integrands in v, each within the tail
@@ -673,6 +673,8 @@ def test_temperature_above_the_doubles_raises(t):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_critical_temperature_above_the_doubles_raises():
-    # the upper end of the bracket, t ~ 1.4e134, is past the bound
-    with pytest.raises(InvalidArgument, match="thermal_charge_density"):
-        critical_temperature(1e200)
+    # T_c ~ 1.7e150 and even the bracket's bottom, t ~ 8.7e149, are past
+    # the EOS's bound: the error names the charge, not an EOS's t
+    with pytest.raises(InvalidArgument, match=r"^critical_temperature at "
+                       r"q = 1e\+300: "):
+        critical_temperature(1e300)

@@ -114,6 +114,27 @@ def test_critical_temperature_ur_anchor():
                                                         rel=0.01)
 
 
+@pytest.mark.parametrize("q", [1e153, 1e200])
+def test_critical_temperature_bracket_is_capped_at_the_eos_range(q):
+    # from q ~ 4.7e152 twice the UR T_c passes the EOS's largest t, where
+    # the bracket's top raised the EOS's InvalidArgument; T_c ~ 1e76..1e100
+    # is UR to far below t_tol
+    config = SolverConfig()
+    assert critical_temperature(q, config) == pytest.approx(
+        math.sqrt(3.0 * q), rel=config.t_tol)
+
+
+@pytest.mark.parametrize("q", [5.4e204, 1e300])
+def test_critical_temperature_past_the_eos_range_names_the_charge(
+        monkeypatch, q):
+    # q_tilde(t, 1) at the EOS's largest t is ~5.33e204: no T_c beyond,
+    # which is raised before any EOS
+    monkeypatch.setattr(solver, "thermal_charge_density", None)
+    with pytest.raises(InvalidArgument, match=r"^critical_temperature at "
+                       r"q = "):
+        critical_temperature(q)
+
+
 def test_condensed_solution_at_transition():
     q = 1.0
     tc = critical_temperature(q)

@@ -496,6 +496,25 @@ def test_momentum_profile_rejects_rows_past_the_doubles(mu):
             momentum_profile(PhasePoint(1e200, mu), 1e150, 3)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 1.0, -1.0])
+def test_charge_integrand_rejects_rows_past_the_doubles(mu):
+    # the rule of momentum_profile at the largest |k|: at t = 1e200,
+    # k = 1e150 the integrand was nan (a warning) at mu = 0 and +-inf
+    # otherwise, and at |mu| = 1 its limit 2t overflows from t ~ 9e307
+    calls = [(1e150, 1e200), (np.array([0.0, -1e150]), 1e200)]
+    if abs(mu) == 1.0:
+        calls.append((0.0, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, t in calls:
+            top = np.abs(k).max()
+            with pytest.raises(InvalidArgument, match=(
+                    rf"^charge_integrand at t = {re.escape(str(t))}, "
+                    rf"mu = {re.escape(str(mu))}, "
+                    rf"k = {re.escape(str(top))}: ")):
+                charge_integrand(k, PhasePoint(t, mu))
+
+
 def test_momentum_profile_is_finite_or_an_error_up_to_the_largest_double():
     # below |mu| = 1 every row is 0.0 at k = 0: the 2t limit of |mu| = 1
     # must not reach |mu| = 1 - 2^-53, where (1 - |mu|)/t is subnormal
